@@ -31,7 +31,6 @@ from .dynamics import (
     classify_scan,
     has_period_one,
     period_of,
-    transition,
 )
 from .geodesics import (
     CenterSingularity,
@@ -50,13 +49,12 @@ from .geodesics import (
     trace_section,
     unit_speed_state,
 )
-from .metric import DegenerateAtCenter, GluedMetric, MetricSample, WarpProfile, smooth_step
+from .metric import DegenerateAtCenter, GluedMetric, MetricSample, smooth_step
 from .verify import (
     CheckResult,
     NonPositiveRadius,
     VerificationReport,
     all_or_none_check,
-    leaf_equidistance_check,
     radial_geodesic_check,
     rational_closure,
     run_all_checks,
@@ -88,7 +86,6 @@ __all__ = [
     "classify_scan",
     "has_period_one",
     "period_of",
-    "transition",
     "CenterSingularity",
     "EventBisectionFailure",
     "GeodesicState",
@@ -107,13 +104,11 @@ __all__ = [
     "DegenerateAtCenter",
     "GluedMetric",
     "MetricSample",
-    "WarpProfile",
     "smooth_step",
     "CheckResult",
     "NonPositiveRadius",
     "VerificationReport",
     "all_or_none_check",
-    "leaf_equidistance_check",
     "radial_geodesic_check",
     "rational_closure",
     "run_all_checks",

@@ -105,25 +105,6 @@ def _bump01(u: float) -> float:
     return math.exp(_PEAK - 1.0 / q)
 
 
-def _bump01_d1(u: float) -> float:
-    if u <= 0.0 or u >= 1.0:
-        return 0.0
-    q = u * (1.0 - u)
-    if q < _Q_FLOOR:
-        return 0.0
-    return math.exp(_PEAK - 1.0 / q) * (1.0 - 2.0 * u) / (q * q)
-
-
-def _bump01_d2(u: float) -> float:
-    if u <= 0.0 or u >= 1.0:
-        return 0.0
-    q = u * (1.0 - u)
-    if q < _Q_FLOOR:
-        return 0.0
-    qp = 1.0 - 2.0 * u
-    return math.exp(_PEAK - 1.0 / q) * ((qp / (q * q)) ** 2 - 2.0 * (q + qp * qp) / q**3)
-
-
 def _bump01_vec(u: np.ndarray) -> np.ndarray:
     q = u * (1.0 - u)
     inside = q >= _Q_FLOOR
@@ -131,24 +112,19 @@ def _bump01_vec(u: np.ndarray) -> np.ndarray:
     return np.where(inside, np.exp(_PEAK - 1.0 / qs), 0.0)
 
 
-def _bump01_d1_vec(u: np.ndarray) -> np.ndarray:
+def _bump01_d1d2(u: float) -> tuple[float, float]:
+    """First and second derivative from one shared exponential."""
+    if u <= 0.0 or u >= 1.0:
+        return 0.0, 0.0
     q = u * (1.0 - u)
-    inside = q >= _Q_FLOOR
-    qs = np.where(inside, q, 1.0)
-    return np.where(inside, np.exp(_PEAK - 1.0 / qs) * (1.0 - 2.0 * u) / (qs * qs), 0.0)
-
-
-def _bump01_d2_vec(u: np.ndarray) -> np.ndarray:
-    q = u * (1.0 - u)
-    inside = q >= _Q_FLOOR
-    qs = np.where(inside, q, 1.0)
+    if q < _Q_FLOOR:
+        return 0.0, 0.0
     qp = 1.0 - 2.0 * u
-    val = np.exp(_PEAK - 1.0 / qs) * ((qp / (qs * qs)) ** 2 - 2.0 * (qs + qp * qp) / qs**3)
-    return np.where(inside, val, 0.0)
+    e = math.exp(_PEAK - 1.0 / q)
+    return e * qp / (q * q), e * ((qp / (q * q)) ** 2 - 2.0 * (q + qp * qp) / q**3)
 
 
 def _bump01_d1d2_vec(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both derivatives from one shared exponential; integrator hot path."""
     q = u * (1.0 - u)
     inside = q >= _Q_FLOOR
     qs = np.where(inside, q, 1.0)
@@ -357,21 +333,14 @@ class BumpDiffeo(CircleDiffeo):
         return x + self.amplitude * _bump01(self._u(x))
 
     def lift_derivative(self, x):
-        if isinstance(x, np.ndarray):
-            return 1.0 + (self.amplitude / self._width) * _bump01_d1_vec(self._u(x))
-        return 1.0 + (self.amplitude / self._width) * _bump01_d1(self._u(x))
+        return self.derivative_pair(x)[0]
 
     def lift_second_derivative(self, x):
-        if isinstance(x, np.ndarray):
-            return (self.amplitude / self._width**2) * _bump01_d2_vec(self._u(x))
-        return (self.amplitude / self._width**2) * _bump01_d2(self._u(x))
+        return self.derivative_pair(x)[1]
 
     def derivative_pair(self, theta):
         u = self._u(theta)
-        if isinstance(u, np.ndarray):
-            d1, d2 = _bump01_d1d2_vec(u)
-        else:
-            d1, d2 = _bump01_d1(u), _bump01_d2(u)
+        d1, d2 = _bump01_d1d2_vec(u) if isinstance(u, np.ndarray) else _bump01_d1d2(u)
         return 1.0 + (self.amplitude / self._width) * d1, (self.amplitude / self._width**2) * d2
 
     def __repr__(self):
@@ -379,6 +348,31 @@ class BumpDiffeo(CircleDiffeo):
             f"BumpDiffeo(amplitude={self.amplitude!r}, "
             f"support=({self.support_lo!r}, {self.support_hi!r}))"
         )
+
+
+def periodic_spline(knots, values):
+    """Periodic C^2 cubic spline through (knots, values), on the whole line.
+
+    Knots must be strictly increasing within [0, 2*pi); the spline closes up
+    over [knots[0], knots[0] + 2*pi] and every argument is wrapped into that
+    period.  Returns evaluate(x, nu=0), the nu-th derivative (nu <= 2) at x,
+    a float for a scalar x and an array for an array x.
+    """
+    knots = np.asarray(knots, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if np.any(np.diff(knots) <= 0) or knots[0] < 0 or knots[-1] >= TWO_PI:
+        raise ValueError("knots must be strictly increasing within [0, 2*pi)")
+    spline = CubicSpline(
+        np.append(knots, knots[0] + TWO_PI), np.append(values, values[0]), bc_type="periodic"
+    )
+    derivatives = (spline, spline.derivative(1), spline.derivative(2))
+    x0 = float(knots[0])
+
+    def evaluate(x, nu: int = 0):
+        out = derivatives[nu](x0 + np.mod(x - x0, TWO_PI))
+        return out if isinstance(x, np.ndarray) else float(out)
+
+    return evaluate
 
 
 class SplineDiffeo(CircleDiffeo):
@@ -397,33 +391,19 @@ class SplineDiffeo(CircleDiffeo):
         values = np.asarray(values, dtype=float)
         if knots.ndim != 1 or knots.shape != values.shape or knots.size < 3:
             raise ValueError("need matching 1-d knot/value arrays with at least 3 knots")
-        if np.any(np.diff(knots) <= 0) or knots[0] < 0 or knots[-1] >= TWO_PI:
-            raise ValueError("knots must be strictly increasing within [0, 2*pi)")
         self.knots = knots
         self.values = values
-        dev = values - knots
-        x_ext = np.append(knots, knots[0] + TWO_PI)
-        d_ext = np.append(dev, dev[0])
-        self._dev = CubicSpline(x_ext, d_ext, bc_type="periodic")
-        self._dev_d1 = self._dev.derivative(1)
-        self._dev_d2 = self._dev.derivative(2)
-        self._x0 = float(knots[0])
+        self._dev = periodic_spline(knots, values - knots)
         self._check_invariants(n_grid)
 
-    def _wrap(self, x):
-        return self._x0 + np.mod(x - self._x0, TWO_PI)
-
     def lift(self, x):
-        val = self._dev(self._wrap(x))
-        return x + (val if isinstance(x, np.ndarray) else float(val))
+        return x + self._dev(x)
 
     def lift_derivative(self, x):
-        val = self._dev_d1(self._wrap(x))
-        return 1.0 + (val if isinstance(x, np.ndarray) else float(val))
+        return 1.0 + self._dev(x, 1)
 
     def lift_second_derivative(self, x):
-        val = self._dev_d2(self._wrap(x))
-        return val if isinstance(x, np.ndarray) else float(val)
+        return self._dev(x, 2)
 
     def __repr__(self):
         return f"SplineDiffeo(n_knots={self.knots.size})"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .geodesics import (
     section_verdict,
     trace_section,
 )
+from .table import csv_text
 from .verify import NonPositiveRadius, rational_closure, run_all_checks
 
 EXIT_OK = 0
@@ -60,6 +62,8 @@ def cmd_scan_periods(cfg: Config, seed: int, out: Path) -> int:
 
 
 def cmd_trace(cfg: Config, seed: int, out: Path, theta0: float, max_legs: int, numeric: bool) -> int:
+    if not math.isfinite(theta0):
+        raise ValueError(f"theta0 must be a finite angle, got {theta0!r}")
     f = cfg.build_diffeo()
     trace = trace_section(f, theta0, max_legs=max_legs, k_max=cfg.k_max, tol=cfg.tol)
     verdict = section_verdict(trace)
@@ -105,7 +109,8 @@ def cmd_trace(cfg: Config, seed: int, out: Path, theta0: float, max_legs: int, n
         print(f"numeric cross-check: {len(traj.crossings)} crossings, max deviation {dev:.3e}")
         print(f"wrote {traj_path}")
     json_path = out / "trace.json"
-    json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    json_path.write_text(text + "\n", encoding="utf-8")
     closed_str = f"closed, period {verdict.period.k}, length {verdict.length:g}" if verdict.closed else (
         f"not closed within {verdict.period.searched} returns"
     )
@@ -132,19 +137,19 @@ def cmd_verify(cfg: Config, seed: int, out: Path, tamper_psi1: float) -> int:
 
 def cmd_build_metric(cfg: Config, seed: int, out: Path, n_t: int, n_theta: int) -> int:
     metric = cfg.build_metric()
-    lines = [f"# {line}" for line in _headers(cfg, seed)]
-    lines.append("chart,t,theta,phi,phi_t,phi_theta")
     ts = np.linspace(0.0, 1.0, n_t)
     thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
+    rows = []
     for chart in (1, 2):
         for t in ts:
             for theta in thetas:
                 phi, phi_t, phi_theta = metric.warp_with_partials(chart, float(t), float(theta))
-                lines.append(
+                rows.append(
                     f"{chart},{float(t)!r},{float(theta)!r},{phi!r},{phi_t!r},{phi_theta!r}"
                 )
+    columns = ("chart", "t", "theta", "phi", "phi_t", "phi_theta")
     csv_path = out / "metric_grid.csv"
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    csv_path.write_text(csv_text(_headers(cfg, seed), columns, rows), encoding="utf-8")
     print(f"wrote {csv_path} ({2 * n_t * n_theta} samples)")
     return EXIT_OK
 
@@ -229,6 +234,9 @@ def main(argv=None) -> int:
     except (ConvergenceFailure, HorizonTooShort, NotClosed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except ValueError as exc:  # bad input; after the ValueError subclasses above
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

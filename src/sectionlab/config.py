@@ -9,12 +9,8 @@ outputs, so an experiment is reproducible from the artifact alone.
 from __future__ import annotations
 
 import configparser
-import io
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
-from scipy.interpolate import CubicSpline
+from dataclasses import dataclass, field, fields
 
 from .circle import (
     TWO_PI,
@@ -24,6 +20,7 @@ from .circle import (
     MonotonicityViolation,
     RotationDiffeo,
     SplineDiffeo,
+    periodic_spline,
 )
 from .metric import GluedMetric
 
@@ -61,7 +58,6 @@ class Config:
     tol: float = 1e-9
     # [output]
     directory: str = "out"
-    format: str = "csv"
 
     def build_diffeo(self) -> CircleDiffeo:
         try:
@@ -89,27 +85,11 @@ class Config:
         if self.psi2_thetas:
             if len(self.psi2_thetas) != len(self.psi2_values):
                 raise ConfigError("metric.psi2_values: length must match metric.psi2_thetas")
-            knots = np.asarray(self.psi2_thetas, dtype=float)
-            vals = np.asarray(self.psi2_values, dtype=float)
-            if np.any(np.diff(knots) <= 0) or knots[0] < 0 or knots[-1] >= TWO_PI:
-                raise ConfigError(
-                    "metric.psi2_thetas: knots must be strictly increasing within [0, 2*pi)"
-                )
-            x_ext = np.append(knots, knots[0] + TWO_PI)
-            y_ext = np.append(vals, vals[0])
-            spl = CubicSpline(x_ext, y_ext, bc_type="periodic")
-            dspl = spl.derivative(1)
-            x0 = float(knots[0])
-
-            def val(theta, _s=spl, _x0=x0):
-                out = _s(_x0 + np.mod(theta - _x0, TWO_PI))
-                return out if isinstance(theta, np.ndarray) else float(out)
-
-            def der(theta, _d=dspl, _x0=x0):
-                out = _d(_x0 + np.mod(theta - _x0, TWO_PI))
-                return out if isinstance(theta, np.ndarray) else float(out)
-
-            psi2 = (val, der)
+            try:
+                spline = periodic_spline(self.psi2_thetas, self.psi2_values)
+            except ValueError as exc:
+                raise ConfigError(f"metric.psi2_thetas: {exc}") from exc
+            psi2 = (spline, lambda theta: spline(theta, 1))
         try:
             return GluedMetric(f, t0=self.t0, t1=self.t1, psi2=psi2, psi1_scale=psi1_scale)
         except ValueError as exc:
@@ -134,42 +114,21 @@ class Config:
             raise ConfigError(f"scan.k_max: must be >= 1, got {self.k_max}")
         if self.tol <= 0:
             raise ConfigError(f"scan.tol: must be positive, got {self.tol}")
-        if self.format != "csv":
-            raise ConfigError(f"output.format: only 'csv' is supported, got {self.format!r}")
         # object-level invariants are enforced by construction
         self.build_metric()
 
     def effective_text(self) -> str:
         """Canonical INI text with every key explicit; emitting is idempotent."""
-        buf = io.StringIO()
-        buf.write("[diffeo]\n")
-        buf.write(f"kind = {self.kind}\n")
-        buf.write(f"amplitude = {self.amplitude!r}\n")
-        buf.write(f"support_lo = {self.support_lo!r}\n")
-        buf.write(f"support_hi = {self.support_hi!r}\n")
-        buf.write(f"angle = {self.angle!r}\n")
-        if self.spline_knots:
-            buf.write(f"spline_knots = {_fmt_list(self.spline_knots)}\n")
-            buf.write(f"spline_values = {_fmt_list(self.spline_values)}\n")
-        buf.write("\n[metric]\n")
-        buf.write(f"t0 = {self.t0!r}\n")
-        buf.write(f"t1 = {self.t1!r}\n")
-        if self.psi2_thetas:
-            buf.write(f"psi2_thetas = {_fmt_list(self.psi2_thetas)}\n")
-            buf.write(f"psi2_values = {_fmt_list(self.psi2_values)}\n")
-        buf.write("\n[integrator]\n")
-        buf.write(f"ds = {self.ds!r}\n")
-        buf.write(f"s_max = {self.s_max!r}\n")
-        buf.write(f"radial_tol = {self.radial_tol!r}\n")
-        buf.write(f"t_guard = {self.t_guard!r}\n")
-        buf.write("\n[scan]\n")
-        buf.write(f"n_samples = {self.n_samples}\n")
-        buf.write(f"k_max = {self.k_max}\n")
-        buf.write(f"tol = {self.tol!r}\n")
-        buf.write("\n[output]\n")
-        buf.write(f"directory = {self.directory}\n")
-        buf.write(f"format = {self.format}\n")
-        return buf.getvalue()
+        blocks = []
+        for section, keys in _SECTIONS.items():
+            lines = [f"[{section}]"]
+            for key in keys:
+                value = getattr(self, key)
+                kind = _FIELD_KINDS[key]
+                if kind != "list" or value:  # empty lists are left out
+                    lines.append(f"{key} = {_CODECS[kind][1](value)}")
+            blocks.append("\n".join(lines) + "\n")
+        return "\n".join(blocks)
 
     def header_lines(self) -> list[str]:
         """Effective config as comment-ready lines for output headers."""
@@ -194,37 +153,33 @@ def _parse_list(text: str) -> list:
     return [float(tok) for tok in text.replace(",", " ").split()]
 
 
+# the one table of config keys: INI section -> keys, in emission order
+_SECTIONS = {
+    "diffeo": (
+        "kind",
+        "amplitude",
+        "support_lo",
+        "support_hi",
+        "angle",
+        "spline_knots",
+        "spline_values",
+    ),
+    "metric": ("t0", "t1", "psi2_thetas", "psi2_values"),
+    "integrator": ("ds", "s_max", "radial_tol", "t_guard"),
+    "scan": ("n_samples", "k_max", "tol"),
+    "output": ("directory",),
+}
+# dataclass field type -> (parser, formatter)
+_CODECS = {
+    "str": (str, str),
+    "int": (int, str),
+    "float": (float, repr),
+    "list": (_parse_list, _fmt_list),
+}
+_FIELD_KINDS = {f.name: f.type for f in fields(Config)}
 _SCHEMA = {
-    "diffeo": {
-        "kind": str,
-        "amplitude": float,
-        "support_lo": float,
-        "support_hi": float,
-        "angle": float,
-        "spline_knots": _parse_list,
-        "spline_values": _parse_list,
-    },
-    "metric": {
-        "t0": float,
-        "t1": float,
-        "psi2_thetas": _parse_list,
-        "psi2_values": _parse_list,
-    },
-    "integrator": {
-        "ds": float,
-        "s_max": float,
-        "radial_tol": float,
-        "t_guard": float,
-    },
-    "scan": {
-        "n_samples": int,
-        "k_max": int,
-        "tol": float,
-    },
-    "output": {
-        "directory": str,
-        "format": str,
-    },
+    section: {key: _CODECS[_FIELD_KINDS[key]][0] for key in keys}
+    for section, keys in _SECTIONS.items()
 }
 
 

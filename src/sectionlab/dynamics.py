@@ -12,12 +12,11 @@ the start within tolerance), and whole-circle period scans.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
 from .circle import CircleDiffeo, ConvergenceFailure, antipode, circle_distance
+from .table import csv_text
 
 DEFAULT_K_MAX = 64
 DEFAULT_TOL = 1e-9
@@ -67,11 +66,6 @@ class Period:
 
     def __str__(self):
         return str(self.k) if self.k is not None else f"none(<={self.searched})"
-
-
-def transition(T: TransitionMap, theta):
-    """Functional form of T(theta); propagates ConvergenceFailure."""
-    return T(theta)
 
 
 def period_of(T, theta: float, k_max: int = DEFAULT_K_MAX, tol: float = DEFAULT_TOL) -> Period:
@@ -143,16 +137,11 @@ class PeriodReport:
         return sum(1 for s in self.samples if s.fragile)
 
     def to_csv_text(self, header_lines=()) -> str:
-        buf = io.StringIO()
-        for line in header_lines:
-            buf.write(f"# {line}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["theta_radians", "period_k", "fragile_flag"])
-        for s in self.samples:
-            writer.writerow(
-                [repr(s.theta), "" if s.period.k is None else s.period.k, int(s.fragile)]
-            )
-        return buf.getvalue()
+        rows = (
+            f"{s.theta!r},{'' if s.period.k is None else s.period.k},{int(s.fragile)}"
+            for s in self.samples
+        )
+        return csv_text(header_lines, ("theta_radians", "period_k", "fragile_flag"), rows)
 
     def summary_text(self) -> str:
         lines = [

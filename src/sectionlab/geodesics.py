@@ -25,6 +25,7 @@ import numpy as np
 from .circle import CircleDiffeo, antipode, circle_distance, line_distance, normalize
 from .dynamics import DEFAULT_K_MAX, DEFAULT_TOL, Period, TransitionMap
 from .metric import GluedMetric
+from .table import csv_text
 
 DEFAULT_DS = 1e-3
 DEFAULT_S_MAX = 20.0
@@ -101,13 +102,11 @@ class Trajectory:
 
     def to_records_text(self, header_lines=()) -> str:
         """Line-delimited records: s, chart, t, theta, vt, vtheta."""
-        lines = [f"# {line}" for line in header_lines]
-        lines.append("s,chart,t,theta,vt,vtheta")
-        for st in self.states:
-            lines.append(
-                f"{st.s!r},{st.chart},{st.t!r},{st.theta!r},{st.vt!r},{st.vtheta!r}"
-            )
-        return "\n".join(lines) + "\n"
+        rows = (
+            f"{st.s!r},{st.chart},{st.t!r},{st.theta!r},{st.vt!r},{st.vtheta!r}"
+            for st in self.states
+        )
+        return csv_text(header_lines, ("s", "chart", "t", "theta", "vt", "vtheta"), rows)
 
 
 def unit_speed_state(

@@ -104,18 +104,6 @@ class MetricSample:
         return (self.g_tt, self.g_ttheta, self.g_thetatheta)
 
 
-@dataclass(frozen=True)
-class WarpProfile:
-    """Radial blend data for one chart: zone bounds plus the plateau profile."""
-
-    t0: float
-    t1: float
-    psi: object  # callable theta -> value
-    psi_prime: object  # callable theta -> derivative
-    psi_min: float
-    label: str = ""
-
-
 def _const_profile(c: float):
     def value(theta):
         if isinstance(theta, np.ndarray):
@@ -182,32 +170,16 @@ class GluedMetric:
         psi1_min = float(np.min(psi1_vals))
         if psi1_min <= 0.0:
             raise ValueError(f"derived psi1 must be positive; min on grid is {psi1_min:.6g}")
-        self.profile1 = WarpProfile(t0, t1, self.psi1, self.psi1_prime, psi1_min, "chart 1")
-        self.profile2 = WarpProfile(
-            t0, t1, self._psi2, self._psi2_prime, float(np.min(psi2_vals)), "chart 2"
-        )
         self.psi_min = min(psi1_min, float(np.min(psi2_vals)))
 
     # -- plateau profiles -----------------------------------------------------
 
     def psi1(self, theta):
         """Chart-1 plateau profile, derived from the compatibility rule."""
-        fp = self.f.derivative(theta)
-        if self._psi2_is_one:
-            base = fp
-        else:
-            base = self._psi2(self.f(theta)) * fp
-        return self.psi1_scale * base
+        return self._psi_pair(1, theta)[0]
 
     def psi1_prime(self, theta):
-        fpp = self.f.second_derivative(theta)
-        if self._psi2_is_one:
-            base = fpp
-        else:
-            y = self.f(theta)
-            fp = self.f.derivative(theta)
-            base = self._psi2_prime(y) * fp * fp + self._psi2(y) * fpp
-        return self.psi1_scale * base
+        return self._psi_pair(1, theta)[1]
 
     def psi2(self, theta):
         return self._psi2(theta)
@@ -216,11 +188,20 @@ class GluedMetric:
         return self._psi2_prime(theta)
 
     def _psi_pair(self, chart: int, theta):
-        if chart == 1:
-            return self.psi1(theta), self.psi1_prime(theta)
+        """(psi, psi') on a chart; chart 1 applies psi_1 = (psi_2 o F) * F'."""
         if chart == 2:
             return self._psi2(theta), self._psi2_prime(theta)
-        raise ValueError(f"chart must be 1 or 2, got {chart!r}")
+        if chart != 1:
+            raise ValueError(f"chart must be 1 or 2, got {chart!r}")
+        fp, fpp = self.f.derivative_pair(theta)
+        if self._psi2_is_one:
+            return self.psi1_scale * fp, self.psi1_scale * fpp
+        y = self.f(theta)
+        p2 = self._psi2(y)
+        return (
+            self.psi1_scale * (p2 * fp),
+            self.psi1_scale * (self._psi2_prime(y) * fp * fp + p2 * fpp),
+        )
 
     # -- warp and components ---------------------------------------------------
 
@@ -264,15 +245,10 @@ class GluedMetric:
         s, ds = _step01_vec((t - self.t0) / (self.t1 - self.t0))
         ds = ds / (self.t1 - self.t0)
         is1 = np.asarray(chart) == 1
-        fp, fpp = self.f.derivative_pair(theta)
-        if self._psi2_is_one:
-            p1, p1p = self.psi1_scale * fp, self.psi1_scale * fpp
-        else:
-            y = self.f(theta)
-            p1 = self.psi1_scale * (self._psi2(y) * fp)
-            p1p = self.psi1_scale * (self._psi2_prime(y) * fp * fp + self._psi2(y) * fpp)
-        psi = np.where(is1, p1, self._psi2(theta))
-        psi_p = np.where(is1, p1p, self._psi2_prime(theta))
+        p1, p1p = self._psi_pair(1, theta)
+        p2, p2p = self._psi_pair(2, theta)
+        psi = np.where(is1, p1, p2)
+        psi_p = np.where(is1, p1p, p2p)
         phi = (1.0 - s) * t + s * psi
         phi_t = (1.0 - s) + ds * (psi - t)
         phi_theta = s * psi_p

@@ -15,8 +15,6 @@ an irrational ratio).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,6 +30,7 @@ from .geodesics import (
     unit_speed_state,
 )
 from .metric import GluedMetric
+from .table import csv_text
 
 
 class NonPositiveRadius(ValueError):
@@ -61,14 +60,8 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def to_csv_text(self, header_lines=()) -> str:
-        buf = io.StringIO()
-        for line in header_lines:
-            buf.write(f"# {line}\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["check", "passed", "residual"])
-        for c in self.checks:
-            writer.writerow([c.name, int(c.passed), repr(c.residual)])
-        return buf.getvalue()
+        rows = (f"{c.name},{int(c.passed)},{c.residual!r}" for c in self.checks)
+        return csv_text(header_lines, ("check", "passed", "residual"), rows)
 
     def summary_text(self) -> str:
         lines = []
@@ -185,70 +178,6 @@ def radial_geodesic_check(
     )
 
 
-def leaf_equidistance_check(
-    metric: GluedMetric,
-    t_a: float = 0.2,
-    t_b: float = 0.7,
-    n_theta: int = 64,
-    n_quad: int = 128,
-) -> CheckResult:
-    """Radial distance between two leaves is |t_b - t_a| at every angle.
-
-    The radial metric coefficient is identically 1, so the radial arclength
-    integral between the leaves must equal the coordinate gap; the quadrature
-    here measures it the pedestrian way from queried metric components.
-    """
-    if not 0.0 < t_a < t_b <= 1.0:
-        raise ValueError("need 0 < t_a < t_b <= 1")
-    thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    ts = np.linspace(t_a, t_b, n_quad)
-    worst = 0.0
-    for chart in (1, 2):
-        for theta in thetas:
-            g_tt = np.array(
-                [metric.metric_components(chart, float(t), float(theta)).g_tt for t in ts]
-            )
-            dist = float(np.trapezoid(np.sqrt(g_tt), ts))
-            worst = max(worst, abs(dist - (t_b - t_a)))
-    return CheckResult(
-        name="leaf_equidistance",
-        passed=worst < 1e-12,
-        residual=worst,
-        params={"t_a": t_a, "t_b": t_b, "n_theta": n_theta, "n_quad": n_quad},
-        detail=f"max |distance - (t_b - t_a)| = {worst:.3e}",
-    )
-
-
-def leaf_equidistance_cross_check(
-    metric: GluedMetric,
-    t_chart1: float = 0.9,
-    u_chart2: float = 0.9,
-    n_theta: int = 64,
-    n_quad: int = 64,
-) -> CheckResult:
-    """Cross-seam distance along radial lines: (1 - t) plus (1 - u)."""
-    expected = (1.0 - t_chart1) + (1.0 - u_chart2)
-    thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    worst = 0.0
-    for theta in thetas:
-        total = 0.0
-        for chart, lo in ((1, t_chart1), (2, u_chart2)):
-            ts = np.linspace(lo, 1.0, n_quad)
-            th = float(theta) if chart == 1 else float(metric.f(theta))
-            g_tt = np.array(
-                [metric.metric_components(chart, float(t), th).g_tt for t in ts]
-            )
-            total += float(np.trapezoid(np.sqrt(g_tt), ts))
-        worst = max(worst, abs(total - expected))
-    return CheckResult(
-        name="leaf_equidistance_cross",
-        passed=worst < 1e-12,
-        residual=worst,
-        params={"t_chart1": t_chart1, "u_chart2": u_chart2, "n_theta": n_theta},
-        detail=f"cross-seam radial distance defect = {worst:.3e}",
-    )
-
-
 def gluing_check(metric: GluedMetric, n_theta: int = 720, n_t: int = 64) -> CheckResult:
     residual = metric.gluing_residual(n_theta=n_theta, n_t=n_t)
     return CheckResult(
@@ -272,8 +201,6 @@ def run_all_checks(
     report.add(gluing_check(metric))
     report.add(all_or_none_check(metric, n_geodesics=n_geodesics, s_max=s_max, ds=ds, seed=seed))
     report.add(radial_geodesic_check(metric, ds=ds))
-    report.add(leaf_equidistance_check(metric))
-    report.add(leaf_equidistance_cross_check(metric))
     return report
 
 

@@ -2,9 +2,11 @@
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
+import sectionlab
 from sectionlab import Config, ConfigError, load_config, loads_config
 from sectionlab.cli import main
 
@@ -15,6 +17,50 @@ kind = identity
 [scan]
 n_samples = 36
 k_max = 8
+"""
+
+# spline diffeo with a tabulated chart-2 plateau profile
+PSI2_CFG = """
+[diffeo]
+kind = spline
+spline_knots = 0.0, 0.8, 1.6, 2.4, 3.2, 4.0, 4.8, 5.6
+spline_values = 0.0, 0.9, 1.75, 2.45, 3.1, 3.95, 4.85, 5.65
+
+[metric]
+psi2_thetas = 0.0, 1.0, 2.0, 3.0, 4.0, 5.0
+psi2_values = 1.0, 1.15, 1.1, 0.95, 0.85, 0.9
+"""
+
+# every key of every section away from its default
+ALL_KEYS_CFG = """
+[diffeo]
+kind = spline
+amplitude = 0.25
+support_lo = 0.5
+support_hi = 5.0
+angle = 0.125
+spline_knots = 0.0, 1.0, 2.0, 3.0, 4.0, 5.0
+spline_values = 0.0, 1.1, 2.0, 3.0, 3.9, 5.0
+
+[metric]
+t0 = 0.2
+t1 = 0.7
+psi2_thetas = 0.0, 2.0, 4.0
+psi2_values = 1.0, 1.2, 0.9
+
+[integrator]
+ds = 0.002
+s_max = 3.0
+radial_tol = 1e-08
+t_guard = 1e-05
+
+[scan]
+n_samples = 12
+k_max = 8
+tol = 1e-08
+
+[output]
+directory = results
 """
 
 BUMP_FAST_CFG = """
@@ -119,6 +165,22 @@ def test_trace_numeric_cross_check(tmp_path, capsys):
     data = [r for r in records if not r.startswith("#")]
     assert data[0] == "s,chart,t,theta,vt,vtheta"
     assert data[1].startswith("0.0,1,0.0,0.5,1.0,0.0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "nan"],
+        ["trace", "inf"],
+        ["trace", "1.0", "--max-legs", "1"],
+        ["build-metric", "--n-t", "-1"],
+    ],
+)
+def test_bad_input_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main(["--out", str(out)] + argv) == 2
+    assert "error" in capsys.readouterr().err
+    assert not (out / "trace.json").exists()
 
 
 # --- verify ---------------------------------------------------------------------------
@@ -250,7 +312,7 @@ def test_config_round_trip_idempotent():
     assert cfg2.effective_text() == text1
 
 
-def test_config_round_trip_with_spline(tmp_path):
+def test_config_round_trip_with_spline(tmp_path, capsys):
     text = """
 [diffeo]
 kind = spline
@@ -261,6 +323,39 @@ spline_values = 0.0, 1.1, 2.0, 3.0, 3.9, 5.0
     assert cfg.build_diffeo().kind == "spline"
     text1 = cfg.effective_text()
     assert loads_config(text1).effective_text() == text1
+
+    full = loads_config(ALL_KEYS_CFG)
+    text2 = full.effective_text()
+    assert loads_config(text2) == full
+    lines = text2.splitlines()
+    for f in fields(Config):
+        assert getattr(full, f.name) != getattr(Config(), f.name)
+        assert sum(line.startswith(f"{f.name} = ") for line in lines) == 1
+
+    cfg_path = write(tmp_path, "[output]\nformat = csv\n")
+    assert main(["--config", cfg_path, "--out", str(tmp_path / "o"), "scan-periods"]) == 2
+    assert "output.format" in capsys.readouterr().err
+
+
+def test_tabulated_psi2(tmp_path, capsys):
+    cfg = loads_config(PSI2_CFG)
+    metric = cfg.build_metric()
+    assert metric.gluing_residual() < 1e-14
+    for theta, value in zip(cfg.psi2_thetas, cfg.psi2_values):
+        assert metric.psi2(theta) == pytest.approx(value, abs=1e-12)
+
+    def rejects(text, key):
+        cfg_path = write(tmp_path, text)
+        rc = main(["--config", cfg_path, "--out", str(tmp_path / "o"), "scan-periods"])
+        return rc == 2 and key in capsys.readouterr().err
+
+    assert rejects(PSI2_CFG.replace("psi2_values = 1.0, ", "psi2_values = "), "metric.psi2_values")
+    unordered = PSI2_CFG.replace("= 0.0, 1.0, 2.0,", "= 0.0, 2.0, 1.0,")
+    assert rejects(unordered, "metric.psi2_thetas")
+
+
+def test_public_names_resolve():
+    assert all(hasattr(sectionlab, name) for name in sectionlab.__all__)
 
 
 def test_default_config_valid():

@@ -229,10 +229,3 @@ def test_cross_rim_radial_flatness():
         outer = m.warp(2, 1.0 - h, img) * fp  # chart-2 side, pulled back
         assert abs(at - inner) < 1e-6 * h
         assert abs(outer - at) < 1e-6 * h
-
-
-def test_warp_profiles_recorded():
-    m = default_metric()
-    assert m.profile1.t0 == 0.25 and m.profile1.t1 == 0.75
-    assert m.profile2.psi_min == 1.0
-    assert 0.0 < m.profile1.psi_min < 1.0  # min of F' for the 0.3 bump

@@ -11,13 +11,12 @@ from sectionlab import (
     NonPositiveRadius,
     VerificationReport,
     all_or_none_check,
-    leaf_equidistance_check,
     radial_geodesic_check,
     rational_closure,
     run_all_checks,
     semicircle_bump,
 )
-from sectionlab.verify import CheckResult, gluing_check, leaf_equidistance_cross_check
+from sectionlab.verify import CheckResult, gluing_check
 
 from oracles import lcm_brute
 
@@ -49,28 +48,6 @@ def test_radial_geodesic_check_passes():
     assert res.residual < 1e-8
 
 
-def test_leaf_equidistance():
-    res = leaf_equidistance_check(default_metric(), t_a=0.2, t_b=0.7, n_theta=16)
-    assert res.passed and res.residual < 1e-12
-
-
-def test_leaf_equidistance_random_pairs():
-    m = default_metric()
-    for _ in range(5):
-        a, b = sorted(RNG.uniform(0.05, 1.0, 2))
-        if b - a < 0.05:
-            continue
-        res = leaf_equidistance_check(m, t_a=float(a), t_b=float(b), n_theta=8)
-        assert res.passed
-
-
-def test_leaf_equidistance_cross_seam():
-    res = leaf_equidistance_cross_check(default_metric(), 0.9, 0.9, n_theta=16)
-    assert res.passed
-    # 0.1 on each side of the seam
-    assert res.params["t_chart1"] == 0.9
-
-
 def test_gluing_check_pass_and_tampered_fail():
     assert gluing_check(default_metric()).passed
     tampered = GluedMetric(semicircle_bump(0.3), psi1_scale=1.01)
@@ -87,8 +64,6 @@ def test_run_all_checks_report():
         "gluing_compatibility",
         "all_or_none",
         "radial_geodesics",
-        "leaf_equidistance",
-        "leaf_equidistance_cross",
     ]
     text = report.summary_text()
     assert "PASS" in text and "FAIL" not in text
