@@ -26,6 +26,8 @@ INVERSE_TOL = 1e-12
 # bisection stops at this bracket width, then Newton polishes
 _BISECT_WIDTH = 1e-10
 _MAX_ITER = 200
+# F' must be positive on this many equispaced angles
+_MONOTONE_GRID = 4096
 
 
 class ConvergenceFailure(RuntimeError):
@@ -47,6 +49,13 @@ def normalize(theta):
     if isinstance(r, np.ndarray):
         return np.where(r >= TWO_PI, 0.0, r)
     return 0.0 if r >= TWO_PI else r
+
+
+def _finite(y):
+    """Return y unchanged; raise ValueError unless every angle in it is finite."""
+    if not (np.all(np.isfinite(y)) if isinstance(y, np.ndarray) else math.isfinite(y)):
+        raise ValueError(f"inverse target must be a finite angle, got {y!r}")
+    return y
 
 
 def circle_distance(a, b):
@@ -181,12 +190,13 @@ class CircleDiffeo:
 
         The monotone lift is bracketed on [y - 2*pi, y + 2*pi] (always a valid
         bracket for a degree-one lift), bisected down to a width of 1e-10 and
-        polished with two Newton steps.  Raises ConvergenceFailure if the lift
-        residual does not reach 1e-12 within the iteration budget.
+        polished with two Newton steps.  Raises ValueError on a non-finite
+        target, and ConvergenceFailure if the lift residual does not reach
+        1e-12 within the iteration budget.
         """
         if isinstance(y, np.ndarray):
             return self._inverse_array(y)
-        target = normalize(y)
+        target = normalize(_finite(y))
         lo = target - TWO_PI
         hi = target + TWO_PI
         iters = 0
@@ -212,7 +222,7 @@ class CircleDiffeo:
         return normalize(x)
 
     def _inverse_array(self, y: np.ndarray) -> np.ndarray:
-        target = normalize(np.asarray(y, dtype=float))
+        target = normalize(np.asarray(_finite(y), dtype=float))
         lo = target - TWO_PI
         hi = target + TWO_PI
         # fixed iteration count: 4*pi / 2^46 is far below the 1e-10 contract
@@ -234,14 +244,14 @@ class CircleDiffeo:
 
     # -- construction-time invariants ---------------------------------------
 
-    def _check_invariants(self, n_grid: int = 4096) -> None:
+    def _check_invariants(self) -> None:
         xs = np.linspace(0.0, TWO_PI, 64, endpoint=False)
         equiv = np.max(np.abs(self.lift(xs + TWO_PI) - self.lift(xs) - TWO_PI))
-        if equiv > 1e-12:
+        if not equiv <= 1e-12:
             raise ValueError(f"lift is not degree one: equivariance residual {equiv:.3e}")
-        grid = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
+        grid = np.linspace(0.0, TWO_PI, _MONOTONE_GRID, endpoint=False)
         margin = float(np.min(self.lift_derivative(grid)))
-        if margin <= 0.0:
+        if not margin > 0.0:
             raise MonotonicityViolation(
                 f"lift derivative reaches {margin:.6f} <= 0 on the check grid (kind={self.kind})"
             )
@@ -264,7 +274,7 @@ class IdentityDiffeo(CircleDiffeo):
         return np.zeros_like(x, dtype=float) if isinstance(x, np.ndarray) else 0.0
 
     def inverse(self, y):
-        return normalize(y)
+        return normalize(_finite(y))
 
     def __repr__(self):
         return "IdentityDiffeo()"
@@ -276,6 +286,8 @@ class RotationDiffeo(CircleDiffeo):
     kind = "rotation"
 
     def __init__(self, angle: float):
+        if not math.isfinite(angle):
+            raise ValueError(f"rotation angle must be finite, got {angle!r}")
         self.angle = float(angle)
         self.monotonicity_margin = 1.0
 
@@ -290,7 +302,7 @@ class RotationDiffeo(CircleDiffeo):
 
     def inverse(self, y):
         # exact: no root finding needed
-        return normalize(y - self.angle)
+        return normalize(_finite(y) - self.angle)
 
     def __repr__(self):
         return f"RotationDiffeo(angle={self.angle!r})"
@@ -312,7 +324,6 @@ class BumpDiffeo(CircleDiffeo):
         amplitude: float,
         support_lo: float = math.pi,
         support_hi: float = TWO_PI,
-        n_grid: int = 4096,
     ):
         if not 0.0 <= support_lo < support_hi <= TWO_PI:
             raise ValueError(
@@ -322,7 +333,7 @@ class BumpDiffeo(CircleDiffeo):
         self.support_lo = float(support_lo)
         self.support_hi = float(support_hi)
         self._width = self.support_hi - self.support_lo
-        self._check_invariants(n_grid)
+        self._check_invariants()
 
     def _u(self, x):
         return (normalize(x) - self.support_lo) / self._width
@@ -386,7 +397,7 @@ class SplineDiffeo(CircleDiffeo):
     kind = "spline"
     smoothness = "C2"
 
-    def __init__(self, knots, values, n_grid: int = 4096):
+    def __init__(self, knots, values):
         knots = np.asarray(knots, dtype=float)
         values = np.asarray(values, dtype=float)
         if knots.ndim != 1 or knots.shape != values.shape or knots.size < 3:
@@ -394,7 +405,7 @@ class SplineDiffeo(CircleDiffeo):
         self.knots = knots
         self.values = values
         self._dev = periodic_spline(knots, values - knots)
-        self._check_invariants(n_grid)
+        self._check_invariants()
 
     def lift(self, x):
         return x + self._dev(x)

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -62,8 +62,6 @@ def cmd_scan_periods(cfg: Config, seed: int, out: Path) -> int:
 
 
 def cmd_trace(cfg: Config, seed: int, out: Path, theta0: float, max_legs: int, numeric: bool) -> int:
-    if not math.isfinite(theta0):
-        raise ValueError(f"theta0 must be a finite angle, got {theta0!r}")
     f = cfg.build_diffeo()
     trace = trace_section(f, theta0, max_legs=max_legs, k_max=cfg.k_max, tol=cfg.tol)
     verdict = section_verdict(trace)
@@ -74,16 +72,7 @@ def cmd_trace(cfg: Config, seed: int, out: Path, theta0: float, max_legs: int, n
         "searched": verdict.period.searched,
         "length": None if verdict.length == float("inf") else verdict.length,
         "injective": verdict.injective,
-        "witness": None
-        if verdict.witness is None
-        else {
-            "chart": verdict.witness.chart,
-            "leg_a": verdict.witness.leg_a,
-            "leg_b": verdict.witness.leg_b,
-            "line_a": verdict.witness.line_a,
-            "line_b": verdict.witness.line_b,
-            "separation": verdict.witness.separation,
-        },
+        "witness": None if verdict.witness is None else asdict(verdict.witness),
     }
     doc["effective_config"] = _headers(cfg, seed)
     if numeric:
@@ -94,8 +83,6 @@ def cmd_trace(cfg: Config, seed: int, out: Path, theta0: float, max_legs: int, n
             GeodesicState(1, 0.0, theta0, 1.0, 0.0),
             ds=cfg.ds,
             s_max=min(cfg.s_max, 2.0 * max_legs),
-            radial_tol=cfg.radial_tol,
-            t_guard=cfg.t_guard,
         )
         pairs = zip(traj.crossings, trace.crossings)
         dev = 0.0

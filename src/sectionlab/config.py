@@ -50,8 +50,6 @@ class Config:
     # [integrator]
     ds: float = 1e-3
     s_max: float = 20.0
-    radial_tol: float = 1e-9
-    t_guard: float = 1e-6
     # [scan]
     n_samples: int = 360
     k_max: int = 64
@@ -98,21 +96,23 @@ class Config:
     def validate(self) -> None:
         if self.kind not in _DIFFEO_KINDS:
             raise ConfigError(f"diffeo.kind: must be one of {_DIFFEO_KINDS}, got {self.kind!r}")
+        for section, keys in _SECTIONS.items():
+            for key in keys:
+                value, kind = getattr(self, key), _FIELD_KINDS[key]
+                values = value if kind == "list" else [value]
+                if kind in ("float", "list") and not all(map(math.isfinite, values)):
+                    raise ConfigError(f"{section}.{key}: must be finite, got {value!r}")
         if not 0.0 < self.t0 < self.t1 < 1.0:
             raise ConfigError(f"metric.t0/t1: need 0 < t0 < t1 < 1, got {self.t0}, {self.t1}")
-        if self.ds <= 0:
+        if not self.ds > 0:
             raise ConfigError(f"integrator.ds: must be positive, got {self.ds}")
-        if self.s_max <= 0:
+        if not self.s_max > 0:
             raise ConfigError(f"integrator.s_max: must be positive, got {self.s_max}")
-        if self.radial_tol <= 0:
-            raise ConfigError(f"integrator.radial_tol: must be positive, got {self.radial_tol}")
-        if self.t_guard <= 0:
-            raise ConfigError(f"integrator.t_guard: must be positive, got {self.t_guard}")
         if self.n_samples < 1:
             raise ConfigError(f"scan.n_samples: must be >= 1, got {self.n_samples}")
         if self.k_max < 1:
             raise ConfigError(f"scan.k_max: must be >= 1, got {self.k_max}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ConfigError(f"scan.tol: must be positive, got {self.tol}")
         # object-level invariants are enforced by construction
         self.build_metric()
@@ -165,7 +165,7 @@ _SECTIONS = {
         "spline_values",
     ),
     "metric": ("t0", "t1", "psi2_thetas", "psi2_values"),
-    "integrator": ("ds", "s_max", "radial_tol", "t_guard"),
+    "integrator": ("ds", "s_max"),
     "scan": ("n_samples", "k_max", "tol"),
     "output": ("directory",),
 }

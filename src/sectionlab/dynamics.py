@@ -77,14 +77,9 @@ def period_of(T, theta: float, k_max: int = DEFAULT_K_MAX, tol: float = DEFAULT_
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    x = theta
-    for k in range(1, k_max + 1):
-        x = T(x)
-        if circle_distance(x, theta) < tol:
-            return Period.finite(k)
-    return Period.not_found(k_max)
+    return _classify_one(T, theta, k_max, tol).period
 
 
 def has_period_one(f: CircleDiffeo, theta: float, tol: float = DEFAULT_TOL) -> bool:
@@ -93,7 +88,7 @@ def has_period_one(f: CircleDiffeo, theta: float, tol: float = DEFAULT_TOL) -> b
     Equivalent to the point having period 1: the antipode of the image agrees
     with the image of the antipode.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     return circle_distance(f(antipode(theta)), antipode(f(theta))) < tol
 

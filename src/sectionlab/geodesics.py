@@ -18,7 +18,7 @@ geodesic never reaches the center).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,8 +29,9 @@ from .table import csv_text
 
 DEFAULT_DS = 1e-3
 DEFAULT_S_MAX = 20.0
-DEFAULT_RADIAL_TOL = 1e-9
-DEFAULT_T_GUARD = 1e-6
+# |vtheta| below RADIAL_TOL counts as radial; non-radial states may not enter t < T_GUARD
+RADIAL_TOL = 1e-9
+T_GUARD = 1e-6
 # event bisection resolution in arclength, and iteration budget
 _EVENT_S_TOL = 1e-12
 _EVENT_MAX_ITER = 200
@@ -87,15 +88,6 @@ class Trajectory:
     crossings: list[RimCrossing] = field(default_factory=list)
     center_passages: list[CenterEvent] = field(default_factory=list)
 
-    def __iter__(self):
-        return iter(self.states)
-
-    def __len__(self):
-        return len(self.states)
-
-    def __getitem__(self, i):
-        return self.states[i]
-
     @property
     def final(self) -> GeodesicState:
         return self.states[-1]
@@ -124,7 +116,7 @@ def speed_error(metric: GluedMetric, st: GeodesicState) -> float:
 
 
 # ----------------------------------------------------------------------------
-# scalar stepping
+# the stepping core shared by both integrators
 
 
 def _rhs(metric, chart, t, th, vt, vth):
@@ -135,9 +127,19 @@ def _rhs(metric, chart, t, th, vt, vth):
     return vt, vth, phi * phi_t * a, -(2.0 * phi_t / phi) * vt * vth - (phi_th / phi) * a
 
 
-def _rk4(metric, chart, t, th, vt, vth, h):
-    k1 = _rhs(metric, chart, t, th, vt, vth)
-    k2 = _rhs(
+def _rhs_vec(metric, chart, t, th, vt, vth):
+    phi, phi_t, phi_th = metric.warp_with_partials_vec(chart, t, th)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dvt = phi * phi_t * vth * vth
+        dvth = -(2.0 * phi_t / phi) * vt * vth - (phi_th / phi) * vth * vth
+    nonrad = vth != 0.0
+    return vt, vth, np.where(nonrad, dvt, 0.0), np.where(nonrad, dvth, 0.0)
+
+
+def _rk4(rhs, metric, chart, t, th, vt, vth, h):
+    """One classical RK4 step; the same arithmetic for floats and arrays."""
+    k1 = rhs(metric, chart, t, th, vt, vth)
+    k2 = rhs(
         metric,
         chart,
         t + 0.5 * h * k1[0],
@@ -145,7 +147,7 @@ def _rk4(metric, chart, t, th, vt, vth, h):
         vt + 0.5 * h * k1[2],
         vth + 0.5 * h * k1[3],
     )
-    k3 = _rhs(
+    k3 = rhs(
         metric,
         chart,
         t + 0.5 * h * k2[0],
@@ -153,9 +155,7 @@ def _rk4(metric, chart, t, th, vt, vth, h):
         vt + 0.5 * h * k2[2],
         vth + 0.5 * h * k2[3],
     )
-    k4 = _rhs(
-        metric, chart, t + h * k3[0], th + h * k3[1], vt + h * k3[2], vth + h * k3[3]
-    )
+    k4 = rhs(metric, chart, t + h * k3[0], th + h * k3[1], vt + h * k3[2], vth + h * k3[3])
     c = h / 6.0
     return (
         t + c * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
@@ -163,6 +163,29 @@ def _rk4(metric, chart, t, th, vt, vth, h):
         vt + c * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
         vth + c * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
     )
+
+
+def _start(metric, init: GeodesicState, ds: float, s_max: float):
+    """Checked start of a run: (chart, t, theta, vt, vtheta, s, s_end).
+
+    The step must be positive, the span positive and finite, and the state
+    finite and of unit speed to 1e-9.  A state with |vtheta| < RADIAL_TOL is
+    snapped to exactly radial.
+    """
+    if not ds > 0.0:
+        raise ValueError(f"ds must be positive, got {ds!r}")
+    if not 0.0 < s_max < math.inf:
+        raise ValueError(f"s_max must be positive and finite, got {s_max!r}")
+    if not (math.isfinite(init.theta) and math.isfinite(init.s)):
+        raise ValueError(f"initial state must be finite, got {init}")
+    err = speed_error(metric, init)
+    if not err <= 1e-9:
+        raise ValueError(f"initial state violates unit speed by {err:.3e}")
+    vt, vth = init.vt, init.vtheta
+    if abs(vth) < RADIAL_TOL:
+        vth = 0.0
+        vt = math.copysign(1.0, vt) if vt != 0.0 else 1.0
+    return init.chart, init.t, init.theta, vt, vth, init.s, init.s + s_max
 
 
 def _cross_rim(metric, chart, th, vt, vth):
@@ -187,7 +210,7 @@ def _cross_rim(metric, chart, th, vt, vth):
 def _locate_rim(metric, chart, t, th, vt, vth, h):
     """Bisect the step fraction to place t = 1 within 1e-12 of arclength."""
     lo, hi = 0.0, h
-    state_hi = _rk4(metric, chart, t, th, vt, vth, h)
+    state_hi = _rk4(_rhs, metric, chart, t, th, vt, vth, h)
     iters = 0
     while hi - lo > _EVENT_S_TOL:
         iters += 1
@@ -196,7 +219,7 @@ def _locate_rim(metric, chart, t, th, vt, vth, h):
                 f"rim crossing not localized after {_EVENT_MAX_ITER} bisections"
             )
         mid = 0.5 * (lo + hi)
-        cand = _rk4(metric, chart, t, th, vt, vth, mid)
+        cand = _rk4(_rhs, metric, chart, t, th, vt, vth, mid)
         if cand[0] < 1.0:
             lo = mid
         else:
@@ -205,81 +228,74 @@ def _locate_rim(metric, chart, t, th, vt, vth, h):
     return hi, state_hi
 
 
+def _event(metric, chart, t, th, vt, vth, h, nt, s):
+    """Resolve a step from (t, ...) at arclength s whose end radius nt left
+    [T_GUARD, 1).
+
+    Returns ((chart, t, theta, vt, vtheta, s), event) after a rim crossing
+    or an exact radial center passage, and None when the step is an ordinary
+    one (a radial state inside the guard band).  A non-radial state entering
+    the guard band raises CenterSingularity, which signals an under-resolved
+    close approach.
+    """
+    if nt >= 1.0:
+        if vth == 0.0:
+            hs = (1.0 - t) / vt
+        else:
+            hs, (_t_at, th, vt, vth) = _locate_rim(metric, chart, t, th, vt, vth, h)
+        s += hs
+        (chart_to, th, vt, vth), (th1, th2) = _cross_rim(metric, chart, th, vt, vth)
+        return (chart_to, 1.0, th, vt, vth, s), RimCrossing(s, chart, th1, th2)
+    if vth == 0.0 and nt <= 0.0:
+        s += t / -vt
+        theta_in = normalize(th)
+        th = antipode(th)
+        return (chart, 0.0, th, -vt, vth, s), CenterEvent(s, chart, theta_in, th)
+    if vth != 0.0 and nt < T_GUARD:
+        raise CenterSingularity(
+            f"non-radial state reached t={nt:.3e} < guard {T_GUARD:g} at s={s + h:.6f}; "
+            "reduce ds or start farther from the center"
+        )
+    return None
+
+
 def integrate(
     metric: GluedMetric,
     init: GeodesicState,
     ds: float = DEFAULT_DS,
     s_max: float = DEFAULT_S_MAX,
-    radial_tol: float = DEFAULT_RADIAL_TOL,
-    t_guard: float = DEFAULT_T_GUARD,
 ) -> Trajectory:
     """Integrate a unit-speed geodesic with chart-transition events.
 
     The initial state must satisfy unit speed to 1e-9.  States with
-    |vtheta| < radial_tol are snapped to exactly radial at entry; only radial
+    |vtheta| < RADIAL_TOL are snapped to exactly radial at entry; only radial
     states may pass through a center (angle jumps to the antipode, radial
-    velocity flips).  A non-radial state entering t < t_guard raises
+    velocity flips).  A non-radial state entering t < T_GUARD raises
     CenterSingularity, which signals an under-resolved close approach.
     """
-    if ds <= 0:
-        raise ValueError("ds must be positive")
-    err = speed_error(metric, init)
-    if err > 1e-9:
-        raise ValueError(f"initial state violates unit speed by {err:.3e}")
-    chart, t, th = init.chart, init.t, init.theta
-    vt, vth = init.vt, init.vtheta
-    if abs(vth) < radial_tol:
-        vth = 0.0
-        vt = math.copysign(1.0, vt) if vt != 0.0 else 1.0
-    s = init.s
-    s_end = init.s + s_max
+    chart, t, th, vt, vth, s, s_end = _start(metric, init, ds, s_max)
     traj = Trajectory(states=[GeodesicState(chart, t, th, vt, vth, s)])
     n_events = 0
     while s < s_end - 1e-15:
         h = min(ds, s_end - s)
-        nt, nth, nvt, nvth = _rk4(metric, chart, t, th, vt, vth, h)
-        if nt >= 1.0:
-            # rim crossing inside this step
-            if vth == 0.0:
-                hs = (1.0 - t) / vt
-                th_at, vt_at, vth_at = th, vt, vth
-            else:
-                hs, (_t_at, th_at, vt_at, vth_at) = _locate_rim(
-                    metric, chart, t, th, vt, vth, h
-                )
-            s += hs
-            (chart, th, vt, vth), (th1, th2) = _cross_rim(metric, chart, th_at, vt_at, vth_at)
-            t = 1.0
-            n_events += 1
-            traj.crossings.append(RimCrossing(s, 3 - chart, th1, th2))
-            traj.states.append(GeodesicState(chart, t, th, vt, vth, s))
-        elif vth == 0.0 and nt <= 0.0:
-            # center passage, exact for radial motion
-            hs = t / -vt
-            s += hs
-            theta_in = normalize(th)
-            th = antipode(th)
-            vt = -vt
-            t = 0.0
-            n_events += 1
-            traj.center_passages.append(CenterEvent(s, chart, theta_in, th))
-            traj.states.append(GeodesicState(chart, t, th, vt, vth, s))
-        elif vth != 0.0 and nt < t_guard:
-            raise CenterSingularity(
-                f"non-radial state reached t={nt:.3e} < guard {t_guard:g} at s={s + h:.6f}; "
-                "reduce ds or start farther from the center"
-            )
-        else:
-            t, th, vt, vth = nt, nth, nvt, nvth
-            s += h
-            traj.states.append(GeodesicState(chart, t, th, vt, vth, s))
-        if n_events > _MAX_EVENTS:
-            raise EventBisectionFailure("event budget exhausted")
+        nt, nth, nvt, nvth = _rk4(_rhs, metric, chart, t, th, vt, vth, h)
+        if not T_GUARD <= nt < 1.0:
+            hit = _event(metric, chart, t, th, vt, vth, h, nt, s)
+            if hit is not None:
+                (chart, t, th, vt, vth, s), event = hit
+                if isinstance(event, RimCrossing):
+                    traj.crossings.append(event)
+                else:
+                    traj.center_passages.append(event)
+                traj.states.append(GeodesicState(chart, t, th, vt, vth, s))
+                n_events += 1
+                if n_events > _MAX_EVENTS:
+                    raise EventBisectionFailure("event budget exhausted")
+                continue
+        t, th, vt, vth = nt, nth, nvt, nvth
+        s += h
+        traj.states.append(GeodesicState(chart, t, th, vt, vth, s))
     return traj
-
-
-# ----------------------------------------------------------------------------
-# ensemble integration (vectorized over independent trajectories)
 
 
 @dataclass
@@ -297,31 +313,18 @@ def integrate_ensemble(
     inits: list[GeodesicState],
     ds: float = DEFAULT_DS,
     s_max: float = DEFAULT_S_MAX,
-    radial_tol: float = DEFAULT_RADIAL_TOL,
-    t_guard: float = DEFAULT_T_GUARD,
 ) -> EnsembleResult:
     """Integrate many independent geodesics in lockstep.
 
-    Identical stepping rules to `integrate`; trajectories desynchronize in s
-    only at events (an element that crosses the rim resumes from the event
-    arclength).  Full paths are not stored; per-trajectory monitors are
-    accumulated online.
+    The same start rule, RK4 step and event step as `integrate`, with the
+    step taken on arrays; trajectories desynchronize in s only at events (an
+    element that crosses the rim resumes from the event arclength).  Full
+    paths are not stored; per-trajectory monitors are accumulated online.
     """
     n = len(inits)
-    chart = np.array([st.chart for st in inits], dtype=np.int8)
-    t = np.array([st.t for st in inits], dtype=float)
-    th = np.array([st.theta for st in inits], dtype=float)
-    vt = np.array([st.vt for st in inits], dtype=float)
-    vth = np.array([st.vtheta for st in inits], dtype=float)
-    for st in inits:
-        err = speed_error(metric, st)
-        if err > 1e-9:
-            raise ValueError(f"ensemble state violates unit speed by {err:.3e}")
-    snap = np.abs(vth) < radial_tol
-    vth[snap] = 0.0
-    vt[snap] = np.copysign(1.0, vt[snap])
-    s = np.array([st.s for st in inits], dtype=float)
-    s_end = s + s_max
+    starts = [_start(metric, st, ds, s_max) for st in inits]
+    chart, t, th, vt, vth, s, s_end = np.array(starts, dtype=float).reshape(n, 7).T.copy()
+    chart = chart.astype(np.int8)
 
     sign0 = np.sign(vth)
     flips = np.zeros(n, dtype=int)
@@ -331,73 +334,26 @@ def integrate_ensemble(
     theta_ref = th.copy()  # reset at every event; radial drift monitor
     max_drift = np.zeros(n, dtype=float)
 
-    def rk4_vec(ch, t0, th0, vt0, vth0, h):
-        def rhs(tt, hh, vv, ww):
-            phi, phi_t, phi_th = metric.warp_with_partials_vec(ch, tt, hh)
-            nonrad = ww != 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dvt = phi * phi_t * ww * ww
-                dvth = -(2.0 * phi_t / phi) * vv * ww - (phi_th / phi) * ww * ww
-            return vv, ww, np.where(nonrad, dvt, 0.0), np.where(nonrad, dvth, 0.0)
-
-        k1 = rhs(t0, th0, vt0, vth0)
-        k2 = rhs(
-            t0 + 0.5 * h * k1[0], th0 + 0.5 * h * k1[1], vt0 + 0.5 * h * k1[2], vth0 + 0.5 * h * k1[3]
-        )
-        k3 = rhs(
-            t0 + 0.5 * h * k2[0], th0 + 0.5 * h * k2[1], vt0 + 0.5 * h * k2[2], vth0 + 0.5 * h * k2[3]
-        )
-        k4 = rhs(t0 + h * k3[0], th0 + h * k3[1], vt0 + h * k3[2], vth0 + h * k3[3])
-        c = h / 6.0
-        return (
-            t0 + c * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0]),
-            th0 + c * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1]),
-            vt0 + c * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2]),
-            vth0 + c * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3]),
-        )
-
     active = s < s_end - 1e-15
     while np.any(active):
         h = np.where(active, np.minimum(ds, s_end - s), 0.0)
-        nt, nth, nvt, nvth = rk4_vec(chart, t, th, vt, vth, h)
-
-        crossed = active & (nt >= 1.0)
+        nt, nth, nvt, nvth = _rk4(_rhs_vec, metric, chart, t, th, vt, vth, h)
         radial = vth == 0.0
-        centered = active & radial & (nt <= 0.0)
-        singular = active & ~radial & (nt < t_guard)
-        if np.any(singular):
-            i = int(np.argmax(singular))
-            raise CenterSingularity(
-                f"ensemble member {i} (non-radial) reached t={nt[i]:.3e} < guard {t_guard:g}"
-            )
-        ok = active & ~crossed & ~centered
+        flagged = active & ~((T_GUARD <= nt) & (nt < 1.0))
+        ok = active & ~flagged
+        for i in np.flatnonzero(flagged):
+            hit = _event(metric, int(chart[i]), t[i], th[i], vt[i], vth[i], h[i], nt[i], s[i])
+            if hit is None:
+                ok[i] = True
+                continue
+            (chart[i], t[i], th[i], vt[i], vth[i], s[i]), event = hit
+            if isinstance(event, RimCrossing):
+                crossings[i] += 1
+            else:
+                centers[i] += 1
+            theta_ref[i] = th[i]
         t[ok], th[ok], vt[ok], vth[ok] = nt[ok], nth[ok], nvt[ok], nvth[ok]
         s[ok] += h[ok]
-
-        for i in np.flatnonzero(crossed):
-            if vth[i] == 0.0:
-                hs = (1.0 - t[i]) / vt[i]
-                th_at, vt_at, vth_at = th[i], vt[i], vth[i]
-            else:
-                hs, (_t1, th_at, vt_at, vth_at) = _locate_rim(
-                    metric, int(chart[i]), t[i], th[i], vt[i], vth[i], h[i]
-                )
-            s[i] += hs
-            (chart_i, th_i, vt_i, vth_i), _pair = _cross_rim(
-                metric, int(chart[i]), th_at, vt_at, vth_at
-            )
-            chart[i], th[i], vt[i], vth[i] = chart_i, th_i, vt_i, vth_i
-            t[i] = 1.0
-            crossings[i] += 1
-            theta_ref[i] = th[i]
-        for i in np.flatnonzero(centered):
-            hs = t[i] / -vt[i]
-            s[i] += hs
-            th[i] = antipode(th[i])
-            vt[i] = -vt[i]
-            t[i] = 0.0
-            centers[i] += 1
-            theta_ref[i] = th[i]
 
         watch = active & (sign0 != 0.0)
         flips += (watch & (np.sign(vth) != sign0)).astype(int)
@@ -472,30 +428,9 @@ class SectionTrace:
             "max_legs": self.max_legs,
             "k_max": self.k_max,
             "tol": self.tol,
-            "legs": [
-                {
-                    "index": leg.index,
-                    "chart": leg.chart,
-                    "kind": leg.kind,
-                    "entry": leg.entry,
-                    "exit": leg.exit,
-                    "length": leg.length,
-                }
-                for leg in self.legs
-            ],
-            "crossings": [
-                {"index": c.index, "theta1": c.theta1, "theta2": c.theta2}
-                for c in self.crossings
-            ],
-            "center_passages": [
-                {
-                    "chart": p.chart,
-                    "leg_index": p.leg_index,
-                    "direction": p.direction,
-                    "line": p.line,
-                }
-                for p in self.center_passages
-            ],
+            "legs": [asdict(leg) for leg in self.legs],
+            "crossings": [asdict(c) for c in self.crossings],
+            "center_passages": [{**asdict(p), "line": p.line} for p in self.center_passages],
             "orbit": list(self.orbit),
         }
 
@@ -518,6 +453,8 @@ def trace_section(
     """
     if max_legs < 2:
         raise ValueError("max_legs must be >= 2")
+    if not math.isfinite(theta0):
+        raise ValueError(f"theta0 must be a finite angle, got {theta0!r}")
     theta0 = normalize(theta0)
     T = TransitionMap(f)
     legs: list[Leg] = [Leg(0, 1, "radius", None, theta0, 1)]

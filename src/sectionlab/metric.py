@@ -35,6 +35,8 @@ from .circle import TWO_PI, CircleDiffeo, normalize
 
 DEFAULT_T0 = 0.25
 DEFAULT_T1 = 0.75
+# plateau profiles must be positive on this many equispaced angles
+_PSI_GRID = 720
 
 
 class DegenerateAtCenter(ValueError):
@@ -144,7 +146,6 @@ class GluedMetric:
         t1: float = DEFAULT_T1,
         psi2=None,
         psi1_scale: float = 1.0,
-        n_grid: int = 720,
     ):
         if not 0.0 < t0 < t1 < 1.0:
             raise ValueError(f"need 0 < t0 < t1 < 1, got t0={t0}, t1={t1}")
@@ -162,13 +163,13 @@ class GluedMetric:
             self._psi2, self._psi2_prime = psi2
             self._psi2_is_one = False
 
-        grid = np.linspace(0.0, TWO_PI, n_grid, endpoint=False)
+        grid = np.linspace(0.0, TWO_PI, _PSI_GRID, endpoint=False)
         psi2_vals = np.asarray(self._psi2(grid), dtype=float)
-        if np.min(psi2_vals) <= 0.0:
+        if not np.min(psi2_vals) > 0.0:
             raise ValueError(f"psi2 must be positive; min on grid is {np.min(psi2_vals):.6g}")
         psi1_vals = self.psi1(grid)
         psi1_min = float(np.min(psi1_vals))
-        if psi1_min <= 0.0:
+        if not psi1_min > 0.0:
             raise ValueError(f"derived psi1 must be positive; min on grid is {psi1_min:.6g}")
         self.psi_min = min(psi1_min, float(np.min(psi2_vals)))
 
@@ -178,14 +179,8 @@ class GluedMetric:
         """Chart-1 plateau profile, derived from the compatibility rule."""
         return self._psi_pair(1, theta)[0]
 
-    def psi1_prime(self, theta):
-        return self._psi_pair(1, theta)[1]
-
     def psi2(self, theta):
         return self._psi2(theta)
-
-    def psi2_prime(self, theta):
-        return self._psi2_prime(theta)
 
     def _psi_pair(self, chart: int, theta):
         """(psi, psi') on a chart; chart 1 applies psi_1 = (psi_2 o F) * F'."""
@@ -212,22 +207,16 @@ class GluedMetric:
         which is what cross-rim pullback checks evaluate; t may lie in [0, 2].
         """
         if isinstance(t, np.ndarray) or isinstance(theta, np.ndarray):
-            t = np.asarray(t, dtype=float)
-            if np.any(t < 0.0):
+            if np.any(np.asarray(t) < 0.0):
                 raise ValueError("t must be nonnegative")
-            s, _ = _step01_vec((t - self.t0) / (self.t1 - self.t0))
-            psi, _ = self._psi_pair(chart, np.asarray(theta, dtype=float))
-            return (1.0 - s) * t + s * psi
+            return self.warp_with_partials_vec(chart, t, theta)[0]
         if t < 0.0:
             raise ValueError(f"t must be nonnegative, got {t}")
-        s, _ = _step01((t - self.t0) / (self.t1 - self.t0))
-        if s == 0.0:
-            return t  # Euclidean zone, bit-exact
-        psi, _ = self._psi_pair(chart, theta)
-        return (1.0 - s) * t + s * psi
+        return self.warp_with_partials(chart, t, theta)[0]
 
     def warp_with_partials(self, chart: int, t: float, theta: float):
-        """(phi, phi_t, phi_theta) at a point; scalar hot path."""
+        """(phi, phi_t, phi_theta) at a point; scalar hot path, bit-exactly
+        (t, 1, 0) in the Euclidean zone."""
         s, ds = _step01((t - self.t0) / (self.t1 - self.t0))
         ds /= self.t1 - self.t0
         if s == 0.0:

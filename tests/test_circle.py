@@ -217,6 +217,34 @@ def test_monotonicity_margin_stored():
     assert f.monotonicity_margin == pytest.approx(0.5955, abs=2e-3)
 
 
+@pytest.mark.parametrize("f", all_families(), ids=lambda f: f.kind)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_inverse_rejects_non_finite_target(f, bad):
+    with pytest.raises(ValueError):
+        f.inverse(bad)
+    with pytest.raises(ValueError):
+        f.inverse(np.array([0.0, bad]))
+
+
+def test_non_finite_parameters_rejected():
+    class NanSlope(IdentityDiffeo):
+        def lift_derivative(self, x):
+            return np.full_like(x, math.nan)
+
+    with pytest.raises(MonotonicityViolation):
+        NanSlope()._check_invariants()
+    knots, values = make_sinusoid_spline_data()
+    values = np.array(values)
+    values[1] = math.nan
+    for build in (
+        lambda: RotationDiffeo(math.nan),
+        lambda: BumpDiffeo(math.nan),
+        lambda: SplineDiffeo(knots, values),
+    ):
+        with pytest.raises(ValueError):
+            build()
+
+
 def test_monotonicity_violation_raises():
     with pytest.raises(MonotonicityViolation):
         semicircle_bump(0.8)

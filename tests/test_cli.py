@@ -51,8 +51,6 @@ psi2_values = 1.0, 1.2, 0.9
 [integrator]
 ds = 0.002
 s_max = 3.0
-radial_tol = 1e-08
-t_guard = 1e-05
 
 [scan]
 n_samples = 12
@@ -332,9 +330,33 @@ spline_values = 0.0, 1.1, 2.0, 3.0, 3.9, 5.0
         assert getattr(full, f.name) != getattr(Config(), f.name)
         assert sum(line.startswith(f"{f.name} = ") for line in lines) == 1
 
-    cfg_path = write(tmp_path, "[output]\nformat = csv\n")
-    assert main(["--config", cfg_path, "--out", str(tmp_path / "o"), "scan-periods"]) == 2
-    assert "output.format" in capsys.readouterr().err
+    for key in ("output.format = csv", "integrator.radial_tol = 1e-9", "integrator.t_guard = 1e-6"):
+        section, line = key.split(".", 1)
+        cfg_path = write(tmp_path, f"[{section}]\n{line}\n")
+        assert main(["--config", cfg_path, "--out", str(tmp_path / "o"), "scan-periods"]) == 2
+        assert key.split(" ")[0] in capsys.readouterr().err
+
+
+# key named in the error -> (config text setting it non-finite, command)
+NON_FINITE_CFGS = {
+    "diffeo.amplitude": ("[diffeo]\namplitude = nan\n", ["scan-periods"]),
+    "diffeo.angle": ("[diffeo]\nkind = rotation\nangle = nan\n", ["scan-periods"]),
+    "scan.tol": ("[scan]\ntol = nan\n", ["scan-periods"]),
+    "integrator.ds": ("[integrator]\nds = nan\n", ["trace", "1.0", "--numeric"]),
+    "integrator.s_max": ("[integrator]\ns_max = inf\n", ["verify"]),
+    "metric.t0": ("[metric]\nt0 = nan\n", ["build-metric"]),
+    "metric.psi2_values": (PSI2_CFG.replace("1.15", "nan"), ["build-metric"]),
+}
+
+
+@pytest.mark.parametrize("key", NON_FINITE_CFGS)
+def test_non_finite_config_exit_2(tmp_path, capsys, key):
+    text, argv = NON_FINITE_CFGS[key]
+    cfg_path = write(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["--config", cfg_path, "--out", str(out)] + argv) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_tabulated_psi2(tmp_path, capsys):

@@ -29,6 +29,7 @@ from sectionlab import (
 )
 
 from oracles import flat_polar_geodesic
+from test_circle import all_families
 
 RNG = np.random.default_rng(4242)
 
@@ -142,10 +143,13 @@ def test_unit_speed_drift_long_run():
 def test_nonradial_center_approach_raises():
     m = default_metric()
     phi = m.warp(1, 0.5, 0.0)
-    vth = 2e-9  # above radial_tol, so no snap; the dive is under-resolved
+    vth = 2e-9  # above RADIAL_TOL, so no snap; the dive is under-resolved
     vt = -math.sqrt(1.0 - (phi * vth) ** 2)
+    dive = GeodesicState(1, 0.5, 0.0, vt, vth)
     with pytest.raises(CenterSingularity):
-        integrate(m, GeodesicState(1, 0.5, 0.0, vt, vth), ds=1e-3, s_max=1.0)
+        integrate(m, dive, ds=1e-3, s_max=1.0)
+    with pytest.raises(CenterSingularity):
+        integrate_ensemble(m, [unit_speed_state(m, 2, 0.5, 1.0, 1.1), dive], ds=1e-3, s_max=1.0)
 
 
 def test_crossing_preserves_unit_speed_and_vtheta_sign():
@@ -167,8 +171,11 @@ def test_ensemble_agrees_with_scalar():
         GeodesicState(1, 0.4, 2.0, 1.0, 0.0),
     ]
     res = integrate_ensemble(m, inits, ds=1e-3, s_max=5.0)
-    for init, fin in zip(inits, res.final_states):
-        ref = integrate(m, init, ds=1e-3, s_max=5.0).final
+    for i, (init, fin) in enumerate(zip(inits, res.final_states)):
+        traj = integrate(m, init, ds=1e-3, s_max=5.0)
+        assert res.crossings[i] == len(traj.crossings)
+        assert res.center_passages[i] == len(traj.center_passages)
+        ref = traj.final
         assert fin.chart == ref.chart
         assert abs(fin.t - ref.t) < 1e-9
         assert circle_distance(fin.theta % TWO_PI, ref.theta % TWO_PI) < 1e-9
@@ -176,6 +183,34 @@ def test_ensemble_agrees_with_scalar():
         assert abs(fin.vtheta - ref.vtheta) < 1e-9
     assert res.sign_flips.sum() == 0
     assert res.max_theta_drift[2] < 1e-12
+    assert res.crossings.min() >= 1 and res.center_passages[2] >= 1
+
+
+@pytest.mark.parametrize("f", all_families(), ids=lambda f: f.kind)
+def test_non_finite_angles_rejected(f):
+    m = GluedMetric(f)
+    with pytest.raises(ValueError):
+        trace_section(f, math.nan)
+    for chart, t in ((1, 0.1), (1, 0.5), (2, 0.9)):
+        nan_state = GeodesicState(chart, t, math.nan, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            integrate(m, nan_state, s_max=0.01)
+        with pytest.raises(ValueError):
+            integrate_ensemble(m, [nan_state], s_max=0.01)
+    with pytest.raises(ValueError):
+        GluedMetric(f, psi2=math.nan)
+    with pytest.raises(ValueError):
+        GluedMetric(f, psi1_scale=math.nan)
+
+
+@pytest.mark.parametrize("span", [{"ds": math.nan}, {"ds": 0.0}, {"s_max": math.inf}, {"s_max": math.nan}])
+def test_bad_step_or_span_rejected(span):
+    m = default_metric()
+    init = GeodesicState(1, 0.5, 1.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        integrate(m, init, **span)
+    with pytest.raises(ValueError):
+        integrate_ensemble(m, [init], **span)
 
 
 # --- exact tracer ----------------------------------------------------------------
