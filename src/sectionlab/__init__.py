@@ -49,7 +49,7 @@ from .geodesics import (
     trace_section,
     unit_speed_state,
 )
-from .metric import DegenerateAtCenter, GluedMetric, MetricSample, smooth_step
+from .metric import DegenerateAtCenter, GluedMetric, smooth_step
 from .verify import (
     CheckResult,
     NonPositiveRadius,
@@ -103,7 +103,6 @@ __all__ = [
     "unit_speed_state",
     "DegenerateAtCenter",
     "GluedMetric",
-    "MetricSample",
     "smooth_step",
     "CheckResult",
     "NonPositiveRadius",

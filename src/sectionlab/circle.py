@@ -156,7 +156,6 @@ class CircleDiffeo:
     """
 
     kind = "abstract"
-    smoothness = "C-infinity"
 
     #: strictly positive lower bound for F' found on the dense check grid
     monotonicity_margin: float
@@ -225,8 +224,10 @@ class CircleDiffeo:
         target = normalize(np.asarray(_finite(y), dtype=float))
         lo = target - TWO_PI
         hi = target + TWO_PI
-        # fixed iteration count: 4*pi / 2^46 is far below the 1e-10 contract
-        for _ in range(46):
+        # the scalar stopping rule on the shared bracket width (37 halvings)
+        width = 2.0 * TWO_PI
+        while width > _BISECT_WIDTH:
+            width *= 0.5
             mid = 0.5 * (lo + hi)
             below = self.lift(mid) < target
             lo = np.where(below, mid, lo)
@@ -234,10 +235,10 @@ class CircleDiffeo:
         x = 0.5 * (lo + hi)
         for _ in range(2):
             x = x - (self.lift(x) - target) / self.lift_derivative(x)
-        resid = np.abs(self.lift(x) - target)
-        if np.max(resid) > INVERSE_TOL:
+        resid = np.max(np.abs(self.lift(x) - target), initial=0.0)
+        if resid > INVERSE_TOL:
             raise ConvergenceFailure(
-                f"vector inverse residual {np.max(resid):.3e} above {INVERSE_TOL} "
+                f"vector inverse residual {resid:.3e} above {INVERSE_TOL} "
                 f"(kind={self.kind})"
             )
         return normalize(x)
@@ -395,7 +396,6 @@ class SplineDiffeo(CircleDiffeo):
     """
 
     kind = "spline"
-    smoothness = "C2"
 
     def __init__(self, knots, values):
         knots = np.asarray(knots, dtype=float)

@@ -15,13 +15,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .circle import CircleDiffeo, ConvergenceFailure, antipode, circle_distance
+import numpy as np
+
+from .circle import CircleDiffeo, antipode, circle_distance
 from .table import csv_text
 
 DEFAULT_K_MAX = 64
 DEFAULT_TOL = 1e-9
 # near-threshold closure distances within this factor of tol are flagged
 FRAGILE_FACTOR = 10.0
+# bisection rounds per class-boundary bracket (width step / 2**12)
+_BISECT_ROUNDS = 12
 
 
 class TransitionMap:
@@ -71,7 +75,8 @@ class Period:
 def period_of(T, theta: float, k_max: int = DEFAULT_K_MAX, tol: float = DEFAULT_TOL) -> Period:
     """Least k <= k_max with circle_distance(T^k(theta), theta) < tol.
 
-    T may be any circle self-map callable.  Iterates are the raw images under
+    T may be any circle self-map callable; it is handed the start angle as a
+    0-d array, then its own outputs.  Iterates are the raw images under
     T (each solved to inverse tolerance); no re-normalization of accumulated
     error is applied, so the reported k is minimal for the map as computed.
     """
@@ -79,7 +84,8 @@ def period_of(T, theta: float, k_max: int = DEFAULT_K_MAX, tol: float = DEFAULT_
         raise ValueError("k_max must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    return _classify_one(T, theta, k_max, tol).period
+    period, _ = _classify(T, np.asarray(theta, dtype=float), k_max, tol)
+    return _period(period, k_max)
 
 
 def has_period_one(f: CircleDiffeo, theta: float, tol: float = DEFAULT_TOL) -> bool:
@@ -156,17 +162,30 @@ class PeriodReport:
         return "\n".join(lines)
 
 
-def _classify_one(T, theta: float, k_max: int, tol: float) -> SampleResult:
-    x = theta
-    fragile = False
+def _classify(T, thetas, k_max: int, tol: float):
+    """(period, fragile) arrays for a 0-d or 1-d array of start angles.
+
+    All samples are iterated together; period 0 means none within k_max.
+    Iteration stops as soon as every sample has closed.
+    """
+    period = np.zeros(np.shape(thetas), dtype=int)
+    fragile = np.zeros(np.shape(thetas), dtype=bool)
+    is_open = np.ones(np.shape(thetas), dtype=bool)
+    x = thetas
     for k in range(1, k_max + 1):
         x = T(x)
-        d = circle_distance(x, theta)
-        if d < tol:
-            return SampleResult(theta, Period.finite(k), fragile)
-        if d < FRAGILE_FACTOR * tol:
-            fragile = True
-    return SampleResult(theta, Period.not_found(k_max), fragile)
+        d = circle_distance(x, thetas)
+        closes = is_open & (d < tol)
+        fragile |= is_open & ~closes & (d < FRAGILE_FACTOR * tol)
+        period[closes] = k
+        is_open &= ~closes
+        if not is_open.any():
+            break
+    return period, fragile
+
+
+def _period(k: int, k_max: int) -> Period:
+    return Period.finite(int(k)) if k else Period.not_found(k_max)
 
 
 def classify_scan(
@@ -174,14 +193,13 @@ def classify_scan(
     n_samples: int = 360,
     k_max: int = DEFAULT_K_MAX,
     tol: float = DEFAULT_TOL,
-    locate_boundaries: bool = True,
 ) -> PeriodReport:
     """Classify n_samples equispaced angles (always including 0) by period.
 
     A sample is flagged fragile when some iterate before its detected period
     came within a factor of ten of the closure tolerance, i.e. the class
-    could flip under a small retuning of tol.  Samples are independent and
-    could be fanned out to workers; they are processed in index order here.
+    could flip under a small retuning of tol.  T must accept arrays: all
+    samples are iterated together, one T call per step.
 
     Boundary brackets between adjacent samples of different classes are
     located by bisection as a best-effort diagnostic only.
@@ -189,43 +207,34 @@ def classify_scan(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     step = 2.0 * math.pi / n_samples
-    samples = []
-    for i in range(n_samples):
-        try:
-            samples.append(_classify_one(T, i * step, k_max, tol))
-        except ConvergenceFailure as exc:
-            raise ConvergenceFailure(
-                f"scan aborted at sample {i} (theta={i * step!r}): {exc}"
-            ) from exc
+    thetas = np.arange(n_samples) * step
+    period, fragile = _classify(T, thetas, k_max, tol)
+    samples = [
+        SampleResult(float(theta), _period(k, k_max), bool(flag))
+        for theta, k, flag in zip(thetas, period, fragile)
+    ]
     report = PeriodReport(samples=samples, n_samples=n_samples, k_max=k_max, tol=tol)
-    if locate_boundaries and n_samples >= 2:
+    if n_samples >= 2:
         report.boundaries = _locate_boundaries(T, samples, step, k_max, tol)
     return report
 
 
-def _locate_boundaries(T, samples, step, k_max, tol, n_bisect: int = 12):
-    out = []
+def _locate_boundaries(T, samples, step, k_max, tol):
+    """Bisect every class change between neighbours, all brackets per T call."""
     n = len(samples)
-    for i in range(n):
-        a = samples[i]
-        b = samples[(i + 1) % n]
-        if a.period.k == b.period.k:
-            continue
-        lo, hi = a.theta, a.theta + step
-        k_lo = a.period.k
-        for _ in range(n_bisect):
-            mid = 0.5 * (lo + hi)
-            k_mid = _classify_one(T, mid, k_max, tol).period.k
-            if k_mid == k_lo:
-                lo = mid
-            else:
-                hi = mid
-        out.append(
-            ClassBoundary(
-                theta_lo=lo,
-                theta_hi=hi,
-                label_lo=str(a.period),
-                label_hi=str(b.period),
-            )
-        )
-    return out
+    pairs = [(a, samples[(i + 1) % n]) for i, a in enumerate(samples)]
+    pairs = [(a, b) for a, b in pairs if a.period.k != b.period.k]
+    if not pairs:
+        return []
+    lo = np.array([a.theta for a, _ in pairs])
+    hi = lo + step
+    k_lo = np.array([a.period.k or 0 for a, _ in pairs])
+    for _ in range(_BISECT_ROUNDS):
+        mid = 0.5 * (lo + hi)
+        same = _classify(T, mid, k_max, tol)[0] == k_lo
+        lo = np.where(same, mid, lo)
+        hi = np.where(same, hi, mid)
+    return [
+        ClassBoundary(float(x_lo), float(x_hi), str(a.period), str(b.period))
+        for x_lo, x_hi, (a, b) in zip(lo, hi, pairs)
+    ]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .circle import CircleDiffeo, antipode, circle_distance, line_distance, normalize
 from .dynamics import DEFAULT_K_MAX, DEFAULT_TOL, Period, TransitionMap
-from .metric import GluedMetric
+from .metric import GluedMetric, check_chart
 from .table import csv_text
 
 DEFAULT_DS = 1e-3
@@ -169,13 +169,14 @@ def _start(metric, init: GeodesicState, ds: float, s_max: float):
     """Checked start of a run: (chart, t, theta, vt, vtheta, s, s_end).
 
     The step must be positive, the span positive and finite, and the state
-    finite and of unit speed to 1e-9.  A state with |vtheta| < RADIAL_TOL is
-    snapped to exactly radial.
+    on chart 1 or 2, finite and of unit speed to 1e-9.  A state with
+    |vtheta| < RADIAL_TOL is snapped to exactly radial.
     """
     if not ds > 0.0:
         raise ValueError(f"ds must be positive, got {ds!r}")
     if not 0.0 < s_max < math.inf:
         raise ValueError(f"s_max must be positive and finite, got {s_max!r}")
+    check_chart(init.chart)
     if not (math.isfinite(init.theta) and math.isfinite(init.s)):
         raise ValueError(f"initial state must be finite, got {init}")
     err = speed_error(metric, init)

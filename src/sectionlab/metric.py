@@ -27,11 +27,10 @@ derived from the rule, so configurations are unambiguous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TWO_PI, CircleDiffeo, normalize
+from .circle import TWO_PI, CircleDiffeo
 
 DEFAULT_T0 = 0.25
 DEFAULT_T1 = 0.75
@@ -40,7 +39,14 @@ _PSI_GRID = 720
 
 
 class DegenerateAtCenter(ValueError):
-    """Component form requested at t = 0, where the polar chart breaks down."""
+    """Christoffel symbols requested at t = 0, where the polar chart breaks down."""
+
+
+def check_chart(chart) -> None:
+    """Raise ValueError unless the chart number (or every one in an array) is 1 or 2."""
+    c = np.asarray(chart)
+    if not np.all((c == 1) | (c == 2)):
+        raise ValueError(f"chart must be 1 or 2, got {chart!r}")
 
 
 # ----------------------------------------------------------------------------
@@ -82,28 +88,6 @@ def smooth_step(t, t0: float, t1: float):
     if isinstance(t, np.ndarray):
         return _step01_vec((t - t0) / (t1 - t0))[0]
     return _step01((t - t0) / (t1 - t0))[0]
-
-
-@dataclass(frozen=True)
-class MetricSample:
-    """Metric components and first warp partials at one point."""
-
-    chart: int
-    t: float
-    theta: float
-    phi: float
-    phi_t: float
-    phi_theta: float
-    g_tt: float = 1.0
-    g_ttheta: float = 0.0
-
-    @property
-    def g_thetatheta(self) -> float:
-        return self.phi * self.phi
-
-    @property
-    def components(self) -> tuple[float, float, float]:
-        return (self.g_tt, self.g_ttheta, self.g_thetatheta)
 
 
 def _const_profile(c: float):
@@ -198,7 +182,7 @@ class GluedMetric:
             self.psi1_scale * (self._psi2_prime(y) * fp * fp + p2 * fpp),
         )
 
-    # -- warp and components ---------------------------------------------------
+    # -- warp and Christoffel symbols ------------------------------------------
 
     def warp(self, chart: int, t: float, theta):
         """phi(t, theta) on the given chart.
@@ -206,6 +190,7 @@ class GluedMetric:
         The radial profile continues past the rim (s clamps at 1 for t > 1),
         which is what cross-rim pullback checks evaluate; t may lie in [0, 2].
         """
+        check_chart(chart)
         if isinstance(t, np.ndarray) or isinstance(theta, np.ndarray):
             if np.any(np.asarray(t) < 0.0):
                 raise ValueError("t must be nonnegative")
@@ -243,19 +228,6 @@ class GluedMetric:
         phi_theta = s * psi_p
         return phi, phi_t, phi_theta
 
-    def metric_components(self, chart: int, t: float, theta: float) -> MetricSample:
-        """Component form (g_tt, g_ttheta, g_thetatheta) with warp partials.
-
-        Raises DegenerateAtCenter at t = 0; callers working near the center
-        should use the exact Euclidean-zone identification instead.
-        """
-        if t <= 0.0:
-            raise DegenerateAtCenter(f"polar components are degenerate at t={t}")
-        phi, phi_t, phi_theta = self.warp_with_partials(chart, t, theta)
-        return MetricSample(
-            chart=chart, t=t, theta=normalize(theta), phi=phi, phi_t=phi_t, phi_theta=phi_theta
-        )
-
     def christoffel(self, chart: int, t: float, theta: float) -> tuple[float, float, float]:
         """(Gamma^t_thth, Gamma^th_tth, Gamma^th_thth); all other symbols vanish.
 
@@ -263,6 +235,7 @@ class GluedMetric:
         -phi*phi_t, phi_t/phi and phi_theta/phi; in particular radial curves
         are geodesics for every metric in the family.
         """
+        check_chart(chart)
         if t <= 0.0:
             raise DegenerateAtCenter(f"Christoffel symbols are degenerate at t={t}")
         phi, phi_t, phi_theta = self.warp_with_partials(chart, t, theta)

@@ -127,6 +127,12 @@ def test_inverse_round_trip_10k(f):
     assert float(np.max(circle_distance(back, ys))) < 1e-12
 
 
+@pytest.mark.parametrize("f", all_families(), ids=lambda f: f.kind)
+def test_inverse_of_empty_array_is_empty(f):
+    out = f.inverse(np.array([]))
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
 def test_inverse_scalar_matches_vector_path():
     f = semicircle_bump(0.3)
     ys = RNG.uniform(0.0, TWO_PI, 64)

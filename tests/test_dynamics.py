@@ -24,6 +24,7 @@ from oracles import (
     bump_lift,
     make_sinusoid_spline_data,
     period_oracle,
+    spline_lift_oracle,
     transition_oracle,
 )
 
@@ -126,6 +127,13 @@ def test_period_minimality_on_synthetic_rotation():
         assert circle_distance(x, 0.3) >= 1e-9
 
 
+def test_period_of_scalar_only_callable():
+    # math.fmod takes floats only; period_of must never hand T a 1-d array
+    step = lambda x: math.fmod(x + 2.0 * TWO_PI / 5.0, TWO_PI)
+    assert period_of(step, 0.3, k_max=16) == Period.finite(5)
+    assert period_of(step, 0.3, k_max=4) == Period.not_found(4)
+
+
 def test_period_orbit_invariance():
     step = lambda x: normalize(x + 2.0 * TWO_PI / 5.0)
     assert period_of(step, 0.3, k_max=16) == period_of(step, step(0.3), k_max=16)
@@ -215,6 +223,18 @@ def test_scan_bump_every_sample_matches_oracle():
         assert sample.period.k == expect, f"sample {i}"
 
 
+def test_scan_spline_every_sample_matches_oracle():
+    # odd harmonics: 0 and pi are fixed, every other sample drifts off
+    knots = np.linspace(0.0, TWO_PI, 24, endpoint=False)
+    values = knots + 0.15 * np.sin(knots) + 0.1 * np.sin(3 * knots)
+    report = classify_scan(TransitionMap(SplineDiffeo(knots, values)), n_samples=72, k_max=16)
+    assert report.histogram == {1: 2, None: 70}
+    lift = spline_lift_oracle(knots, values)
+    for i, sample in enumerate(report.samples):
+        expect = period_oracle(lift, TWO_PI * i / 72, k_max=16, tol=1e-9)
+        assert sample.period.k == expect, f"sample {i}"
+
+
 def test_scan_reports_class_boundaries():
     report = classify_scan(TransitionMap(canonical_bump()), n_samples=360, k_max=64)
     assert len(report.boundaries) >= 2
@@ -232,8 +252,7 @@ def test_scan_flags_near_threshold_samples():
     # at tol = 1e-8 the first-step displacement of a few samples lands inside
     # [tol, 10*tol): they stay unclosed but are marked fragile
     report = classify_scan(
-        TransitionMap(canonical_bump()), n_samples=360, k_max=64, tol=1e-8,
-        locate_boundaries=False,
+        TransitionMap(canonical_bump()), n_samples=360, k_max=64, tol=1e-8
     )
     flagged = [i for i, s in enumerate(report.samples) if s.fragile]
     assert flagged == [9, 10, 170, 171, 189, 190, 350, 351]

@@ -213,6 +213,22 @@ def test_bad_step_or_span_rejected(span):
         integrate_ensemble(m, [init], **span)
 
 
+@pytest.mark.parametrize("chart", [0, 3, -1])
+def test_bad_chart_rejected(chart):
+    m = default_metric()
+    # flat zone and plateau: the warp itself never reads the chart at t <= t0
+    for t in (0.1, 0.9):
+        for call in (
+            lambda: m.warp(chart, t, 4.0),
+            lambda: m.warp(chart, np.array([t]), np.array([4.0])),
+            lambda: m.christoffel(chart, t, 4.0),
+            lambda: integrate(m, GeodesicState(chart, t, 4.0, 1.0, 0.0), s_max=0.01),
+            lambda: integrate_ensemble(m, [GeodesicState(chart, t, 4.0, 1.0, 0.0)], s_max=0.01),
+        ):
+            with pytest.raises(ValueError, match="chart must be 1 or 2"):
+                call()
+
+
 # --- exact tracer ----------------------------------------------------------------
 
 
