@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circle import TWO_PI, ConvergenceFailure
+from .circle import TWO_PI, ConvergenceFailure, circle_distance
 from .config import Config, ConfigError, load_config
 from .dynamics import TransitionMap, classify_scan
 from .geodesics import (
@@ -84,12 +84,11 @@ def cmd_trace(cfg: Config, seed: int, out: Path, theta0: float, max_legs: int, n
             ds=cfg.ds,
             s_max=min(cfg.s_max, 2.0 * max_legs),
         )
-        pairs = zip(traj.crossings, trace.crossings)
         dev = 0.0
-        for num_c, exact_c in pairs:
-            d1 = abs(num_c.theta1 - exact_c.theta1) % TWO_PI
-            d2 = abs(num_c.theta2 - exact_c.theta2) % TWO_PI
-            dev = max(dev, min(d1, TWO_PI - d1), min(d2, TWO_PI - d2))
+        for num_c, exact_c in zip(traj.crossings, trace.crossings):
+            d1 = circle_distance(num_c.theta1, exact_c.theta1)
+            d2 = circle_distance(num_c.theta2, exact_c.theta2)
+            dev = max(dev, d1, d2)
         doc["numeric_crossing_deviation"] = dev
         traj_path = out / "trajectory.csv"
         traj_path.write_text(traj.to_records_text(_headers(cfg, seed)), encoding="utf-8")

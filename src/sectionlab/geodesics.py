@@ -9,10 +9,12 @@ geodesic equation of the glued metric
     t'' = phi * phi_t * vtheta^2
     theta'' = -(2 phi_t / phi) vt vtheta - (phi_theta / phi) vtheta^2
 
-with fixed-step fourth-order Runge-Kutta and two event types located by sign
-change plus bisection: rim crossings at t = 1 and center passages at t = 0
-(the latter admissible only for radial states; analytically a non-radial
-geodesic never reaches the center).
+with fixed-step fourth-order Runge-Kutta and two event types, both placed in
+closed form: rim crossings at t = 1 and center passages at t = 0 (the latter
+admissible only for radial states; analytically a non-radial geodesic never
+reaches the center).  A rim crossing is reached from the plateau [t1, 1],
+where phi_t = 0, so vt is constant there and the crossing lies at arclength
+(1 - t) / vt from the start of the step.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ DEFAULT_S_MAX = 20.0
 # |vtheta| below RADIAL_TOL counts as radial; non-radial states may not enter t < T_GUARD
 RADIAL_TOL = 1e-9
 T_GUARD = 1e-6
-# event bisection resolution in arclength, and iteration budget
-_EVENT_S_TOL = 1e-12
-_EVENT_MAX_ITER = 200
+# start angles must satisfy |theta| < ANGLE_BOUND: one ulp there (2.3e-10) stays
+# below the 1e-9 closure tolerance
+ANGLE_BOUND = 2.0**20
 _MAX_EVENTS = 100000
 
 
@@ -43,7 +45,7 @@ class CenterSingularity(RuntimeError):
 
 
 class EventBisectionFailure(RuntimeError):
-    """Event location did not converge within the iteration budget."""
+    """A run located more than _MAX_EVENTS events (the event budget)."""
 
 
 class HorizonTooShort(ValueError):
@@ -129,11 +131,9 @@ def _rhs(metric, chart, t, th, vt, vth):
 
 def _rhs_vec(metric, chart, t, th, vt, vth):
     phi, phi_t, phi_th = metric.warp_with_partials_vec(chart, t, th)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dvt = phi * phi_t * vth * vth
-        dvth = -(2.0 * phi_t / phi) * vt * vth - (phi_th / phi) * vth * vth
-    nonrad = vth != 0.0
-    return vt, vth, np.where(nonrad, dvt, 0.0), np.where(nonrad, dvth, 0.0)
+    dvt = phi * phi_t * vth * vth
+    dvth = -(2.0 * phi_t / phi) * vt * vth - (phi_th / phi) * vth * vth
+    return vt, vth, dvt, dvth
 
 
 def _rk4(rhs, metric, chart, t, th, vt, vth, h):
@@ -169,16 +169,19 @@ def _start(metric, init: GeodesicState, ds: float, s_max: float):
     """Checked start of a run: (chart, t, theta, vt, vtheta, s, s_end).
 
     The step must be positive, the span positive and finite, and the state
-    on chart 1 or 2, finite and of unit speed to 1e-9.  A state with
-    |vtheta| < RADIAL_TOL is snapped to exactly radial.
+    on chart 1 or 2, inside the disk (0 <= t < 1), with |theta| < ANGLE_BOUND,
+    finite s and unit speed to 1e-9.  A state with |vtheta| < RADIAL_TOL is
+    snapped to exactly radial.
     """
     if not ds > 0.0:
         raise ValueError(f"ds must be positive, got {ds!r}")
     if not 0.0 < s_max < math.inf:
         raise ValueError(f"s_max must be positive and finite, got {s_max!r}")
     check_chart(init.chart)
-    if not (math.isfinite(init.theta) and math.isfinite(init.s)):
-        raise ValueError(f"initial state must be finite, got {init}")
+    if not 0.0 <= init.t < 1.0:
+        raise ValueError(f"initial radius must satisfy 0 <= t < 1, got {init.t!r}")
+    if not (abs(init.theta) < ANGLE_BOUND and math.isfinite(init.s)):
+        raise ValueError(f"initial state needs |theta| < {ANGLE_BOUND:.0f} and finite s, got {init}")
     err = speed_error(metric, init)
     if not err <= 1e-9:
         raise ValueError(f"initial state violates unit speed by {err:.3e}")
@@ -208,27 +211,6 @@ def _cross_rim(metric, chart, th, vt, vth):
     return (1, th1, -vt, vth / f.derivative(th1)), (th1, th2)
 
 
-def _locate_rim(metric, chart, t, th, vt, vth, h):
-    """Bisect the step fraction to place t = 1 within 1e-12 of arclength."""
-    lo, hi = 0.0, h
-    state_hi = _rk4(_rhs, metric, chart, t, th, vt, vth, h)
-    iters = 0
-    while hi - lo > _EVENT_S_TOL:
-        iters += 1
-        if iters > _EVENT_MAX_ITER:
-            raise EventBisectionFailure(
-                f"rim crossing not localized after {_EVENT_MAX_ITER} bisections"
-            )
-        mid = 0.5 * (lo + hi)
-        cand = _rk4(_rhs, metric, chart, t, th, vt, vth, mid)
-        if cand[0] < 1.0:
-            lo = mid
-        else:
-            hi = mid
-            state_hi = cand
-    return hi, state_hi
-
-
 def _event(metric, chart, t, th, vt, vth, h, nt, s):
     """Resolve a step from (t, ...) at arclength s whose end radius nt left
     [T_GUARD, 1).
@@ -238,12 +220,21 @@ def _event(metric, chart, t, th, vt, vth, h, nt, s):
     one (a radial state inside the guard band).  A non-radial state entering
     the guard band raises CenterSingularity, which signals an under-resolved
     close approach.
+
+    The rim is reached after hs = (1 - t) / vt, and the crossing state is
+    one RK4 step of that length.  This is exact for radial states, and for
+    non-radial ones when the step starts on the plateau t >= t1, where
+    phi_t = 0 keeps vt constant and t linear; a non-radial step that starts
+    below t1 and ends past the rim raises ValueError.
     """
     if nt >= 1.0:
-        if vth == 0.0:
-            hs = (1.0 - t) / vt
-        else:
-            hs, (_t_at, th, vt, vth) = _locate_rim(metric, chart, t, th, vt, vth, h)
+        if vth != 0.0 and t < metric.t1:
+            raise ValueError(
+                f"a step of ds={h!r} carried a non-radial state from t={t!r} past the rim "
+                f"without landing on the plateau t1={metric.t1!r}; take ds below 1 - t1"
+            )
+        hs = (1.0 - t) / vt
+        _t_at, th, vt, vth = _rk4(_rhs, metric, chart, t, th, vt, vth, hs)
         s += hs
         (chart_to, th, vt, vth), (th1, th2) = _cross_rim(metric, chart, th, vt, vth)
         return (chart_to, 1.0, th, vt, vth, s), RimCrossing(s, chart, th1, th2)
@@ -268,11 +259,13 @@ def integrate(
 ) -> Trajectory:
     """Integrate a unit-speed geodesic with chart-transition events.
 
-    The initial state must satisfy unit speed to 1e-9.  States with
-    |vtheta| < RADIAL_TOL are snapped to exactly radial at entry; only radial
-    states may pass through a center (angle jumps to the antipode, radial
-    velocity flips).  A non-radial state entering t < T_GUARD raises
-    CenterSingularity, which signals an under-resolved close approach.
+    The initial state must lie inside its disk (0 <= t < 1) and satisfy unit
+    speed to 1e-9.  States with |vtheta| < RADIAL_TOL are snapped to exactly
+    radial at entry; only radial states may pass through a center (angle
+    jumps to the antipode, radial velocity flips).  A non-radial state
+    entering t < T_GUARD raises CenterSingularity, which signals an
+    under-resolved close approach; one whose step jumps the whole plateau
+    [t1, 1] into the rim (ds > 1 - t1) raises ValueError.
     """
     chart, t, th, vt, vth, s, s_end = _start(metric, init, ds, s_max)
     traj = Trajectory(states=[GeodesicState(chart, t, th, vt, vth, s)])
@@ -301,12 +294,15 @@ def integrate(
 
 @dataclass
 class EnsembleResult:
+    """Final states and per-member monitors of a non-radial ensemble run."""
+
     final_states: list[GeodesicState]
     sign_flips: np.ndarray  # per-trajectory count of vtheta sign changes
-    min_abs_vtheta: np.ndarray  # over the whole trajectory, non-radial members
+    min_abs_vtheta: np.ndarray  # over the whole trajectory
     crossings: np.ndarray  # rim crossings per trajectory
+    # always zero, since non-radial geodesics never pass a center; kept because
+    # perfbench/tracer.py sums it per call, as it does Trajectory.center_passages
     center_passages: np.ndarray
-    max_theta_drift: np.ndarray  # radial members: |theta - theta at last event|
 
 
 def integrate_ensemble(
@@ -315,52 +311,44 @@ def integrate_ensemble(
     ds: float = DEFAULT_DS,
     s_max: float = DEFAULT_S_MAX,
 ) -> EnsembleResult:
-    """Integrate many independent geodesics in lockstep.
+    """Integrate many independent non-radial geodesics in lockstep.
 
     The same start rule, RK4 step and event step as `integrate`, with the
-    step taken on arrays; trajectories desynchronize in s only at events (an
-    element that crosses the rim resumes from the event arclength).  Full
-    paths are not stored; per-trajectory monitors are accumulated online.
+    step taken on arrays; trajectories desynchronize in s only at rim
+    crossings (an element that crosses resumes from the crossing arclength).
+    Members that are radial after the start rule raise ValueError; integrate
+    those with `integrate`.  Full paths are not stored; per-trajectory
+    monitors are accumulated online.
     """
     n = len(inits)
     starts = [_start(metric, st, ds, s_max) for st in inits]
+    for i, start in enumerate(starts):
+        if start[4] == 0.0:
+            raise ValueError(f"ensemble member {i} is radial; integrate it with integrate()")
     chart, t, th, vt, vth, s, s_end = np.array(starts, dtype=float).reshape(n, 7).T.copy()
     chart = chart.astype(np.int8)
 
     sign0 = np.sign(vth)
     flips = np.zeros(n, dtype=int)
-    min_abs = np.where(sign0 == 0.0, np.inf, np.abs(vth))
+    min_abs = np.abs(vth)
     crossings = np.zeros(n, dtype=int)
-    centers = np.zeros(n, dtype=int)
-    theta_ref = th.copy()  # reset at every event; radial drift monitor
-    max_drift = np.zeros(n, dtype=float)
 
     active = s < s_end - 1e-15
     while np.any(active):
         h = np.where(active, np.minimum(ds, s_end - s), 0.0)
         nt, nth, nvt, nvth = _rk4(_rhs_vec, metric, chart, t, th, vt, vth, h)
-        radial = vth == 0.0
         flagged = active & ~((T_GUARD <= nt) & (nt < 1.0))
         ok = active & ~flagged
         for i in np.flatnonzero(flagged):
-            hit = _event(metric, int(chart[i]), t[i], th[i], vt[i], vth[i], h[i], nt[i], s[i])
-            if hit is None:
-                ok[i] = True
-                continue
-            (chart[i], t[i], th[i], vt[i], vth[i], s[i]), event = hit
-            if isinstance(event, RimCrossing):
-                crossings[i] += 1
-            else:
-                centers[i] += 1
-            theta_ref[i] = th[i]
+            (chart[i], t[i], th[i], vt[i], vth[i], s[i]), _ = _event(
+                metric, int(chart[i]), t[i], th[i], vt[i], vth[i], h[i], nt[i], s[i]
+            )
+            crossings[i] += 1
         t[ok], th[ok], vt[ok], vth[ok] = nt[ok], nth[ok], nvt[ok], nvth[ok]
         s[ok] += h[ok]
 
-        watch = active & (sign0 != 0.0)
-        flips += (watch & (np.sign(vth) != sign0)).astype(int)
-        np.minimum(min_abs, np.where(sign0 == 0.0, np.inf, np.abs(vth)), out=min_abs)
-        drift = circle_distance(th, theta_ref)
-        max_drift = np.where(active & radial, np.maximum(max_drift, drift), max_drift)
+        flips += (active & (np.sign(vth) != sign0)).astype(int)
+        np.minimum(min_abs, np.abs(vth), out=min_abs)
 
         active = s < s_end - 1e-15
 
@@ -373,8 +361,7 @@ def integrate_ensemble(
         sign_flips=flips,
         min_abs_vtheta=min_abs,
         crossings=crossings,
-        center_passages=centers,
-        max_theta_drift=max_drift,
+        center_passages=np.zeros(n, dtype=int),
     )
 
 
@@ -454,8 +441,8 @@ def trace_section(
     """
     if max_legs < 2:
         raise ValueError("max_legs must be >= 2")
-    if not math.isfinite(theta0):
-        raise ValueError(f"theta0 must be a finite angle, got {theta0!r}")
+    if not abs(theta0) < ANGLE_BOUND:
+        raise ValueError(f"theta0 must satisfy |theta0| < {ANGLE_BOUND:.0f}, got {theta0!r}")
     theta0 = normalize(theta0)
     T = TransitionMap(f)
     legs: list[Leg] = [Leg(0, 1, "radius", None, theta0, 1)]

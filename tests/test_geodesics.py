@@ -1,9 +1,11 @@
 """Tests for the exact tracer and the numerical geodesic integrator."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from sectionlab import (
     TWO_PI,
@@ -28,6 +30,7 @@ from sectionlab import (
     unit_speed_state,
 )
 
+from sectionlab.geodesics import ANGLE_BOUND
 from oracles import flat_polar_geodesic
 from test_circle import all_families
 
@@ -168,7 +171,7 @@ def test_ensemble_agrees_with_scalar():
     inits = [
         unit_speed_state(m, 1, 0.5, 1.0, 1.1),
         unit_speed_state(m, 2, 0.7, 4.0, -0.9),
-        GeodesicState(1, 0.4, 2.0, 1.0, 0.0),
+        unit_speed_state(m, 1, 0.9, 2.0, 0.7),
     ]
     res = integrate_ensemble(m, inits, ds=1e-3, s_max=5.0)
     for i, (init, fin) in enumerate(zip(inits, res.final_states)):
@@ -182,8 +185,94 @@ def test_ensemble_agrees_with_scalar():
         assert abs(fin.vt - ref.vt) < 1e-9
         assert abs(fin.vtheta - ref.vtheta) < 1e-9
     assert res.sign_flips.sum() == 0
-    assert res.max_theta_drift[2] < 1e-12
-    assert res.crossings.min() >= 1 and res.center_passages[2] >= 1
+    assert res.crossings.min() >= 1
+
+
+@pytest.mark.parametrize("vtheta", [0.0, 1e-12])
+def test_ensemble_rejects_radial_member(vtheta):
+    m = default_metric()
+    members = [unit_speed_state(m, 1, 0.5, 1.0, 1.1), GeodesicState(1, 0.5, 2.0, 1.0, vtheta)]
+    with pytest.raises(ValueError, match="member 1 is radial"):
+        integrate_ensemble(m, members, s_max=0.01)
+
+
+def _first_crossing_oracle(m, init):
+    """First rim crossing (s, theta) of a non-radial state by scipy's DOP853."""
+
+    def rhs(_s, y):
+        t, th, vt, vth = y
+        phi, phi_t, phi_th = m.warp_with_partials(init.chart, t, th)
+        return [vt, vth, phi * phi_t * vth**2, -2.0 * phi_t / phi * vt * vth - phi_th / phi * vth**2]
+
+    def rim(_s, y):
+        return y[0] - 1.0
+
+    rim.terminal = True
+    rim.direction = 1.0
+    y0 = [init.t, init.theta, init.vt, init.vtheta]
+    sol = solve_ivp(rhs, (0.0, 10.0), y0, method="DOP853", rtol=1e-12, atol=1e-12, events=rim)
+    (s_hit,) = sol.t_events[0]
+    return s_hit, sol.y_events[0][0][1]
+
+
+@pytest.mark.parametrize(
+    "chart, t, theta, direction",
+    [(1, 0.5, 1.0, 1.1), (2, 0.7, 4.0, -0.9), (1, 0.9, 2.0, 0.7), (2, 0.3, 5.5, 0.4)],
+)
+def test_nonradial_crossing_matches_solve_ivp(chart, t, theta, direction):
+    m = default_metric()
+    init = unit_speed_state(m, chart, t, theta, direction)
+    s_ref, theta_ref = _first_crossing_oracle(m, init)
+    traj = integrate(m, init, ds=1e-3, s_max=s_ref + 0.01)
+    cross = traj.crossings[0]
+    assert cross.chart_from == chart
+    assert abs(cross.s - s_ref) < 1e-9
+    assert circle_distance(cross.theta1 if chart == 1 else cross.theta2, theta_ref) < 1e-9
+
+
+def test_step_past_the_plateau_rejected():
+    # t1 = 0.99 and ds = 0.05: an outward non-radial step from t = 0.97 jumps
+    # over the whole plateau, so its crossing has no closed form
+    m = GluedMetric(semicircle_bump(0.3), t1=0.99)
+    init = unit_speed_state(m, 1, 0.97, 2.0, 0.3)
+    with pytest.raises(ValueError, match="t1=0.99"):
+        integrate(m, init, ds=0.05, s_max=0.2)
+    with pytest.raises(ValueError, match="t1=0.99"):
+        integrate_ensemble(m, [init], ds=0.05, s_max=0.2)
+    traj = integrate(m, GeodesicState(1, 0.97, 2.0, 1.0, 0.0), ds=0.05, s_max=0.2)
+    assert traj.crossings[0].s == (1.0 - 0.97) / 1.0
+
+
+@pytest.mark.parametrize(
+    "t, theta, direction", [(1.5, 0.0, 0.0), (1.5, 4.0, 0.7), (1.0, 4.0, math.pi / 2)]
+)
+def test_start_at_or_beyond_rim_rejected(t, theta, direction):
+    m = default_metric()
+    init = unit_speed_state(m, 1, t, theta, direction)
+    with pytest.raises(ValueError, match="0 <= t < 1"):
+        integrate(m, init, s_max=1.0)
+    if init.vtheta != 0.0:
+        with pytest.raises(ValueError, match="0 <= t < 1"):
+            integrate_ensemble(m, [init], s_max=1.0)
+
+
+def test_angle_bound():
+    m = default_metric()
+    nonradial = unit_speed_state(m, 1, 0.2, 4.0, 1.1)  # flat zone: speed independent of theta
+    cases = ((ANGLE_BOUND, False), (-ANGLE_BOUND, False), (ANGLE_BOUND - 1.0, True), (-3.0, True))
+    for theta, ok in cases:
+        calls = (
+            lambda: trace_section(m.f, theta, max_legs=4),
+            lambda: integrate(m, GeodesicState(1, 0.5, theta, 1.0, 0.0), s_max=0.01),
+            lambda: integrate_ensemble(m, [replace(nonradial, theta=theta)], s_max=0.01),
+        )
+        for call in calls:
+            if ok:
+                call()
+            else:
+                with pytest.raises(ValueError, match="theta"):
+                    call()
+    assert ANGLE_BOUND == 2**20
 
 
 @pytest.mark.parametrize("f", all_families(), ids=lambda f: f.kind)
