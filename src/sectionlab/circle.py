@@ -23,8 +23,8 @@ TWO_PI = 2.0 * math.pi
 
 # eval/inverse contract: residual of the lift equation after inversion
 INVERSE_TOL = 1e-12
-# bisection stops at this bracket width, then Newton polishes
-_BISECT_WIDTH = 1e-10
+# safeguarded Newton stops once a step is this short, then Newton polishes
+_STEP_TOL = 1e-10
 _MAX_ITER = 200
 # F' must be positive on this many equispaced angles
 _MONOTONE_GRID = 4096
@@ -188,34 +188,46 @@ class CircleDiffeo:
         """Solve f(x) = y on the circle.
 
         The monotone lift is bracketed on [y - 2*pi, y + 2*pi] (always a valid
-        bracket for a degree-one lift), bisected down to a width of 1e-10 and
-        polished with two Newton steps.  Raises ValueError on a non-finite
-        target, and ConvergenceFailure if the lift residual does not reach
-        1e-12 within the iteration budget.
+        bracket for a degree-one lift) and solved by safeguarded Newton
+        (Numerical Recipes' rtsafe): each step shrinks the bracket to the
+        current iterate and takes the Newton candidate, or the bracket
+        midpoint when that candidate leaves the bracket or does not at least
+        halve the previous step.  Once a step is no longer than 1e-10 one
+        Newton polish follows.  Arrays are solved elementwise by the same
+        rule.  Raises ValueError on a non-finite target, and
+        ConvergenceFailure if the lift residual does not reach 1e-12 within
+        the iteration budget.
         """
         if isinstance(y, np.ndarray):
             return self._inverse_array(y)
         target = normalize(_finite(y))
         lo = target - TWO_PI
         hi = target + TWO_PI
-        iters = 0
-        while hi - lo > _BISECT_WIDTH:
-            iters += 1
-            if iters > _MAX_ITER:
-                raise ConvergenceFailure(
-                    f"inverse bisection exceeded {_MAX_ITER} iterations for target {target!r}"
-                )
-            mid = 0.5 * (lo + hi)
-            if self.lift(mid) < target:
-                lo = mid
+        x = target
+        step = hi - lo
+        for _ in range(_MAX_ITER):
+            r = self.lift(x) - target
+            if r < 0.0:
+                lo = x
             else:
-                hi = mid
-        x = 0.5 * (lo + hi)
-        for _ in range(2):
-            x -= (self.lift(x) - target) / self.lift_derivative(x)
-        if abs(self.lift(x) - target) > INVERSE_TOL:
+                hi = x
+            d = self.lift_derivative(x)
+            nxt = x - r / d
+            if not lo <= nxt <= hi or abs(2.0 * r) > abs(step * d):
+                nxt = 0.5 * (lo + hi)
+            step = nxt - x
+            x = nxt
+            if abs(step) <= _STEP_TOL:
+                break
+        else:
             raise ConvergenceFailure(
-                f"inverse residual {abs(self.lift(x) - target):.3e} above {INVERSE_TOL} "
+                f"inverse Newton steps exceeded {_MAX_ITER} iterations for target {target!r}"
+            )
+        x -= (self.lift(x) - target) / self.lift_derivative(x)
+        resid = abs(self.lift(x) - target)
+        if resid > INVERSE_TOL:
+            raise ConvergenceFailure(
+                f"inverse residual {resid:.3e} above {INVERSE_TOL} "
                 f"for target {target!r} (kind={self.kind})"
             )
         return normalize(x)
@@ -224,17 +236,30 @@ class CircleDiffeo:
         target = normalize(np.asarray(_finite(y), dtype=float))
         lo = target - TWO_PI
         hi = target + TWO_PI
-        # the scalar stopping rule on the shared bracket width (37 halvings)
-        width = 2.0 * TWO_PI
-        while width > _BISECT_WIDTH:
-            width *= 0.5
-            mid = 0.5 * (lo + hi)
-            below = self.lift(mid) < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        x = 0.5 * (lo + hi)
-        for _ in range(2):
-            x = x - (self.lift(x) - target) / self.lift_derivative(x)
+        x = target
+        step = hi - lo
+        # the scalar rule per element; an element stops moving after its own
+        # short step, so noise-level residuals cannot send it back to bisection
+        moving = np.ones(target.shape, dtype=bool)
+        for _ in range(_MAX_ITER):
+            r = self.lift(x) - target
+            below = r < 0.0
+            lo = np.where(below, x, lo)
+            hi = np.where(below, hi, x)
+            d = self.lift_derivative(x)
+            nxt = x - r / d
+            bisect = ~((lo <= nxt) & (nxt <= hi)) | (np.abs(2.0 * r) > np.abs(step * d))
+            nxt = np.where(moving, np.where(bisect, 0.5 * (lo + hi), nxt), x)
+            step = nxt - x
+            x = nxt
+            moving &= np.abs(step) > _STEP_TOL
+            if not moving.any():
+                break
+        else:
+            raise ConvergenceFailure(
+                f"vector inverse Newton steps exceeded {_MAX_ITER} iterations (kind={self.kind})"
+            )
+        x = x - (self.lift(x) - target) / self.lift_derivative(x)
         resid = np.max(np.abs(self.lift(x) - target), initial=0.0)
         if resid > INVERSE_TOL:
             raise ConvergenceFailure(

@@ -122,6 +122,9 @@ def cmd_verify(cfg: Config, seed: int, out: Path, tamper_psi1: float) -> int:
 
 
 def cmd_build_metric(cfg: Config, seed: int, out: Path, n_t: int, n_theta: int) -> int:
+    for flag, n in (("--n-t", n_t), ("--n-theta", n_theta)):
+        if n < 1:
+            raise ValueError(f"build-metric {flag} must be >= 1, got {n}")
     metric = cfg.build_metric()
     ts = np.linspace(0.0, 1.0, n_t)
     thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectionlab import (
     TWO_PI,
@@ -17,6 +19,7 @@ from sectionlab import (
     normalize,
     semicircle_bump,
 )
+from sectionlab.circle import INVERSE_TOL
 
 from oracles import bump_lift, central_diff, make_sinusoid_spline_data, spline_lift_oracle
 
@@ -145,6 +148,89 @@ def test_bump_inverse_round_trip_at_midpoint():
     f = semicircle_bump(0.3)
     y = f(1.5 * math.pi)
     assert circle_distance(f.inverse(y), 1.5 * math.pi) < 1e-12
+
+
+def assert_inverse_paths_agree(f, ys):
+    """Both inverse paths round-trip within INVERSE_TOL and agree within 1e-13."""
+    vec = f.inverse(ys)
+    scalar = np.array([f.inverse(float(y)) for y in ys])
+    assert float(np.max(circle_distance(f(vec), ys), initial=0.0)) <= INVERSE_TOL
+    assert float(np.max(circle_distance(f(scalar), ys), initial=0.0)) <= INVERSE_TOL
+    assert float(np.max(circle_distance(scalar, vec), initial=0.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("amplitude", [0.7, 0.74])
+def test_inverse_on_steep_maps(amplitude):
+    # min F' is 0.056 at 0.7 and 0.002 at 0.74: plain Newton two-cycles here
+    # unless a step that does not halve the previous one falls back to bisection
+    f = semicircle_bump(amplitude)
+    assert_inverse_paths_agree(f, np.linspace(0.0, TWO_PI, 20_000, endpoint=False))
+
+
+_BUMP_SLOPE = 4.2357  # max |beta'| of the peak-normalized profile on a unit arc
+_TARGETS = np.linspace(0.0, TWO_PI, 256, endpoint=False)
+
+
+@st.composite
+def bump_maps(draw):
+    lo = draw(st.floats(0.0, TWO_PI))
+    hi = draw(st.floats(lo, TWO_PI))
+    # either sign, up to a little past the monotonicity limit of the arc
+    fraction = draw(st.floats(-1.05, 1.05))
+    return lambda: BumpDiffeo(fraction * (hi - lo) / _BUMP_SLOPE, lo, hi)
+
+
+@st.composite
+def harmonic_splines(draw):
+    n_knots = draw(st.integers(4, 32))
+    knots = np.linspace(0.0, TWO_PI, n_knots, endpoint=False)
+    values = knots.copy()
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.integers(1, 4))
+        amplitude = draw(st.floats(-0.4, 0.4))
+        phase = draw(st.floats(0.0, TWO_PI))
+        values += amplitude * np.sin(m * knots + phase)
+    return lambda: SplineDiffeo(knots, values)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(st.one_of(bump_maps(), harmonic_splines()))
+def test_inverse_property_drawn_maps(build):
+    try:
+        f = build()
+    except ValueError:  # MonotonicityViolation included
+        return
+    assert_inverse_paths_agree(f, _TARGETS)
+
+
+class CountingBump(BumpDiffeo):
+    """Bump map that counts its lift evaluations."""
+
+    lift_calls = 0
+
+    def lift(self, x):
+        self.lift_calls += 1
+        return super().lift(x)
+
+
+@pytest.mark.parametrize(
+    "amplitude, array_budget",
+    # measured 7 and 13; bisecting the 4*pi bracket to 1e-10 alone takes 37.
+    # On the steep map an element that kept stepping after its own short step
+    # would be sent back to bisection by noise-level residuals (42 calls).
+    [(0.3, 10), (0.7, 20)],
+)
+def test_inverse_lift_budget(amplitude, array_budget):
+    f = CountingBump(amplitude)
+    # the targets of f^{-1} in one array T call of a 360-sample scan
+    targets = antipode(f(np.arange(360) * (TWO_PI / 360)))
+    f.lift_calls = 0
+    f.inverse(targets)
+    assert f.lift_calls <= array_budget
+    f.lift_calls = 0
+    for y in targets:
+        f.inverse(float(y))
+    assert f.lift_calls / targets.size <= 8.0
 
 
 # --- derivative -------------------------------------------------------------

@@ -173,6 +173,8 @@ def test_trace_numeric_cross_check(tmp_path, capsys):
         ["trace", "1.0", "--max-legs", "1"],
         ["build-metric", "--n-t", "-1"],
         ["trace", "1e300"],
+        ["build-metric", "--n-t", "0"],
+        ["build-metric", "--n-theta", "0"],
     ],
 )
 def test_bad_input_exit_2(tmp_path, capsys, argv):
