@@ -55,7 +55,6 @@ from .verify import (
     NonPositiveRadius,
     VerificationReport,
     all_or_none_check,
-    radial_geodesic_check,
     rational_closure,
     run_all_checks,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "NonPositiveRadius",
     "VerificationReport",
     "all_or_none_check",
-    "radial_geodesic_check",
     "rational_closure",
     "run_all_checks",
 ]

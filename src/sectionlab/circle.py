@@ -26,7 +26,7 @@ INVERSE_TOL = 1e-12
 # safeguarded Newton stops once a step is this short, then Newton polishes
 _STEP_TOL = 1e-10
 _MAX_ITER = 200
-# F' must be positive on this many equispaced angles
+# F' must be positive on this many equispaced angles (and as many on a bump's arc)
 _MONOTONE_GRID = 4096
 
 
@@ -270,12 +270,16 @@ class CircleDiffeo:
 
     # -- construction-time invariants ---------------------------------------
 
-    def _check_invariants(self) -> None:
+    def _check_invariants(self, arc: tuple[float, float] | None = None) -> None:
+        """Degree one, and F' > 0 on the check grid (and on `arc`, if given)."""
         xs = np.linspace(0.0, TWO_PI, 64, endpoint=False)
         equiv = np.max(np.abs(self.lift(xs + TWO_PI) - self.lift(xs) - TWO_PI))
         if not equiv <= 1e-12:
             raise ValueError(f"lift is not degree one: equivariance residual {equiv:.3e}")
         grid = np.linspace(0.0, TWO_PI, _MONOTONE_GRID, endpoint=False)
+        if arc is not None:
+            # an arc narrower than a few grid steps would slip between them
+            grid = np.concatenate([grid, np.linspace(*arc, _MONOTONE_GRID)])
         margin = float(np.min(self.lift_derivative(grid)))
         if not margin > 0.0:
             raise MonotonicityViolation(
@@ -359,7 +363,7 @@ class BumpDiffeo(CircleDiffeo):
         self.support_lo = float(support_lo)
         self.support_hi = float(support_hi)
         self._width = self.support_hi - self.support_lo
-        self._check_invariants()
+        self._check_invariants(arc=(self.support_lo, self.support_hi))
 
     def _u(self, x):
         return (normalize(x) - self.support_lo) / self._width

@@ -7,7 +7,8 @@ boundary angle by the transition map
 
 so closure of a section is exactly periodicity of its start angle under T.
 This module computes T, the period of a point (least k with T^k returning to
-the start within tolerance), and whole-circle period scans.
+the start within tolerance), and whole-circle period scans, which one step of
+T decides (see `Period`).
 """
 
 from __future__ import annotations
@@ -50,7 +51,12 @@ class Period:
     """Tagged period value: finite(k), or none within the searched horizon.
 
     `none` is a statement about the horizon that was searched, never a claim
-    of true aperiodicity.
+    of true aperiodicity.  For a transition map it holds for every horizon:
+    F(x + pi) - F(x) - pi changes sign under a half turn, so T fixes some
+    antipodal pair and its rotation number is 0.  Every point T does not fix
+    then has a lift orbit that moves monotonically toward a fixed point less
+    than pi away, so |T~^k(theta) - theta| only grows with k and the only
+    finite period is 1.
     """
 
     k: int | None
@@ -75,17 +81,27 @@ class Period:
 def period_of(T, theta: float, k_max: int = DEFAULT_K_MAX, tol: float = DEFAULT_TOL) -> Period:
     """Least k <= k_max with circle_distance(T^k(theta), theta) < tol.
 
-    T may be any circle self-map callable; it is handed the start angle as a
-    0-d array, then its own outputs.  Iterates are the raw images under
-    T (each solved to inverse tolerance); no re-normalization of accumulated
-    error is applied, so the reported k is minimal for the map as computed.
+    T may be any circle self-map callable on floats; it is handed the start
+    angle, then its own outputs.  Iterates are the raw images under T (each
+    solved to inverse tolerance); no re-normalization of accumulated error is
+    applied, so the reported k is minimal for the map as computed.  For a
+    transition map the answer is 1 or none (see `Period`), which
+    `classify_scan` reads off one step; this loop is the definition.
     """
+    _check_horizon(k_max, tol)
+    x = theta = float(theta)
+    for k in range(1, k_max + 1):
+        x = T(x)
+        if circle_distance(x, theta) < tol:
+            return Period.finite(k)
+    return Period.not_found(k_max)
+
+
+def _check_horizon(k_max: int, tol: float) -> None:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    period, _ = _classify(T, np.asarray(theta, dtype=float), k_max, tol)
-    return _period(period, k_max)
 
 
 def has_period_one(f: CircleDiffeo, theta: float, tol: float = DEFAULT_TOL) -> bool:
@@ -162,76 +178,66 @@ class PeriodReport:
         return "\n".join(lines)
 
 
-def _classify(T, thetas, k_max: int, tol: float):
-    """(period, fragile) arrays for a 0-d or 1-d array of start angles.
-
-    All samples are iterated together; period 0 means none within k_max.
-    Iteration stops as soon as every sample has closed.
-    """
-    period = np.zeros(np.shape(thetas), dtype=int)
-    fragile = np.zeros(np.shape(thetas), dtype=bool)
-    is_open = np.ones(np.shape(thetas), dtype=bool)
-    x = thetas
-    for k in range(1, k_max + 1):
-        x = T(x)
-        d = circle_distance(x, thetas)
-        closes = is_open & (d < tol)
-        fragile |= is_open & ~closes & (d < FRAGILE_FACTOR * tol)
-        period[closes] = k
-        is_open &= ~closes
-        if not is_open.any():
-            break
-    return period, fragile
-
-
-def _period(k: int, k_max: int) -> Period:
-    return Period.finite(int(k)) if k else Period.not_found(k_max)
+def _displacement(T, thetas):
+    """circle_distance(T(theta), theta) for an array of angles, one T call."""
+    return circle_distance(T(thetas), thetas)
 
 
 def classify_scan(
-    T,
+    T: TransitionMap,
     n_samples: int = 360,
     k_max: int = DEFAULT_K_MAX,
     tol: float = DEFAULT_TOL,
 ) -> PeriodReport:
     """Classify n_samples equispaced angles (always including 0) by period.
 
-    A sample is flagged fragile when some iterate before its detected period
-    came within a factor of ten of the closure tolerance, i.e. the class
-    could flip under a small retuning of tol.  T must accept arrays: all
-    samples are iterated together, one T call per step.
+    One step of T decides, by the lemma in `Period`: a sample has period 1
+    when circle_distance(T(theta), theta) < tol, and none otherwise, since
+    its displacement only grows under iteration.  For the same reason the
+    first displacement is the closest any iterate comes back, so a sample
+    that does not close is flagged fragile when it lies within a factor of
+    ten of tol, i.e. its class could flip under a small retuning of tol.
+    The lemma holds for transition maps only, so any other T raises
+    TypeError; all samples go through one array call of T.
 
     Boundary brackets between adjacent samples of different classes are
-    located by bisection as a best-effort diagnostic only.
+    located by bisection, one array T call per round on all brackets, as a
+    best-effort diagnostic only.
     """
+    if not isinstance(T, TransitionMap):
+        raise TypeError(f"classify_scan needs a TransitionMap, got {type(T).__name__}")
+    _check_horizon(k_max, tol)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     step = 2.0 * math.pi / n_samples
     thetas = np.arange(n_samples) * step
-    period, fragile = _classify(T, thetas, k_max, tol)
+    d = _displacement(T, thetas)
+    closes = d < tol
+    fragile = ~closes & (d < FRAGILE_FACTOR * tol)
+    none = Period.not_found(k_max)
     samples = [
-        SampleResult(float(theta), _period(k, k_max), bool(flag))
-        for theta, k, flag in zip(thetas, period, fragile)
+        SampleResult(float(theta), Period.finite(1) if c else none, bool(flag))
+        for theta, c, flag in zip(thetas, closes, fragile)
     ]
     report = PeriodReport(samples=samples, n_samples=n_samples, k_max=k_max, tol=tol)
     if n_samples >= 2:
-        report.boundaries = _locate_boundaries(T, samples, step, k_max, tol)
+        report.boundaries = _locate_boundaries(T, samples, step, tol)
     return report
 
 
-def _locate_boundaries(T, samples, step, k_max, tol):
+def _locate_boundaries(T, samples, step, tol):
     """Bisect every class change between neighbours, all brackets per T call."""
     n = len(samples)
     pairs = [(a, samples[(i + 1) % n]) for i, a in enumerate(samples)]
-    pairs = [(a, b) for a, b in pairs if a.period.k != b.period.k]
+    pairs = [(a, b) for a, b in pairs if a.period != b.period]
     if not pairs:
         return []
     lo = np.array([a.theta for a, _ in pairs])
     hi = lo + step
-    k_lo = np.array([a.period.k or 0 for a, _ in pairs])
+    closes_lo = np.array([a.period.is_finite for a, _ in pairs])
     for _ in range(_BISECT_ROUNDS):
         mid = 0.5 * (lo + hi)
-        same = _classify(T, mid, k_max, tol)[0] == k_lo
+        same = (_displacement(T, mid) < tol) == closes_lo
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
     return [

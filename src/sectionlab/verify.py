@@ -6,7 +6,9 @@ the (t, theta) chart a geodesic meets a leaf orthogonally exactly where
 vtheta = 0, and uniqueness of geodesics forces any such point onto a radial
 curve, so the coordinate-level statement is that sign(vtheta) is constant
 along every non-radial geodesic and vtheta vanishes identically along radial
-ones.
+ones.  Only the non-radial half is checked: radial curves are geodesics of
+every metric dt^2 + phi^2 dtheta^2 (see `GluedMetric.christoffel`), so no
+metric could make a radial check fail.
 
 The module also provides the exact common-period arithmetic for two circular
 motions with rational circumference ratio (and the `never closes` answer for
@@ -21,14 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import TWO_PI, circle_distance
-from .geodesics import (
-    GeodesicState,
-    _rhs,
-    integrate,
-    integrate_ensemble,
-    unit_speed_state,
-)
+from .circle import TWO_PI
+from .geodesics import GeodesicState, integrate_ensemble, unit_speed_state
 from .metric import GluedMetric
 from .table import csv_text
 
@@ -133,51 +129,6 @@ def all_or_none_check(
     )
 
 
-def radial_geodesic_check(
-    metric: GluedMetric,
-    n_samples: int = 36,
-    s_max: float = 6.0,
-    ds: float = 1e-3,
-) -> CheckResult:
-    """Radial curves are geodesics and stay orthogonal to every leaf.
-
-    The geodesic equation for a radial state reduces to t'' = 0 because every
-    symbol sourcing radial or angular acceleration carries a factor of
-    vtheta; this reduction is asserted exactly on the right-hand side, then
-    confirmed by integration: theta must not drift between events while each
-    trajectory runs through several chart transitions.
-    """
-    worst_drift = 0.0
-    min_crossings = math.inf
-    worst_rhs = 0.0
-    for i in range(n_samples):
-        theta = TWO_PI * i / n_samples
-        for chart, t_probe in ((1, 0.5), (2, 0.5), (1, 0.9)):
-            rhs = _rhs(metric, chart, t_probe, theta, 1.0, 0.0)
-            worst_rhs = max(worst_rhs, abs(rhs[1]), abs(rhs[2]), abs(rhs[3]))
-        traj = integrate(metric, GeodesicState(1, 0.5, theta, 1.0, 0.0), ds=ds, s_max=s_max)
-        min_crossings = min(min_crossings, len(traj.crossings))
-        events = sorted([c.s for c in traj.crossings] + [p.s for p in traj.center_passages])
-        seg_start = traj.states[0].theta
-        ev_idx = 0
-        for st in traj.states[1:]:
-            while ev_idx < len(events) and events[ev_idx] <= st.s:
-                seg_start = st.theta
-                ev_idx += 1
-            worst_drift = max(worst_drift, circle_distance(st.theta, seg_start))
-    passed = worst_drift < 1e-8 and worst_rhs == 0.0 and min_crossings >= 3
-    return CheckResult(
-        name="radial_geodesics",
-        passed=bool(passed),
-        residual=worst_drift,
-        params={"n_samples": n_samples, "s_max": s_max, "ds": ds},
-        detail=(
-            f"max |dtheta| between events={worst_drift:.3e}, "
-            f"min transitions={int(min_crossings)}, radial rhs residual={worst_rhs:.1e}"
-        ),
-    )
-
-
 def gluing_check(metric: GluedMetric, n_theta: int = 720, n_t: int = 64) -> CheckResult:
     residual = metric.gluing_residual(n_theta=n_theta, n_t=n_t)
     return CheckResult(
@@ -200,7 +151,6 @@ def run_all_checks(
     report = VerificationReport()
     report.add(gluing_check(metric))
     report.add(all_or_none_check(metric, n_geodesics=n_geodesics, s_max=s_max, ds=ds, seed=seed))
-    report.add(radial_geodesic_check(metric, ds=ds))
     return report
 
 

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sectionlab import (
     TWO_PI,
@@ -22,6 +21,7 @@ from sectionlab import (
 from sectionlab.circle import INVERSE_TOL
 
 from oracles import bump_lift, central_diff, make_sinusoid_spline_data, spline_lift_oracle
+from strategies import drawn_maps
 
 RNG = np.random.default_rng(20240817)
 
@@ -167,34 +167,11 @@ def test_inverse_on_steep_maps(amplitude):
     assert_inverse_paths_agree(f, np.linspace(0.0, TWO_PI, 20_000, endpoint=False))
 
 
-_BUMP_SLOPE = 4.2357  # max |beta'| of the peak-normalized profile on a unit arc
 _TARGETS = np.linspace(0.0, TWO_PI, 256, endpoint=False)
 
 
-@st.composite
-def bump_maps(draw):
-    lo = draw(st.floats(0.0, TWO_PI))
-    hi = draw(st.floats(lo, TWO_PI))
-    # either sign, up to a little past the monotonicity limit of the arc
-    fraction = draw(st.floats(-1.05, 1.05))
-    return lambda: BumpDiffeo(fraction * (hi - lo) / _BUMP_SLOPE, lo, hi)
-
-
-@st.composite
-def harmonic_splines(draw):
-    n_knots = draw(st.integers(4, 32))
-    knots = np.linspace(0.0, TWO_PI, n_knots, endpoint=False)
-    values = knots.copy()
-    for _ in range(draw(st.integers(1, 3))):
-        m = draw(st.integers(1, 4))
-        amplitude = draw(st.floats(-0.4, 0.4))
-        phase = draw(st.floats(0.0, TWO_PI))
-        values += amplitude * np.sin(m * knots + phase)
-    return lambda: SplineDiffeo(knots, values)
-
-
 @settings(derandomize=True, deadline=None, max_examples=100, database=None)
-@given(st.one_of(bump_maps(), harmonic_splines()))
+@given(drawn_maps)
 def test_inverse_property_drawn_maps(build):
     try:
         f = build()
@@ -342,6 +319,10 @@ def test_monotonicity_violation_raises():
         semicircle_bump(0.8)
     with pytest.raises(MonotonicityViolation):
         BumpDiffeo(0.5, 0.0, 1.0)  # narrow arc: slope bound scales with width
+    with pytest.raises(MonotonicityViolation):
+        # 1.5x the slope limit on an arc that fits between two of the 4096
+        # whole-circle check angles: F' reaches -0.50 inside it
+        BumpDiffeo(0.000708, 1.0, 1.002)
 
 
 def test_spline_monotonicity_violation():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from sectionlab import (
     TWO_PI,
@@ -27,6 +28,7 @@ from oracles import (
     spline_lift_oracle,
     transition_oracle,
 )
+from strategies import drawn_maps
 
 RNG = np.random.default_rng(7)
 
@@ -280,3 +282,58 @@ def test_scan_summary_text():
     report = classify_scan(TransitionMap(canonical_bump()), n_samples=360, k_max=64)
     text = report.summary_text()
     assert "period 1" in text and "none(<=64)" in text and "fragile" in text
+
+
+# --- one step decides ----------------------------------------------------------
+
+
+class CountingTransition(TransitionMap):
+    """Transition map that records the size of every call."""
+
+    def __init__(self, f):
+        super().__init__(f)
+        self.sizes = []
+
+    def __call__(self, theta):
+        self.sizes.append(np.size(theta))
+        return super().__call__(theta)
+
+
+def test_scan_one_call_per_step_and_bracket_round():
+    # one array call classifies all samples; each of the 12 bisection rounds
+    # makes one more on the midpoints of the 4 class changes
+    T = CountingTransition(canonical_bump())
+    report = classify_scan(T)
+    assert len(report.boundaries) == 4
+    assert T.sizes == [360] + [4] * 12
+
+
+def test_scan_requires_transition_map():
+    # the one-step rule rests on the transition-map lemma, not on any circle map
+    with pytest.raises(TypeError):
+        classify_scan(lambda x: x + 0.4 * math.pi, n_samples=8)
+
+
+def test_scan_validates_horizon():
+    T = TransitionMap(canonical_bump())
+    with pytest.raises(ValueError):
+        classify_scan(T, k_max=0)
+    with pytest.raises(ValueError):
+        classify_scan(T, tol=0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(drawn_maps)
+def test_scan_matches_brute_force_on_drawn_maps(build):
+    # the lemma: every transition map fixes an antipodal pair, so no start has
+    # period 2 or more and the first step decides what 64 steps would
+    try:
+        f = build()
+    except ValueError:  # MonotonicityViolation included
+        return
+    T = TransitionMap(f)
+    report = classify_scan(T, n_samples=12, k_max=64)
+    for sample in report.samples:
+        brute = period_of(T, sample.theta, k_max=64)
+        assert brute.k in (1, None), f"period {brute.k} at {sample.theta!r}"
+        assert sample.period == brute, f"sample at {sample.theta!r}"

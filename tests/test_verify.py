@@ -11,7 +11,6 @@ from sectionlab import (
     NonPositiveRadius,
     VerificationReport,
     all_or_none_check,
-    radial_geodesic_check,
     rational_closure,
     run_all_checks,
     semicircle_bump,
@@ -42,12 +41,6 @@ def test_all_or_none_flat_disk():
     assert res.passed
 
 
-def test_radial_geodesic_check_passes():
-    res = radial_geodesic_check(default_metric(), n_samples=12, s_max=6.0)
-    assert res.passed
-    assert res.residual < 1e-8
-
-
 def test_gluing_check_pass_and_tampered_fail():
     assert gluing_check(default_metric()).passed
     tampered = GluedMetric(semicircle_bump(0.3), psi1_scale=1.01)
@@ -63,7 +56,6 @@ def test_run_all_checks_report():
     assert names == [
         "gluing_compatibility",
         "all_or_none",
-        "radial_geodesics",
     ]
     text = report.summary_text()
     assert "PASS" in text and "FAIL" not in text
