@@ -36,7 +36,6 @@ from .geodesics import (
     CenterSingularity,
     EventBisectionFailure,
     GeodesicState,
-    HorizonTooShort,
     NotClosed,
     SectionTrace,
     SectionVerdict,
@@ -88,7 +87,6 @@ __all__ = [
     "CenterSingularity",
     "EventBisectionFailure",
     "GeodesicState",
-    "HorizonTooShort",
     "NotClosed",
     "SectionTrace",
     "SectionVerdict",

@@ -5,8 +5,8 @@ Global flags: --config PATH, --seed N, --out DIR.  All angles are radians
 and every output file carries the effective configuration in its header, so
 identical config plus seed reproduces byte-identical output.
 
-Exit codes: 0 success, 2 bad config or input, 3 solver or horizon failure,
-4 verification failure.
+Exit codes: 0 success, 2 bad config or input, 3 solver failure, 4 verification
+failure.
 """
 
 from __future__ import annotations
@@ -22,14 +22,7 @@ import numpy as np
 from .circle import TWO_PI, ConvergenceFailure, circle_distance
 from .config import Config, ConfigError, load_config
 from .dynamics import TransitionMap, classify_scan
-from .geodesics import (
-    GeodesicState,
-    HorizonTooShort,
-    NotClosed,
-    integrate,
-    section_verdict,
-    trace_section,
-)
+from .geodesics import GeodesicState, integrate, section_verdict, trace_section
 from .table import csv_text
 from .verify import NonPositiveRadius, rational_closure, run_all_checks
 
@@ -220,7 +213,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceFailure, HorizonTooShort, NotClosed) as exc:
+    except ConvergenceFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:  # bad input; after the ValueError subclasses above

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .circle import CircleDiffeo, antipode, circle_distance, line_distance, normalize
-from .dynamics import DEFAULT_K_MAX, DEFAULT_TOL, Period, TransitionMap
+from .dynamics import DEFAULT_K_MAX, DEFAULT_TOL, Period
 from .metric import GluedMetric, check_chart
 from .table import csv_text
 
@@ -46,10 +46,6 @@ class CenterSingularity(RuntimeError):
 
 class EventBisectionFailure(RuntimeError):
     """A run located more than _MAX_EVENTS events (the event budget)."""
-
-
-class HorizonTooShort(ValueError):
-    """The traced legs do not cover the detected period (need 2k+1 legs)."""
 
 
 class NotClosed(ValueError):
@@ -219,7 +215,8 @@ def _event(metric, chart, t, th, vt, vth, h, nt, s):
     or an exact radial center passage, and None when the step is an ordinary
     one (a radial state inside the guard band).  A non-radial state entering
     the guard band raises CenterSingularity, which signals an under-resolved
-    close approach.
+    close approach; an end radius that is not a number raises
+    FloatingPointError.
 
     The rim is reached after hs = (1 - t) / vt, and the crossing state is
     one RK4 step of that length.  This is exact for radial states, and for
@@ -248,7 +245,12 @@ def _event(metric, chart, t, th, vt, vth, h, nt, s):
             f"non-radial state reached t={nt:.3e} < guard {T_GUARD:g} at s={s + h:.6f}; "
             "reduce ds or start farther from the center"
         )
-    return None
+    if nt < T_GUARD:
+        return None
+    raise FloatingPointError(
+        f"step from t={float(t)!r} on chart {chart} at s={float(s)!r} "
+        f"reached the non-finite radius {float(nt)!r}"
+    )
 
 
 def integrate(
@@ -265,7 +267,8 @@ def integrate(
     jumps to the antipode, radial velocity flips).  A non-radial state
     entering t < T_GUARD raises CenterSingularity, which signals an
     under-resolved close approach; one whose step jumps the whole plateau
-    [t1, 1] into the rim (ds > 1 - t1) raises ValueError.
+    [t1, 1] into the rim (ds > 1 - t1) raises ValueError, and a step that
+    ends at a radius that is not a number raises FloatingPointError.
     """
     chart, t, th, vt, vth, s, s_end = _start(metric, init, ds, s_max)
     traj = Trajectory(states=[GeodesicState(chart, t, th, vt, vth, s)])
@@ -405,7 +408,7 @@ class SectionTrace:
     legs: list[Leg]
     crossings: list[TraceCrossing]
     center_passages: list[TracePassage]
-    orbit: list[float]  # start, T(start), T^2(start), ...
+    orbit: list[float]  # start, then the traced returns T(start), T^2(start), ...
     max_legs: int
     k_max: int
     tol: float
@@ -434,24 +437,25 @@ def trace_section(
     toward boundary angle theta0.
 
     Legs are the radius out of the start center followed by alternating full
-    diameters; the recorded orbit is exactly theta0, T(theta0), ... with T
-    the round-trip transition map, extended to k_max iterations even when
-    the leg budget stops earlier (so closure beyond the traced legs is still
-    detectable and reported as a horizon problem).
+    diameters; the walk stops after max_legs legs or at the first return
+    within tol of theta0.  The recorded orbit is theta0 followed by the
+    traced returns T(theta0), T^2(theta0), ... with T the round-trip
+    transition map.  max_legs >= 3 traces at least one return, and that one
+    decides closure: T fixes an antipodal pair, so a start T does not fix
+    never comes back (see `Period`).  k_max only labels the horizon of a
+    non-closing verdict.
     """
-    if max_legs < 2:
-        raise ValueError("max_legs must be >= 2")
+    if max_legs < 3:
+        raise ValueError(f"max_legs must be >= 3 to trace one return, got {max_legs}")
     if not abs(theta0) < ANGLE_BOUND:
         raise ValueError(f"theta0 must satisfy |theta0| < {ANGLE_BOUND:.0f}, got {theta0!r}")
     theta0 = normalize(theta0)
-    T = TransitionMap(f)
     legs: list[Leg] = [Leg(0, 1, "radius", None, theta0, 1)]
     crossings: list[TraceCrossing] = []
     passages: list[TracePassage] = []
     orbit = [theta0]
     x = theta0
-    closed = False
-    while len(legs) < max_legs and not closed:
+    while len(legs) < max_legs:
         # outward at chart-1 boundary angle x: cross and run the chart-2 diameter
         y = f(x)
         crossings.append(TraceCrossing(len(crossings), x, y))
@@ -463,20 +467,12 @@ def trace_section(
         # outward at chart-2 boundary angle exit2: cross back and run chart 1
         w = f.inverse(exit2)
         crossings.append(TraceCrossing(len(crossings), w, exit2))
-        x_next = antipode(w)
-        legs.append(Leg(len(legs), 1, "diameter", w, x_next, 2))
-        passages.append(TracePassage(1, legs[-1].index, x_next))
-        orbit.append(x_next)
-        x = x_next
+        x = antipode(w)
+        legs.append(Leg(len(legs), 1, "diameter", w, x, 2))
+        passages.append(TracePassage(1, legs[-1].index, x))
+        orbit.append(x)
         if circle_distance(x, theta0) < tol:
-            closed = True
-    if not closed:
-        # extend the orbit bookkeeping to the full search horizon
-        while len(orbit) <= k_max:
-            x = T(x)
-            orbit.append(x)
-            if circle_distance(x, theta0) < tol:
-                break
+            break
     return SectionTrace(
         start=theta0,
         legs=legs,
@@ -508,30 +504,26 @@ class SectionVerdict:
     witness: InjectivityWitness | None
 
 
-def section_verdict(trace: SectionTrace, tol: float | None = None) -> SectionVerdict:
+def section_verdict(trace: SectionTrace) -> SectionVerdict:
     """Closure, length and injectivity of a traced section.
 
-    A closed period-k section consists of k diameters in each disk, and the
-    radial coordinate is arclength (g_tt = 1), so its length is exactly 4k.
+    Closure is read off the traced returns: the section closes with period k
+    when the k-th return lies within trace.tol of the start.  A trace that
+    does not close gets `Period.not_found(trace.k_max)`, which its first
+    return already proves for every horizon (see `trace_section`).  A closed
+    period-k section consists of k diameters in each disk, and the radial
+    coordinate is arclength (g_tt = 1), so its length is exactly 4k.
     Injectivity fails exactly when some center is passed along two distinct
     lines; re-traversal of the same line (period-1 closure) does not count.
     """
-    if tol is None:
-        tol = trace.tol
+    tol = trace.tol
     theta0 = trace.orbit[0]
-    k = None
-    for m in range(1, len(trace.orbit)):
-        if circle_distance(trace.orbit[m], theta0) < tol:
-            k = m
-            break
-    traced_iterations = sum(1 for leg in trace.legs if leg.chart == 1 and leg.kind == "diameter")
-    if k is not None and traced_iterations < k:
-        raise HorizonTooShort(
-            f"period {k} detected but only {len(trace.legs)} legs traced; "
-            f"need max_legs >= {2 * k + 1}"
-        )
+    k = next(
+        (m for m in range(1, len(trace.orbit)) if circle_distance(trace.orbit[m], theta0) < tol),
+        None,
+    )
     closed = k is not None
-    period = Period.finite(k) if closed else Period.not_found(len(trace.orbit) - 1)
+    period = Period.finite(k) if closed else Period.not_found(trace.k_max)
     length = float(4 * k) if closed else math.inf
 
     witness = None
@@ -591,7 +583,7 @@ def compare_sections(
     verdicts = []
     for theta in (theta_a, theta_b):
         trace = trace_section(f, theta, max_legs=max_legs, k_max=k_max, tol=tol)
-        v = section_verdict(trace, tol)
+        v = section_verdict(trace)
         if not v.closed:
             raise NotClosed(f"section at theta={theta!r} did not close within {k_max} returns")
         verdicts.append(v)

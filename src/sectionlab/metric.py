@@ -119,8 +119,8 @@ class GluedMetric:
         Plateau profile of chart 2 (value, derivative).  None means the
         constant 1.  psi_1 is always derived from the compatibility rule.
     psi1_scale : float
-        Deliberate compatibility breaker for negative controls; the default
-        1.0 keeps the gluing exact.
+        Deliberate compatibility breaker for negative controls, positive and
+        finite; the default 1.0 keeps the gluing exact.
     """
 
     def __init__(
@@ -133,6 +133,8 @@ class GluedMetric:
     ):
         if not 0.0 < t0 < t1 < 1.0:
             raise ValueError(f"need 0 < t0 < t1 < 1, got t0={t0}, t1={t1}")
+        if not 0.0 < psi1_scale < math.inf:
+            raise ValueError(f"psi1_scale must be positive and finite, got {psi1_scale!r}")
         self.f = f
         self.t0 = float(t0)
         self.t1 = float(t1)

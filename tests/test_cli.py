@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import sectionlab
@@ -142,11 +143,14 @@ def test_trace_bump_none_start(tmp_path, capsys):
     assert doc["verdict"]["witness"]["separation"] > 0
 
 
-def test_trace_horizon_too_short_exit_3(tmp_path, capsys):
+def test_trace_two_legs_exit_2(tmp_path, capsys):
+    # two legs trace no return, closing start or not
     cfg = write(tmp_path, BUMP_FAST_CFG)
-    rc = main(["--config", cfg, "--out", str(tmp_path / "o"), "trace", "0.0", "--max-legs", "2"])
-    assert rc == 3
-    assert "need max_legs" in capsys.readouterr().err
+    for theta in ("0.0", repr(1.5 * math.pi)):
+        rc = main(["--config", cfg, "--out", str(tmp_path / "o"), "trace", theta, "--max-legs", "2"])
+        assert rc == 2
+        assert "max_legs" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "trace.json").exists()
 
 
 def test_trace_numeric_cross_check(tmp_path, capsys):
@@ -175,6 +179,8 @@ def test_trace_numeric_cross_check(tmp_path, capsys):
         ["trace", "1e300"],
         ["build-metric", "--n-t", "0"],
         ["build-metric", "--n-theta", "0"],
+        ["verify", "--tamper-psi1=inf"],
+        ["verify", "--tamper-psi1=-inf"],
     ],
 )
 def test_bad_input_exit_2(tmp_path, capsys, argv):
@@ -207,6 +213,16 @@ def test_verify_tampered_fails_exit_4(tmp_path, capsys):
     assert "FAIL" in out
     csv_text = (tmp_path / "o" / "verify.csv").read_text()
     assert "gluing_compatibility,0," in csv_text
+
+
+def test_verify_overflowing_psi1_exit_4(tmp_path, capsys):
+    # the ensemble stops at the first non-finite radius instead of crashing
+    cfg = write(tmp_path, BUMP_FAST_CFG)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["--config", cfg, "--out", str(tmp_path / "o"), "verify", "--tamper-psi1=1e308"])
+    assert rc == 4
+    out = capsys.readouterr().out
+    assert "FAIL  all_or_none" in out and "non-finite radius nan" in out
 
 
 def test_verify_flat_config_passes(tmp_path, capsys):

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.integrate import solve_ivp
 
 from sectionlab import (
@@ -12,7 +13,6 @@ from sectionlab import (
     CenterSingularity,
     GeodesicState,
     GluedMetric,
-    HorizonTooShort,
     IdentityDiffeo,
     NotClosed,
     Period,
@@ -23,6 +23,7 @@ from sectionlab import (
     integrate,
     integrate_ensemble,
     line_distance,
+    period_of,
     section_verdict,
     semicircle_bump,
     speed_error,
@@ -31,7 +32,9 @@ from sectionlab import (
 )
 
 from sectionlab.geodesics import ANGLE_BOUND
+from sectionlab.verify import _sample_nonradial_states
 from oracles import flat_polar_geodesic
+from strategies import drawn_maps
 from test_circle import all_families
 
 RNG = np.random.default_rng(4242)
@@ -290,6 +293,8 @@ def test_non_finite_angles_rejected(f):
         GluedMetric(f, psi2=math.nan)
     with pytest.raises(ValueError):
         GluedMetric(f, psi1_scale=math.nan)
+    with pytest.raises(ValueError, match="psi1_scale"):
+        GluedMetric(f, psi1_scale=math.inf)
 
 
 @pytest.mark.parametrize("span", [{"ds": math.nan}, {"ds": 0.0}, {"s_max": math.inf}, {"s_max": math.nan}])
@@ -300,6 +305,20 @@ def test_bad_step_or_span_rejected(span):
         integrate(m, init, **span)
     with pytest.raises(ValueError):
         integrate_ensemble(m, [init], **span)
+
+
+def test_non_finite_step_raises():
+    # psi1 near the float limit overflows the plateau warp; the step that
+    # turns the radius into NaN must stop both drivers
+    m = GluedMetric(semicircle_bump(0.3), psi1_scale=1e308)
+    sampled = _sample_nonradial_states(m, 10, np.random.default_rng(0))
+    states = [sampled[i] for i in (1, 4, 5, 9)]
+    for init in states:
+        with pytest.raises(FloatingPointError, match="non-finite radius nan"):
+            integrate(m, init, s_max=20.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="non-finite radius nan"):
+            integrate_ensemble(m, states, s_max=20.0)
 
 
 @pytest.mark.parametrize("chart", [0, 3, -1])
@@ -370,6 +389,7 @@ def test_trace_center_passage_counts_102_legs():
     f = semicircle_bump(0.3)
     trace = trace_section(f, 1.5 * math.pi, max_legs=102)
     assert len(trace.legs) == 102
+    assert len(trace.orbit) == 51
     n2 = sum(1 for p in trace.center_passages if p.chart == 2)
     n1 = sum(1 for p in trace.center_passages if p.chart == 1)
     assert n2 == 51 and n1 == 50
@@ -399,15 +419,40 @@ def test_verdict_lines_pairwise_distinct_for_none_start():
 
 
 def test_verdict_horizon_too_short():
-    f = semicircle_bump(0.3)
-    trace = trace_section(f, 0.0, max_legs=2)
-    with pytest.raises(HorizonTooShort):
-        section_verdict(trace)
+    # two legs trace no return, so no verdict could be read: the tracer refuses them
+    for f in (IdentityDiffeo(), semicircle_bump(0.3)):
+        with pytest.raises(ValueError, match="max_legs"):
+            trace_section(f, 0.0, max_legs=2)
 
 
 def test_trace_rejects_tiny_leg_budget():
-    with pytest.raises(ValueError):
-        trace_section(IdentityDiffeo(), 0.0, max_legs=1)
+    for f in (IdentityDiffeo(), semicircle_bump(0.3)):
+        with pytest.raises(ValueError, match="max_legs"):
+            trace_section(f, 0.0, max_legs=1)
+
+
+def test_trace_orbit_stops_at_traced_returns():
+    # no iteration past the last leg: four legs hold one return
+    trace = trace_section(semicircle_bump(0.3), 1.5 * math.pi, max_legs=4)
+    assert len(trace.orbit) == 2
+    v = section_verdict(trace)
+    assert not v.closed and v.period == Period.not_found(64)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(drawn_maps)
+def test_first_return_verdict_matches_brute_force_on_drawn_maps(build):
+    # the verdict reads one traced return; period_of iterates T up to 64 times
+    try:
+        f = build()
+    except ValueError:  # MonotonicityViolation included
+        return
+    T = TransitionMap(f)
+    for theta in np.linspace(0.0, TWO_PI, 5, endpoint=False):
+        v = section_verdict(trace_section(f, theta, max_legs=8))
+        assert v.closed == period_of(T, theta, k_max=64).is_finite, f"at {theta!r}"
+        if not v.closed:
+            assert v.period == Period.not_found(64)
 
 
 def test_numeric_closed_loop_length():
