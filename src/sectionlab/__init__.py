@@ -33,8 +33,6 @@ from .dynamics import (
     period_of,
 )
 from .geodesics import (
-    CenterSingularity,
-    EventBisectionFailure,
     GeodesicState,
     NotClosed,
     SectionTrace,
@@ -84,8 +82,6 @@ __all__ = [
     "classify_scan",
     "has_period_one",
     "period_of",
-    "CenterSingularity",
-    "EventBisectionFailure",
     "GeodesicState",
     "NotClosed",
     "SectionTrace",

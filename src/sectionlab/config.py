@@ -104,8 +104,8 @@ class Config:
                     raise ConfigError(f"{section}.{key}: must be finite, got {value!r}")
         if not 0.0 < self.t0 < self.t1 < 1.0:
             raise ConfigError(f"metric.t0/t1: need 0 < t0 < t1 < 1, got {self.t0}, {self.t1}")
-        if not self.ds > 0:
-            raise ConfigError(f"integrator.ds: must be positive, got {self.ds}")
+        if not 0 < self.ds < min(self.t0, 1.0 - self.t1):
+            raise ConfigError(f"integrator.ds: need 0 < ds < min(t0, 1 - t1), got {self.ds}")
         if not self.s_max > 0:
             raise ConfigError(f"integrator.s_max: must be positive, got {self.s_max}")
         if self.n_samples < 1:

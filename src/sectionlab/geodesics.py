@@ -9,12 +9,13 @@ geodesic equation of the glued metric
     t'' = phi * phi_t * vtheta^2
     theta'' = -(2 phi_t / phi) vt vtheta - (phi_theta / phi) vtheta^2
 
-with fixed-step fourth-order Runge-Kutta and two event types, both placed in
-closed form: rim crossings at t = 1 and center passages at t = 0 (the latter
-admissible only for radial states; analytically a non-radial geodesic never
-reaches the center).  A rim crossing is reached from the plateau [t1, 1],
-where phi_t = 0, so vt is constant there and the crossing lies at arclength
-(1 - t) / vt from the start of the step.
+with fixed-step fourth-order Runge-Kutta on [t0, 1) and in closed form
+elsewhere.  Inside the flat disk t < t0 the metric is the Euclidean plane
+(phi = t), so a geodesic there is a straight chord, taken in one step; a
+radial chord through the center records the passage.  A rim crossing is
+reached from the plateau [t1, 1], where phi_t = 0, so vt is constant there
+and the crossing lies at arclength (1 - t) / vt from the start of the step.
+A non-radial run needs ds < min(t0, 1 - t1), so no step jumps a flat zone.
 """
 
 from __future__ import annotations
@@ -31,21 +32,11 @@ from .table import csv_text
 
 DEFAULT_DS = 1e-3
 DEFAULT_S_MAX = 20.0
-# |vtheta| below RADIAL_TOL counts as radial; non-radial states may not enter t < T_GUARD
+# |vtheta| below RADIAL_TOL counts as radial
 RADIAL_TOL = 1e-9
-T_GUARD = 1e-6
 # start angles must satisfy |theta| < ANGLE_BOUND: one ulp there (2.3e-10) stays
 # below the 1e-9 closure tolerance
 ANGLE_BOUND = 2.0**20
-_MAX_EVENTS = 100000
-
-
-class CenterSingularity(RuntimeError):
-    """A non-radial state reached the center guard band (step size too large)."""
-
-
-class EventBisectionFailure(RuntimeError):
-    """A run located more than _MAX_EVENTS events (the event budget)."""
 
 
 class NotClosed(ValueError):
@@ -103,8 +94,11 @@ def unit_speed_state(
     metric: GluedMetric, chart: int, t: float, theta: float, direction: float
 ) -> GeodesicState:
     """State of unit speed whose velocity makes angle `direction` with the
-    radial direction in the orthonormal frame (so vt = cos, phi*vtheta = sin)."""
+    radial direction in the orthonormal frame (so vt = cos, phi*vtheta = sin);
+    at the center t = 0 there is no such frame, and ValueError is raised."""
     phi = metric.warp(chart, t, theta)
+    if phi == 0.0:
+        raise ValueError(f"no direction frame at the center t={t!r}; start radially there")
     return GeodesicState(chart, t, theta, math.cos(direction), math.sin(direction) / phi)
 
 
@@ -167,7 +161,8 @@ def _start(metric, init: GeodesicState, ds: float, s_max: float):
     The step must be positive, the span positive and finite, and the state
     on chart 1 or 2, inside the disk (0 <= t < 1), with |theta| < ANGLE_BOUND,
     finite s and unit speed to 1e-9.  A state with |vtheta| < RADIAL_TOL is
-    snapped to exactly radial.
+    snapped to exactly radial.  Any other state must lie off the center and
+    needs ds < min(t0, 1 - t1), so that no step jumps over a flat zone.
     """
     if not ds > 0.0:
         raise ValueError(f"ds must be positive, got {ds!r}")
@@ -182,75 +177,76 @@ def _start(metric, init: GeodesicState, ds: float, s_max: float):
     if not err <= 1e-9:
         raise ValueError(f"initial state violates unit speed by {err:.3e}")
     vt, vth = init.vt, init.vtheta
+    limit = min(metric.t0, 1.0 - metric.t1)
     if abs(vth) < RADIAL_TOL:
         vth = 0.0
         vt = math.copysign(1.0, vt) if vt != 0.0 else 1.0
+    elif init.t == 0.0:
+        raise ValueError(f"a state at the center t=0 must be radial, got vtheta={vth!r}")
+    elif not ds < limit:
+        raise ValueError(
+            f"a non-radial run needs ds < min(t0, 1 - t1) = {limit!r}, so that no step jumps "
+            f"over a flat zone; got ds={float(ds)!r} with t0={metric.t0!r}, t1={metric.t1!r}"
+        )
     return init.chart, init.t, init.theta, vt, vth, init.s, init.s + s_max
 
 
-def _cross_rim(metric, chart, th, vt, vth):
-    """Chart transition at t = 1.
+def _chord(t0, chart, t, th, vt, vth, s, s_end):
+    """Carry a state along its straight chord of the flat disk t < t0.
 
-    Angles map through the rim identification; the radial velocity flips
-    because the two chart radii point in opposite directions across the seam
-    (collar coordinate u = 2 - t); the angular velocity follows the chain
-    rule dtheta2 = F'(theta1) dtheta1, which is exactly what keeps the speed
-    unchanged under the plateau compatibility rule.
+    In the frame whose x axis is the ray theta the state sits at (t, 0) and
+    moves with velocity (vt, t*vtheta) until it reaches the radius t0, set
+    exactly, or s_end.  theta gains atan2(y, x) and t^2 vtheta is kept.  A
+    radial chord through the center returns its CenterEvent at s + t/|vt|
+    (antipode, vt flipped).  Radial lines are straight in every metric of
+    the family, so a radial chord may also start outside the disk, inward.
     """
+    vy = t * vth
+    a = vt * vt + vy * vy
+    b = t * vt
+    c = t0 * t0 - t * t
+    root = math.sqrt(b * b + a * c)
+    # the larger root of a h^2 + 2 b h - c = 0, free of cancellation
+    h_exit = c / (b + root) if b > 0.0 else (root - b) / a
+    h = min(h_exit, s_end - s)
+    x, y = t + h * vt, h * vy
+    r = t0 if h == h_exit else math.hypot(x, y)
+    if vth != 0.0:
+        return (chart, r, th + math.atan2(y, x), (b + h * a) / r, t * vy / (r * r), s + h), None
+    if x > 0.0:
+        return (chart, r, th, vt, 0.0, s + h), None
+    passage = CenterEvent(s + t / -vt, chart, normalize(th), antipode(th))
+    return (chart, r, passage.direction, -vt, 0.0, s + h), passage
+
+
+def _rim(metric, chart, t, th, vt, vth, s, nt):
+    """Finish a step from (t, ...) at arclength s whose end radius nt left [0, 1).
+
+    A step past the rim is cut at hs = (1 - t) / vt, which is exact: a radial
+    step is linear, and a non-radial one starts on the plateau (ds < 1 - t1),
+    where phi_t = 0 keeps vt constant.  On the other chart the angle maps
+    through the rim identification, vt flips (the chart radii point in
+    opposite directions across the seam, collar coordinate u = 2 - t), and
+    vtheta follows dtheta2 = F'(theta1) dtheta1, which keeps the speed under
+    the compatibility rule.  Any other end radius raises FloatingPointError.
+    """
+    if not nt >= 1.0:
+        what = "negative" if math.isfinite(nt) else "non-finite"
+        raise FloatingPointError(
+            f"step from t={float(t)!r} on chart {chart} at s={float(s)!r} "
+            f"reached the {what} radius {float(nt)!r}"
+        )
+    hs = (1.0 - t) / vt
+    _t_at, th, vt, vth = _rk4(_rhs, metric, chart, t, th, vt, vth, hs)
+    s += hs
     f = metric.f
     if chart == 1:
         th1 = normalize(th)
         th2 = f(th1)
-        return (2, th2, -vt, vth * f.derivative(th1)), (th1, th2)
+        return (2, 1.0, th2, -vt, vth * f.derivative(th1), s), RimCrossing(s, 1, th1, th2)
     th2 = normalize(th)
     th1 = f.inverse(th2)
-    return (1, th1, -vt, vth / f.derivative(th1)), (th1, th2)
-
-
-def _event(metric, chart, t, th, vt, vth, h, nt, s):
-    """Resolve a step from (t, ...) at arclength s whose end radius nt left
-    [T_GUARD, 1).
-
-    Returns ((chart, t, theta, vt, vtheta, s), event) after a rim crossing
-    or an exact radial center passage, and None when the step is an ordinary
-    one (a radial state inside the guard band).  A non-radial state entering
-    the guard band raises CenterSingularity, which signals an under-resolved
-    close approach; an end radius that is not a number raises
-    FloatingPointError.
-
-    The rim is reached after hs = (1 - t) / vt, and the crossing state is
-    one RK4 step of that length.  This is exact for radial states, and for
-    non-radial ones when the step starts on the plateau t >= t1, where
-    phi_t = 0 keeps vt constant and t linear; a non-radial step that starts
-    below t1 and ends past the rim raises ValueError.
-    """
-    if nt >= 1.0:
-        if vth != 0.0 and t < metric.t1:
-            raise ValueError(
-                f"a step of ds={h!r} carried a non-radial state from t={t!r} past the rim "
-                f"without landing on the plateau t1={metric.t1!r}; take ds below 1 - t1"
-            )
-        hs = (1.0 - t) / vt
-        _t_at, th, vt, vth = _rk4(_rhs, metric, chart, t, th, vt, vth, hs)
-        s += hs
-        (chart_to, th, vt, vth), (th1, th2) = _cross_rim(metric, chart, th, vt, vth)
-        return (chart_to, 1.0, th, vt, vth, s), RimCrossing(s, chart, th1, th2)
-    if vth == 0.0 and nt <= 0.0:
-        s += t / -vt
-        theta_in = normalize(th)
-        th = antipode(th)
-        return (chart, 0.0, th, -vt, vth, s), CenterEvent(s, chart, theta_in, th)
-    if vth != 0.0 and nt < T_GUARD:
-        raise CenterSingularity(
-            f"non-radial state reached t={nt:.3e} < guard {T_GUARD:g} at s={s + h:.6f}; "
-            "reduce ds or start farther from the center"
-        )
-    if nt < T_GUARD:
-        return None
-    raise FloatingPointError(
-        f"step from t={float(t)!r} on chart {chart} at s={float(s)!r} "
-        f"reached the non-finite radius {float(nt)!r}"
-    )
+    return (1, 1.0, th1, -vt, vth / f.derivative(th1), s), RimCrossing(s, 2, th1, th2)
 
 
 def integrate(
@@ -261,36 +257,32 @@ def integrate(
 ) -> Trajectory:
     """Integrate a unit-speed geodesic with chart-transition events.
 
-    The initial state must lie inside its disk (0 <= t < 1) and satisfy unit
-    speed to 1e-9.  States with |vtheta| < RADIAL_TOL are snapped to exactly
-    radial at entry; only radial states may pass through a center (angle
-    jumps to the antipode, radial velocity flips).  A non-radial state
-    entering t < T_GUARD raises CenterSingularity, which signals an
-    under-resolved close approach; one whose step jumps the whole plateau
-    [t1, 1] into the rim (ds > 1 - t1) raises ValueError, and a step that
-    ends at a radius that is not a number raises FloatingPointError.
+    The start rule is `_start`'s: a unit-speed state inside its disk, snapped
+    to radial when |vtheta| < RADIAL_TOL, and ds < min(t0, 1 - t1) unless
+    radial.  A state inside the flat disk (t < t0) moves along its straight
+    chord in one step (`_chord`), and so does a radial state whose next step
+    would end inside the disk; every other state takes an RK4 step of ds,
+    cut at the rim in closed form (`_rim`).  Only radial states pass through
+    a center (the angle jumps to the antipode, the radial velocity flips).
+    A step that ends at a negative radius or one that is not a number raises
+    FloatingPointError.  Each chord, step and rim crossing appends one state.
     """
     chart, t, th, vt, vth, s, s_end = _start(metric, init, ds, s_max)
+    t0 = metric.t0
     traj = Trajectory(states=[GeodesicState(chart, t, th, vt, vth, s)])
-    n_events = 0
     while s < s_end - 1e-15:
         h = min(ds, s_end - s)
-        nt, nth, nvt, nvth = _rk4(_rhs, metric, chart, t, th, vt, vth, h)
-        if not T_GUARD <= nt < 1.0:
-            hit = _event(metric, chart, t, th, vt, vth, h, nt, s)
-            if hit is not None:
-                (chart, t, th, vt, vth, s), event = hit
-                if isinstance(event, RimCrossing):
-                    traj.crossings.append(event)
-                else:
-                    traj.center_passages.append(event)
-                traj.states.append(GeodesicState(chart, t, th, vt, vth, s))
-                n_events += 1
-                if n_events > _MAX_EVENTS:
-                    raise EventBisectionFailure("event budget exhausted")
-                continue
-        t, th, vt, vth = nt, nth, nvt, nvth
-        s += h
+        if t < t0 or (vth == 0.0 and t + h * vt < t0):
+            (chart, t, th, vt, vth, s), passage = _chord(t0, chart, t, th, vt, vth, s, s_end)
+            if passage is not None:
+                traj.center_passages.append(passage)
+        else:
+            nt, nth, nvt, nvth = _rk4(_rhs, metric, chart, t, th, vt, vth, h)
+            if 0.0 <= nt < 1.0:
+                t, th, vt, vth, s = nt, nth, nvt, nvth, s + h
+            else:
+                (chart, t, th, vt, vth, s), crossing = _rim(metric, chart, t, th, vt, vth, s, nt)
+                traj.crossings.append(crossing)
         traj.states.append(GeodesicState(chart, t, th, vt, vth, s))
     return traj
 
@@ -316,12 +308,13 @@ def integrate_ensemble(
 ) -> EnsembleResult:
     """Integrate many independent non-radial geodesics in lockstep.
 
-    The same start rule, RK4 step and event step as `integrate`, with the
-    step taken on arrays; trajectories desynchronize in s only at rim
-    crossings (an element that crosses resumes from the crossing arclength).
-    Members that are radial after the start rule raise ValueError; integrate
-    those with `integrate`.  Full paths are not stored; per-trajectory
-    monitors are accumulated online.
+    The same start rule, chord, RK4 step and rim crossing as `integrate`,
+    with the step taken on arrays: in each round a member inside the flat
+    disk takes its chord and every other active member one step, so members
+    desynchronize in s at chords and rim crossings.  Members that are radial
+    after the start rule raise ValueError; integrate those with `integrate`.
+    Full paths are not stored; per-trajectory monitors are accumulated
+    online, once per round.
     """
     n = len(inits)
     starts = [_start(metric, st, ds, s_max) for st in inits]
@@ -330,6 +323,7 @@ def integrate_ensemble(
             raise ValueError(f"ensemble member {i} is radial; integrate it with integrate()")
     chart, t, th, vt, vth, s, s_end = np.array(starts, dtype=float).reshape(n, 7).T.copy()
     chart = chart.astype(np.int8)
+    t0 = metric.t0
 
     sign0 = np.sign(vth)
     flips = np.zeros(n, dtype=int)
@@ -338,15 +332,17 @@ def integrate_ensemble(
 
     active = s < s_end - 1e-15
     while np.any(active):
-        h = np.where(active, np.minimum(ds, s_end - s), 0.0)
+        inside = t < t0
+        h = np.where(active & ~inside, np.minimum(ds, s_end - s), 0.0)
         nt, nth, nvt, nvth = _rk4(_rhs_vec, metric, chart, t, th, vt, vth, h)
-        flagged = active & ~((T_GUARD <= nt) & (nt < 1.0))
-        ok = active & ~flagged
-        for i in np.flatnonzero(flagged):
-            (chart[i], t[i], th[i], vt[i], vth[i], s[i]), _ = _event(
-                metric, int(chart[i]), t[i], th[i], vt[i], vth[i], h[i], nt[i], s[i]
-            )
-            crossings[i] += 1
+        ok = active & ~inside & (nt >= 0.0) & (nt < 1.0)
+        for i in np.flatnonzero(active & ~ok):
+            state = (int(chart[i]), t[i], th[i], vt[i], vth[i], s[i])
+            if inside[i]:
+                (chart[i], t[i], th[i], vt[i], vth[i], s[i]), _ = _chord(t0, *state, s_end[i])
+            else:
+                (chart[i], t[i], th[i], vt[i], vth[i], s[i]), _ = _rim(metric, *state, nt[i])
+                crossings[i] += 1
         t[ok], th[ok], vt[ok], vth[ok] = nt[ok], nth[ok], nvt[ok], nvth[ok]
         s[ok] += h[ok]
 

@@ -194,10 +194,10 @@ class GluedMetric:
         """
         check_chart(chart)
         if isinstance(t, np.ndarray) or isinstance(theta, np.ndarray):
-            if np.any(np.asarray(t) < 0.0):
+            if not np.all(np.asarray(t) >= 0.0):
                 raise ValueError("t must be nonnegative")
             return self.warp_with_partials_vec(chart, t, theta)[0]
-        if t < 0.0:
+        if not t >= 0.0:
             raise ValueError(f"t must be nonnegative, got {t}")
         return self.warp_with_partials(chart, t, theta)[0]
 
@@ -238,7 +238,9 @@ class GluedMetric:
         are geodesics for every metric in the family.
         """
         check_chart(chart)
-        if t <= 0.0:
+        if not t >= 0.0:
+            raise ValueError(f"t must be nonnegative, got {t}")
+        if t == 0.0:
             raise DegenerateAtCenter(f"Christoffel symbols are degenerate at t={t}")
         phi, phi_t, phi_theta = self.warp_with_partials(chart, t, theta)
         return (-phi * phi_t, phi_t / phi, phi_theta / phi)

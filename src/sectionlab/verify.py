@@ -74,7 +74,7 @@ def _sample_nonradial_states(
 
     The direction is resampled until both the coordinate angular velocity
     |vtheta| and the metric angular speed phi*|vtheta| are at least 0.1,
-    which keeps the angular-momentum barrier well above the center guard.
+    which keeps every run well clear of the center.
     """
     states = []
     while len(states) < n:
@@ -100,17 +100,21 @@ def all_or_none_check(
 
     Integrates n_geodesics random non-radial unit-speed states (coordinate
     angular velocity at least 0.1 in magnitude) to s_max and counts sign
-    changes of vtheta across every step and chart transition.  The rim
-    transition multiplies vtheta by a positive factor, so a flip could only
-    come from the flow itself; zero flips is the coordinate-level
-    all-or-none statement.
+    changes of vtheta after every chord, step and chart transition; zero
+    flips is the coordinate-level all-or-none statement.
+
+    The law holds exactly for every metric of the family, so the check
+    measures the integrator, not the metric: vtheta' is linear and
+    homogeneous in vtheta (see the geodesic equation in `geodesics`), so by
+    uniqueness a vtheta that vanishes once vanishes throughout; the rim
+    multiplies vtheta by F' > 0; and the flat-disk chord keeps t^2 vtheta.
     """
     rng = np.random.default_rng(seed)
     states = _sample_nonradial_states(metric, n_geodesics, rng)
     params = {"n_geodesics": n_geodesics, "s_max": s_max, "ds": ds, "seed": seed}
     try:
         result = integrate_ensemble(metric, states, ds=ds, s_max=s_max)
-    except Exception as exc:  # guard trips are report entries, not crashes
+    except Exception as exc:  # a failed run is a report entry, not a crash
         return CheckResult(
             name="all_or_none",
             passed=False,

@@ -378,6 +378,22 @@ def test_non_finite_config_exit_2(tmp_path, capsys, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[integrator]\nds = 0.3\n",
+        "[metric]\nt0 = 0.1\n\n[integrator]\nds = 0.1\n",
+        "[metric]\nt1 = 0.9\n\n[integrator]\nds = 0.1\n",
+    ],
+)
+def test_step_beyond_flat_zone_exit_2(tmp_path, capsys, text):
+    # ds must stay below min(t0, 1 - t1); a bad one is a config error, not a failed check
+    out = tmp_path / "o"
+    assert main(["--config", write(tmp_path, text), "--out", str(out), "verify"]) == 2
+    assert "integrator.ds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_tabulated_psi2(tmp_path, capsys):
     cfg = loads_config(PSI2_CFG)
     metric = cfg.build_metric()

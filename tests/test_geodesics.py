@@ -10,7 +10,6 @@ from scipy.integrate import solve_ivp
 
 from sectionlab import (
     TWO_PI,
-    CenterSingularity,
     GeodesicState,
     GluedMetric,
     IdentityDiffeo,
@@ -18,6 +17,7 @@ from sectionlab import (
     Period,
     RotationDiffeo,
     TransitionMap,
+    antipode,
     circle_distance,
     compare_sections,
     integrate,
@@ -146,16 +146,64 @@ def test_unit_speed_drift_long_run():
     assert len(traj.crossings) > 3
 
 
-def test_nonradial_center_approach_raises():
+def _assert_chord_matches_plane(start, end):
+    """`end` is `start` carried along a straight line of the plane, to 1e-12."""
+    t, theta, vt, vtheta = flat_polar_geodesic(
+        start.t, start.theta, start.vt, start.vtheta, end.s - start.s
+    )
+    assert end.chart == start.chart
+    assert abs(end.t - t) < 1e-12
+    assert circle_distance(end.theta, theta) < 1e-12
+    assert abs(end.vt - vt) < 1e-12
+    assert abs(end.vtheta - vtheta) < 1e-12
+
+
+def test_nonradial_dive_is_one_chord():
+    # vtheta = 2e-9 lies above RADIAL_TOL, so the dive stays non-radial: it
+    # enters the flat disk, passes 1e-9 from the center in one chord and
+    # leaves at exactly t0 on the far side
     m = default_metric()
     phi = m.warp(1, 0.5, 0.0)
-    vth = 2e-9  # above RADIAL_TOL, so no snap; the dive is under-resolved
-    vt = -math.sqrt(1.0 - (phi * vth) ** 2)
-    dive = GeodesicState(1, 0.5, 0.0, vt, vth)
-    with pytest.raises(CenterSingularity):
-        integrate(m, dive, ds=1e-3, s_max=1.0)
-    with pytest.raises(CenterSingularity):
-        integrate_ensemble(m, [unit_speed_state(m, 2, 0.5, 1.0, 1.1), dive], ds=1e-3, s_max=1.0)
+    vth = 2e-9
+    dive = GeodesicState(1, 0.5, 0.0, -math.sqrt(1.0 - (phi * vth) ** 2), vth)
+    traj = integrate(m, dive, ds=1e-3, s_max=1.0)
+    k = next(i for i, st in enumerate(traj.states) if st.t < m.t0)
+    entry, exit_ = traj.states[k], traj.states[k + 1]
+    assert exit_.t == m.t0 and exit_.vt > 0.0
+    _assert_chord_matches_plane(entry, exit_)
+    assert circle_distance(exit_.theta, math.pi) < 1e-6
+    assert not traj.center_passages
+    assert all(st.t >= m.t0 for st in traj.states[k + 1 :])
+    res = integrate_ensemble(m, [unit_speed_state(m, 2, 0.5, 1.0, 1.1), dive], ds=1e-3, s_max=1.0)
+    fin, ref = res.final_states[1], traj.final
+    assert fin.chart == ref.chart and res.crossings[1] == len(traj.crossings)
+    assert abs(fin.t - ref.t) < 1e-9 and circle_distance(fin.theta, ref.theta) < 1e-9
+    assert res.sign_flips.sum() == 0
+
+
+def test_chord_cut_off_by_span():
+    m = default_metric()
+    init = unit_speed_state(m, 1, 0.1, 2.0, math.radians(80.0))
+    traj = integrate(m, init, ds=1e-3, s_max=0.05)
+    assert len(traj.states) == 2 and traj.final.s == 0.05
+    assert traj.final.t < m.t0
+    _assert_chord_matches_plane(traj.states[0], traj.final)
+    # angular momentum t^2 vtheta is kept exactly up to rounding
+    assert traj.final.t**2 * traj.final.vtheta == pytest.approx(0.1**2 * init.vtheta, rel=1e-14)
+
+
+def test_radial_chord_through_the_center():
+    m = default_metric()
+    init = GeodesicState(1, 0.2, 1.0, -1.0, 0.0)
+    traj = integrate(m, init, ds=1e-3, s_max=1.0)
+    (passage,) = traj.center_passages
+    assert passage.s == 0.2 and passage.chart == 1
+    assert passage.theta_in == 1.0 and passage.direction == antipode(1.0)
+    exit_ = traj.states[1]
+    assert exit_.t == m.t0 and exit_.theta == antipode(1.0)
+    assert exit_.vt == 1.0 and exit_.vtheta == 0.0
+    assert exit_.s == pytest.approx(0.45, abs=1e-15)
+    _assert_chord_matches_plane(init, exit_)
 
 
 def test_crossing_preserves_unit_speed_and_vtheta_sign():
@@ -175,10 +223,14 @@ def test_ensemble_agrees_with_scalar():
         unit_speed_state(m, 1, 0.5, 1.0, 1.1),
         unit_speed_state(m, 2, 0.7, 4.0, -0.9),
         unit_speed_state(m, 1, 0.9, 2.0, 0.7),
+        unit_speed_state(m, 2, 0.1, 3.0, 2.5),  # starts inside the flat disk, moving inward
     ]
     res = integrate_ensemble(m, inits, ds=1e-3, s_max=5.0)
     for i, (init, fin) in enumerate(zip(inits, res.final_states)):
         traj = integrate(m, init, ds=1e-3, s_max=5.0)
+        # a state inside the flat disk is followed by its chord's end, never an RK4 step
+        for prev, st in zip(traj.states, traj.states[1:]):
+            assert prev.t >= m.t0 or st.t == m.t0 or st is traj.final
         assert res.crossings[i] == len(traj.crossings)
         assert res.center_passages[i] == len(traj.center_passages)
         ref = traj.final
@@ -234,8 +286,8 @@ def test_nonradial_crossing_matches_solve_ivp(chart, t, theta, direction):
 
 
 def test_step_past_the_plateau_rejected():
-    # t1 = 0.99 and ds = 0.05: an outward non-radial step from t = 0.97 jumps
-    # over the whole plateau, so its crossing has no closed form
+    # t1 = 0.99 and ds = 0.05: an outward non-radial step from t = 0.97 could
+    # jump over the whole plateau, so its crossing would have no closed form
     m = GluedMetric(semicircle_bump(0.3), t1=0.99)
     init = unit_speed_state(m, 1, 0.97, 2.0, 0.3)
     with pytest.raises(ValueError, match="t1=0.99"):
@@ -244,6 +296,34 @@ def test_step_past_the_plateau_rejected():
         integrate_ensemble(m, [init], ds=0.05, s_max=0.2)
     traj = integrate(m, GeodesicState(1, 0.97, 2.0, 1.0, 0.0), ds=0.05, s_max=0.2)
     assert traj.crossings[0].s == (1.0 - 0.97) / 1.0
+    # t0 = 0.02 and ds = 0.05: a step could jump over the whole flat disk
+    m = GluedMetric(semicircle_bump(0.3), t0=0.02)
+    init = unit_speed_state(m, 1, 0.5, 2.0, 2.0)
+    with pytest.raises(ValueError, match="t0=0.02"):
+        integrate(m, init, ds=0.05, s_max=0.2)
+    with pytest.raises(ValueError, match="t0=0.02"):
+        integrate_ensemble(m, [init], ds=0.05, s_max=0.2)
+    # radial runs accept any ds: a step that would enter the disk is a chord
+    m = default_metric()
+    traj = integrate(m, GeodesicState(1, 0.9, 2.0, -1.0, 0.0), ds=0.5, s_max=2.5)
+    assert [p.s for p in traj.center_passages] == [0.9]
+    assert traj.crossings[0].s == pytest.approx(1.9, abs=1e-14)
+    assert all(st.t >= m.t0 for st in traj.states[1:])
+
+
+def test_center_state_must_be_radial():
+    # at t = 0 phi vanishes, so any vtheta passes the unit-speed check
+    m = default_metric()
+    with pytest.raises(ValueError, match="t=0"):
+        integrate(m, GeodesicState(1, 0.0, 1.0, 1.0, 5.0))
+    members = [unit_speed_state(m, 1, 0.5, 1.0, 1.1), GeodesicState(2, 0.0, 1.0, 1.0, 5.0)]
+    with pytest.raises(ValueError, match="t=0"):
+        integrate_ensemble(m, members)
+    for direction in (0.0, 1.1, math.pi):
+        with pytest.raises(ValueError, match="t=0"):
+            unit_speed_state(m, 1, 0.0, 2.0, direction)
+    traj = integrate(m, GeodesicState(1, 0.0, 1.0, 1.0, 1e-10), s_max=0.1)
+    assert traj.states[0].vtheta == 0.0
 
 
 @pytest.mark.parametrize(

@@ -84,8 +84,13 @@ def test_warp_positive_above_t0():
 
 def test_warp_rejects_negative_radius():
     m = default_metric()
-    with pytest.raises(ValueError):
-        m.warp(1, -0.1, 0.0)
+    for t in (-0.1, math.nan):
+        with pytest.raises(ValueError):
+            m.warp(1, t, 0.0)
+        with pytest.raises(ValueError):
+            m.warp(1, np.array([0.5, t]), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="nonnegative"):
+            m.christoffel(1, t, 0.0)
 
 
 def test_invalid_zone_bounds_rejected():
