@@ -6,10 +6,10 @@ F(x + 2*pi) = F(x) + 2*pi, so monotone root finding never has to deal with
 wrap-around.  Normalization back to [0, 2*pi) happens only at the boundary of
 each operation.
 
-Four families are provided: the identity, rigid rotations, a smooth bump
-perturbation of the identity supported on an open arc, and a periodic cubic
-spline through user-supplied lift values (C^2 only; the bump family is
-infinitely smooth).
+Four families are provided: the identity (the rotation by zero), rigid
+rotations, a smooth bump perturbation of the identity supported on an open
+arc, and a periodic cubic spline through user-supplied lift values (C^2 only;
+the bump family is infinitely smooth).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 TWO_PI = 2.0 * math.pi
 
@@ -288,28 +287,6 @@ class CircleDiffeo:
         self.monotonicity_margin = margin
 
 
-class IdentityDiffeo(CircleDiffeo):
-    kind = "identity"
-
-    def __init__(self):
-        self.monotonicity_margin = 1.0
-
-    def lift(self, x):
-        return np.asarray(x, dtype=float) if isinstance(x, np.ndarray) else float(x)
-
-    def lift_derivative(self, x):
-        return np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0
-
-    def lift_second_derivative(self, x):
-        return np.zeros_like(x, dtype=float) if isinstance(x, np.ndarray) else 0.0
-
-    def inverse(self, y):
-        return normalize(_finite(y))
-
-    def __repr__(self):
-        return "IdentityDiffeo()"
-
-
 class RotationDiffeo(CircleDiffeo):
     """Rigid rotation by a fixed angle."""
 
@@ -336,6 +313,18 @@ class RotationDiffeo(CircleDiffeo):
 
     def __repr__(self):
         return f"RotationDiffeo(angle={self.angle!r})"
+
+
+class IdentityDiffeo(RotationDiffeo):
+    """The identity map: the rotation by zero."""
+
+    kind = "identity"
+
+    def __init__(self):
+        super().__init__(0.0)
+
+    def __repr__(self):
+        return "IdentityDiffeo()"
 
 
 class BumpDiffeo(CircleDiffeo):
@@ -403,6 +392,9 @@ def periodic_spline(knots, values):
     values = np.asarray(values, dtype=float)
     if np.any(np.diff(knots) <= 0) or knots[0] < 0 or knots[-1] >= TWO_PI:
         raise ValueError("knots must be strictly increasing within [0, 2*pi)")
+    # imported here so that runs without a spline never load scipy
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(
         np.append(knots, knots[0] + TWO_PI), np.append(values, values[0]), bc_type="periodic"
     )

@@ -137,15 +137,14 @@ def cmd_build_metric(cfg: Config, seed: int, out: Path, n_t: int, n_theta: int) 
 
 
 def cmd_common_period(args) -> int:
-    if args.irrational:
-        print("never closes")
-        return EXIT_OK
     try:
-        value = rational_closure((args.r_num, args.r_den), (args.s_num, args.s_den))
+        value = rational_closure(
+            (args.r_num, args.r_den), (args.s_num, args.s_den), irrational_ratio=args.irrational
+        )
     except (NonPositiveRadius, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    print(f"L / (2*pi) = {value}")
+    print("never closes" if value is None else f"L / (2*pi) = {value}")
     return EXIT_OK
 
 

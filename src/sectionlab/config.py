@@ -70,7 +70,8 @@ class Config:
                     raise ConfigError("diffeo.spline_knots: required for kind=spline")
                 return SplineDiffeo(self.spline_knots, self.spline_values)
         except MonotonicityViolation as exc:
-            raise ConfigError(f"diffeo.amplitude: {exc}") from exc
+            key = "spline_values" if self.kind == "spline" else "amplitude"
+            raise ConfigError(f"diffeo.{key}: {exc}") from exc
         except ValueError as exc:
             if isinstance(exc, ConfigError):
                 raise
@@ -91,7 +92,9 @@ class Config:
         try:
             return GluedMetric(f, t0=self.t0, t1=self.t1, psi2=psi2, psi1_scale=psi1_scale)
         except ValueError as exc:
-            raise ConfigError(f"metric: {exc}") from exc
+            # only a psi2 table can make psi2 non-positive
+            key = "metric.psi2_values" if str(exc).startswith("psi2") else "metric"
+            raise ConfigError(f"{key}: {exc}") from exc
 
     def validate(self) -> None:
         if self.kind not in _DIFFEO_KINDS:

@@ -90,20 +90,6 @@ def smooth_step(t, t0: float, t1: float):
     return _step01((t - t0) / (t1 - t0))[0]
 
 
-def _const_profile(c: float):
-    def value(theta):
-        if isinstance(theta, np.ndarray):
-            return np.full_like(theta, c, dtype=float)
-        return c
-
-    def deriv(theta):
-        if isinstance(theta, np.ndarray):
-            return np.zeros_like(theta, dtype=float)
-        return 0.0
-
-    return value, deriv
-
-
 class GluedMetric:
     """The glued two-disk metric; immutable after construction.
 
@@ -116,8 +102,9 @@ class GluedMetric:
         Zone boundaries with 0 < t0 < t1 < 1; [0, t0] is exactly Euclidean,
         [t1, 1] is the radially constant plateau.
     psi2 : None | float | (callable, callable)
-        Plateau profile of chart 2 (value, derivative).  None means the
-        constant 1.  psi_1 is always derived from the compatibility rule.
+        Plateau profile of chart 2: a constant, stored as the number itself
+        (None means 1.0), or a (value, derivative) pair.  psi_1 is always
+        derived from the compatibility rule.
     psi1_scale : float
         Deliberate compatibility breaker for negative controls, positive and
         finite; the default 1.0 keeps the gluing exact.
@@ -139,18 +126,14 @@ class GluedMetric:
         self.t0 = float(t0)
         self.t1 = float(t1)
         self.psi1_scale = float(psi1_scale)
-        if psi2 is None:
-            self._psi2, self._psi2_prime = _const_profile(1.0)
-            self._psi2_is_one = True
-        elif isinstance(psi2, (int, float)):
-            self._psi2, self._psi2_prime = _const_profile(float(psi2))
-            self._psi2_is_one = float(psi2) == 1.0
+        if psi2 is None or isinstance(psi2, (int, float)):
+            self._psi2_const = 1.0 if psi2 is None else psi2
         else:
+            self._psi2_const = None
             self._psi2, self._psi2_prime = psi2
-            self._psi2_is_one = False
 
         grid = np.linspace(0.0, TWO_PI, _PSI_GRID, endpoint=False)
-        psi2_vals = np.asarray(self._psi2(grid), dtype=float)
+        psi2_vals = np.asarray(self.psi2(grid), dtype=float)
         if not np.min(psi2_vals) > 0.0:
             raise ValueError(f"psi2 must be positive; min on grid is {np.min(psi2_vals):.6g}")
         psi1_vals = self.psi1(grid)
@@ -166,17 +149,21 @@ class GluedMetric:
         return self._psi_pair(1, theta)[0]
 
     def psi2(self, theta):
-        return self._psi2(theta)
+        """Chart-2 plateau profile; a constant profile returns its number for any theta."""
+        return self._psi_pair(2, theta)[0]
 
     def _psi_pair(self, chart: int, theta):
         """(psi, psi') on a chart; chart 1 applies psi_1 = (psi_2 o F) * F'."""
+        c = self._psi2_const
         if chart == 2:
+            if c is not None:
+                return c, 0.0
             return self._psi2(theta), self._psi2_prime(theta)
         if chart != 1:
             raise ValueError(f"chart must be 1 or 2, got {chart!r}")
         fp, fpp = self.f.derivative_pair(theta)
-        if self._psi2_is_one:
-            return self.psi1_scale * fp, self.psi1_scale * fpp
+        if c is not None:
+            return self.psi1_scale * (c * fp), self.psi1_scale * (c * fpp)
         y = self.f(theta)
         p2 = self._psi2(y)
         return (

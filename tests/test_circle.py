@@ -121,6 +121,12 @@ def test_inverse_identity_and_rotation_exact():
     ys = RNG.uniform(0, TWO_PI, 100)
     for y in ys:
         assert circle_distance(f.inverse(float(y)), normalize(float(y) - 1.0)) == 0.0
+    # the identity is the zero rotation, with its own name
+    ident = IdentityDiffeo()
+    assert isinstance(ident, RotationDiffeo) and ident.angle == 0.0
+    assert ident.kind == "identity" and repr(ident) == "IdentityDiffeo()"
+    ys = np.linspace(-TWO_PI, 2.0 * TWO_PI, 1001)
+    assert np.array_equal(ident.inverse(ys), normalize(ys))
 
 
 @pytest.mark.parametrize("f", all_families(), ids=lambda f: f.kind)

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,10 +413,27 @@ def test_tabulated_psi2(tmp_path, capsys):
     assert rejects(PSI2_CFG.replace("psi2_values = 1.0, ", "psi2_values = "), "metric.psi2_values")
     unordered = PSI2_CFG.replace("= 0.0, 1.0, 2.0,", "= 0.0, 2.0, 1.0,")
     assert rejects(unordered, "metric.psi2_thetas")
+    non_monotone = PSI2_CFG.replace("= 0.0, 0.9, 1.75,", "= 0.0, 2.9, 1.75,")
+    assert rejects(non_monotone, "diffeo.spline_values: lift derivative reaches")
+    non_positive = PSI2_CFG.replace("0.95, 0.85", "0.95, -0.85")
+    assert rejects(non_positive, "metric.psi2_values: psi2 must be positive")
 
 
 def test_public_names_resolve():
     assert all(hasattr(sectionlab, name) for name in sectionlab.__all__)
+
+
+def test_scipy_loaded_only_for_splines():
+    code = (
+        "import sys, sectionlab\n"
+        "sectionlab.load_config(None).build_metric()\n"
+        "assert 'scipy' not in sys.modules\n"
+        "sectionlab.SplineDiffeo([0.0, 2.0, 4.0], [0.1, 2.0, 4.0])\n"
+        "assert 'scipy' in sys.modules\n"
+    )
+    src = str(Path(sectionlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_default_config_valid():

@@ -14,6 +14,7 @@ from sectionlab import (
     semicircle_bump,
     smooth_step,
 )
+from sectionlab.circle import periodic_spline
 
 RNG = np.random.default_rng(99)
 
@@ -103,6 +104,27 @@ def test_invalid_zone_bounds_rejected():
 def test_psi2_must_be_positive():
     with pytest.raises(ValueError):
         GluedMetric(IdentityDiffeo(), psi2=-1.0)
+
+
+def test_constant_psi2_matches_constant_table():
+    # a constant psi2 skips the profile calls; a flat table runs the general path
+    f = semicircle_bump(0.3)
+    spline = periodic_spline(np.linspace(0.0, 5.0, 6), np.full(6, 1.3))
+    const = GluedMetric(f, psi2=1.3)
+    table = GluedMetric(f, psi2=(spline, lambda theta: spline(theta, 1)))
+    thetas = np.linspace(0.0, TWO_PI, 97)
+    for chart in (1, 2):
+        for t in (0.1, 0.5, 0.9):  # flat disk, blend annulus, plateau
+            ts = np.full_like(thetas, t)
+            for a, b in zip(
+                const.warp_with_partials_vec(chart, ts, thetas),
+                table.warp_with_partials_vec(chart, ts, thetas),
+            ):
+                assert np.array_equal(a, b)
+            for theta in thetas:
+                assert const.warp_with_partials(chart, t, theta) == table.warp_with_partials(
+                    chart, t, theta
+                )
 
 
 # --- components ------------------------------------------------------------------
