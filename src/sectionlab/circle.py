@@ -120,6 +120,23 @@ def _bump01_vec(u: np.ndarray) -> np.ndarray:
     return np.where(inside, np.exp(_PEAK - 1.0 / qs), 0.0)
 
 
+def _bump01_d1(u: float) -> float:
+    """First derivative alone, by the same expression as in _bump01_d1d2."""
+    if u <= 0.0 or u >= 1.0:
+        return 0.0
+    q = u * (1.0 - u)
+    if q < _Q_FLOOR:
+        return 0.0
+    return math.exp(_PEAK - 1.0 / q) * (1.0 - 2.0 * u) / (q * q)
+
+
+def _bump01_d1_vec(u: np.ndarray) -> np.ndarray:
+    q = u * (1.0 - u)
+    inside = q >= _Q_FLOOR
+    qs = np.where(inside, q, 1.0)
+    return np.where(inside, np.exp(_PEAK - 1.0 / qs) * (1.0 - 2.0 * u) / (qs * qs), 0.0)
+
+
 def _bump01_d1d2(u: float) -> tuple[float, float]:
     """First and second derivative from one shared exponential."""
     if u <= 0.0 or u >= 1.0:
@@ -363,7 +380,9 @@ class BumpDiffeo(CircleDiffeo):
         return x + self.amplitude * _bump01(self._u(x))
 
     def lift_derivative(self, x):
-        return self.derivative_pair(x)[0]
+        u = self._u(x)
+        d1 = _bump01_d1_vec(u) if isinstance(u, np.ndarray) else _bump01_d1(u)
+        return 1.0 + (self.amplitude / self._width) * d1
 
     def lift_second_derivative(self, x):
         return self.derivative_pair(x)[1]
@@ -386,23 +405,47 @@ def periodic_spline(knots, values):
     Knots must be strictly increasing within [0, 2*pi); the spline closes up
     over [knots[0], knots[0] + 2*pi] and every argument is wrapped into that
     period.  Returns evaluate(x, nu=0), the nu-th derivative (nu <= 2) at x,
-    a float for a scalar x and an array for an array x.
+    a float for a scalar x and an array of x's shape for an array x.
+
+    The knot second derivatives M solve the cyclic tridiagonal system
+    h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1] = 6 (d[i] - d[i-1])
+    (indices wrapping, h the knot gaps, d the secant slopes; de Boor, A
+    Practical Guide to Splines, ch. IV), which is strictly diagonally dominant
+    and small enough for one dense solve.
     """
     knots = np.asarray(knots, dtype=float)
     values = np.asarray(values, dtype=float)
     if np.any(np.diff(knots) <= 0) or knots[0] < 0 or knots[-1] >= TWO_PI:
         raise ValueError("knots must be strictly increasing within [0, 2*pi)")
-    # imported here so that runs without a spline never load scipy
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(
-        np.append(knots, knots[0] + TWO_PI), np.append(values, values[0]), bc_type="periodic"
+    breaks = np.append(knots, knots[0] + TWO_PI)
+    h = np.diff(breaks)
+    d = np.diff(np.append(values, values[0])) / h
+    n = h.size
+    rows = np.arange(n)
+    system = np.diag(2.0 * (np.roll(h, 1) + h))
+    system[rows, rows - 1] += np.roll(h, 1)
+    system[rows, (rows + 1) % n] += h
+    m = np.linalg.solve(system, 6.0 * (d - np.roll(d, 1)))
+    m_next = np.roll(m, -1)
+    # power-form coefficients in t = x - breaks[i], highest degree first
+    cubic = (m_next - m) / (6.0 * h)
+    linear = d - h * (2.0 * m + m_next) / 6.0
+    tables = (
+        np.array([cubic, 0.5 * m, linear, values]),
+        np.array([3.0 * cubic, m, linear]),
+        np.array([6.0 * cubic, m]),
     )
-    derivatives = (spline, spline.derivative(1), spline.derivative(2))
-    x0 = float(knots[0])
+    x0 = breaks[0]
+    last = n - 1
 
     def evaluate(x, nu: int = 0):
-        out = derivatives[nu](x0 + np.mod(x - x0, TWO_PI))
+        xs = x0 + np.mod(x - x0, TWO_PI)
+        i = np.minimum(np.searchsorted(breaks, xs, side="right") - 1, last)
+        t = xs - breaks[i]
+        coeffs = tables[nu][:, i]
+        out = coeffs[0]
+        for c in coeffs[1:]:
+            out = out * t + c
         return out if isinstance(x, np.ndarray) else float(out)
 
     return evaluate

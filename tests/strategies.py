@@ -35,3 +35,15 @@ def harmonic_splines(draw):
 
 
 drawn_maps = st.one_of(bump_maps(), harmonic_splines())
+
+
+@st.composite
+def spline_tables(draw):
+    """1-32 knots in [0, 2*pi) at least 1e-2 apart (the wrap gap included), values in [-1, 1]."""
+    n_knots = draw(st.integers(1, 32))
+    gaps = draw(
+        st.lists(st.floats(1e-2, TWO_PI / n_knots), min_size=n_knots - 1, max_size=n_knots - 1)
+    )
+    knots = draw(st.floats(0.0, 0.1)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=n_knots, max_size=n_knots))
+    return knots, np.array(values)

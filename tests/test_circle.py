@@ -18,10 +18,10 @@ from sectionlab import (
     normalize,
     semicircle_bump,
 )
-from sectionlab.circle import INVERSE_TOL
+from sectionlab.circle import INVERSE_TOL, periodic_spline
 
 from oracles import bump_lift, central_diff, make_sinusoid_spline_data, spline_lift_oracle
-from strategies import drawn_maps
+from strategies import drawn_maps, spline_tables
 
 RNG = np.random.default_rng(20240817)
 
@@ -254,7 +254,9 @@ def test_derivative_pair_consistent():
     f = semicircle_bump(0.3)
     xs = RNG.uniform(0.0, TWO_PI, 500)
     d1, d2 = f.derivative_pair(xs)
-    assert np.allclose(d1, f.derivative(xs), rtol=0, atol=1e-14)
+    # F' alone is the same expression on the same exponential: bit-identical
+    assert np.array_equal(d1, f.derivative(xs))
+    assert [f.derivative_pair(float(x))[0] for x in xs] == [f.derivative(float(x)) for x in xs]
     assert np.allclose(d2, f.second_derivative(xs), rtol=0, atol=1e-14)
 
 
@@ -355,3 +357,69 @@ def test_spline_tracks_its_data():
     # interpolation: exact at the knots
     for k, v in zip(knots, values):
         assert f.lift(float(k)) == pytest.approx(float(v), abs=1e-12)
+
+
+# --- periodic spline --------------------------------------------------------
+
+# 1, 2 and 3 knots: the smallest cyclic systems, each with its own wrap terms
+FEW_KNOTS = [([0.4], [0.7]), ([0.0, 2.5], [1.0, -0.5]), ([1.0, 3.0, 6.0], [0.2, 1.5, -1.0])]
+_SPLINE_GRID = np.linspace(-TWO_PI, 2.0 * TWO_PI, 3001)
+
+
+def spline_scales(spline, knots):
+    """max(1, max |S^(nu)|) for nu = 0, 1, 2, and a bound on |S'''| (piecewise constant)."""
+    pts = np.concatenate([_SPLINE_GRID, knots])
+    scales = [max(1.0, float(np.max(np.abs(spline(pts, nu))))) for nu in range(3)]
+    return scales + [2.0 * scales[2] / np.min(np.diff(np.append(knots, knots[0] + TWO_PI)))]
+
+
+def check_periodic_spline(knots, values):
+    from scipy.interpolate import CubicSpline
+
+    knots, values = np.asarray(knots, dtype=float), np.asarray(values, dtype=float)
+    spline = periodic_spline(knots, values)
+    ref = CubicSpline(
+        np.append(knots, knots[0] + TWO_PI), np.append(values, values[0]), bc_type="periodic"
+    )
+    scales = spline_scales(spline, knots)
+    wrapped = knots[0] + np.mod(_SPLINE_GRID - knots[0], TWO_PI)
+    # relative to the derivative's size: on knots 1e-2 apart |S''| reaches 1e5,
+    # and scipy's own solve is off by about 1e-15 of that
+    for nu, tol in enumerate([1e-13, 1e-13, 1e-11]):
+        gap = np.max(np.abs(spline(_SPLINE_GRID, nu) - ref(wrapped, nu)))
+        assert gap <= tol * scales[nu], (nu, gap)
+    assert np.max(np.abs(spline(knots) - values)) <= 1e-15
+    # one-sided values at every knot (knots[0] from below is the wrap knot);
+    # the arguments differ by 2 ulps, and wrapping x + 2*pi moves them by as much
+    below, above = np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)
+    for nu in range(3):
+        tol = 1e-12 * scales[nu] + 4.0 * np.spacing(TWO_PI) * scales[nu + 1]
+        assert np.max(np.abs(spline(below, nu) - spline(above, nu))) <= tol, nu
+        assert np.max(np.abs(spline(_SPLINE_GRID + TWO_PI, nu) - spline(_SPLINE_GRID, nu))) <= tol
+
+
+@pytest.mark.parametrize("knots, values", FEW_KNOTS, ids=["1", "2", "3"])
+def test_periodic_spline_few_knots(knots, values):
+    check_periodic_spline(knots, values)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(spline_tables())
+def test_periodic_spline_matches_scipy(table):
+    check_periodic_spline(*table)
+
+
+def test_periodic_spline_return_types():
+    spline = periodic_spline([0.0, 2.0, 4.0], [1.0, 0.5, 2.0])
+    for nu in range(3):
+        assert type(spline(1.0, nu)) is float
+        assert type(spline(np.float64(7.5), nu)) is float
+        grid = np.linspace(-3.0, 9.0, 12).reshape(3, 4)
+        assert spline(grid, nu).shape == (3, 4)
+        assert np.array_equal(spline(grid, nu).ravel(), spline(grid.ravel(), nu))
+
+
+@pytest.mark.parametrize("knots", [[0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [-0.1, 1.0], [1.0, TWO_PI]])
+def test_periodic_spline_rejects_bad_knots(knots):
+    with pytest.raises(ValueError, match=r"^knots must be strictly increasing within \[0, 2\*pi\)$"):
+        periodic_spline(knots, np.zeros(len(knots)))

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import ast
 import json
 import math
 import os
@@ -423,17 +424,36 @@ def test_public_names_resolve():
     assert all(hasattr(sectionlab, name) for name in sectionlab.__all__)
 
 
-def test_scipy_loaded_only_for_splines():
+def test_scipy_never_loaded(tmp_path):
+    # scipy serves the test oracles and the benchmark only; the package,
+    # its spline maps, a psi2-table metric and a spline scan never load it
+    cfg_path = write(tmp_path, PSI2_CFG)
     code = (
         "import sys, sectionlab\n"
-        "sectionlab.load_config(None).build_metric()\n"
+        "from sectionlab.cli import main\n"
         "assert 'scipy' not in sys.modules\n"
         "sectionlab.SplineDiffeo([0.0, 2.0, 4.0], [0.1, 2.0, 4.0])\n"
-        "assert 'scipy' in sys.modules\n"
+        "assert 'scipy' not in sys.modules\n"
+        f"sectionlab.loads_config({PSI2_CFG!r}).build_metric()\n"
+        "assert 'scipy' not in sys.modules\n"
+        f"assert main(['--config', {cfg_path!r}, '--out', {str(tmp_path / 'o')!r}, 'scan-periods']) == 0\n"
+        "assert 'scipy' not in sys.modules\n"
     )
     src = str(Path(sectionlab.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+def test_package_source_imports_no_scipy():
+    for path in Path(sectionlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), f"{path.name}:{node.lineno}"
 
 
 def test_default_config_valid():
