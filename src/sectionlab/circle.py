@@ -405,7 +405,10 @@ def periodic_spline(knots, values):
     Knots must be strictly increasing within [0, 2*pi); the spline closes up
     over [knots[0], knots[0] + 2*pi] and every argument is wrapped into that
     period.  Returns evaluate(x, nu=0), the nu-th derivative (nu <= 2) at x,
-    a float for a scalar x and an array of x's shape for an array x.
+    a float for a scalar x and an array of x's shape for an array x.  nu = -1
+    gives the antiderivative that vanishes at knots[0]: the piecewise quartic
+    of each interval plus the integrals of the intervals before it, plus one
+    period integral per turn, so it grows by that integral per 2*pi.
 
     The knot second derivatives M solve the cyclic tridiagonal system
     h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1] = 6 (d[i] - d[i-1])
@@ -430,11 +433,16 @@ def periodic_spline(knots, values):
     # power-form coefficients in t = x - breaks[i], highest degree first
     cubic = (m_next - m) / (6.0 * h)
     linear = d - h * (2.0 * m + m_next) / 6.0
-    tables = (
-        np.array([cubic, 0.5 * m, linear, values]),
-        np.array([3.0 * cubic, m, linear]),
-        np.array([6.0 * cubic, m]),
-    )
+    quartic = np.array([0.25 * cubic, m / 6.0, 0.5 * linear, values, np.zeros(n)])
+    tables = {
+        -1: quartic,
+        0: np.array([cubic, 0.5 * m, linear, values]),
+        1: np.array([3.0 * cubic, m, linear]),
+        2: np.array([6.0 * cubic, m]),
+    }
+    # integral from x0 to each break; the last entry is the period integral
+    offsets = np.concatenate([[0.0], np.cumsum(np.polyval(quartic, h))])
+    period = offsets[-1]
     x0 = breaks[0]
     last = n - 1
 
@@ -446,6 +454,8 @@ def periodic_spline(knots, values):
         out = coeffs[0]
         for c in coeffs[1:]:
             out = out * t + c
+        if nu == -1:
+            out = out + offsets[i] + np.round((x - xs) / TWO_PI) * period
         return out if isinstance(x, np.ndarray) else float(out)
 
     return evaluate

@@ -85,10 +85,9 @@ class Config:
             if len(self.psi2_thetas) != len(self.psi2_values):
                 raise ConfigError("metric.psi2_values: length must match metric.psi2_thetas")
             try:
-                spline = periodic_spline(self.psi2_thetas, self.psi2_values)
+                psi2 = periodic_spline(self.psi2_thetas, self.psi2_values)
             except ValueError as exc:
                 raise ConfigError(f"metric.psi2_thetas: {exc}") from exc
-            psi2 = (spline, lambda theta: spline(theta, 1))
         try:
             return GluedMetric(f, t0=self.t0, t1=self.t1, psi2=psi2, psi1_scale=psi1_scale)
         except ValueError as exc:

@@ -9,12 +9,14 @@ geodesic equation of the glued metric
     t'' = phi * phi_t * vtheta^2
     theta'' = -(2 phi_t / phi) vt vtheta - (phi_theta / phi) vtheta^2
 
-with fixed-step fourth-order Runge-Kutta on [t0, 1) and in closed form
-elsewhere.  Inside the flat disk t < t0 the metric is the Euclidean plane
-(phi = t), so a geodesic there is a straight chord, taken in one step; a
-radial chord through the center records the passage.  A rim crossing is
-reached from the plateau [t1, 1], where phi_t = 0, so vt is constant there
-and the crossing lies at arclength (1 - t) / vt from the start of the step.
+with fixed-step fourth-order Runge-Kutta steps that start only on the blend
+annulus [t0, t1), and in closed form in the two flat zones.  Inside the flat
+disk t < t0 the metric is the Euclidean plane (phi = t), so a geodesic there
+is a straight chord, taken in one step; a radial chord through the center
+records the passage.  On the plateau [t1, 1] the metric is dt^2 + dsigma^2 in the
+coordinate sigma = int psi dtheta (`GluedMetric.plateau_angle`), so a
+geodesic there is a straight line in (t, sigma), taken in one step to the
+rim, to t1 or to the end of the run; at the rim it crosses the seam.
 A non-radial run needs ds < min(t0, 1 - t1), so no step jumps a flat zone.
 """
 
@@ -219,27 +221,14 @@ def _chord(t0, chart, t, th, vt, vth, s, s_end):
     return (chart, r, passage.direction, -vt, 0.0, s + h), passage
 
 
-def _rim(metric, chart, t, th, vt, vth, s, nt):
-    """Finish a step from (t, ...) at arclength s whose end radius nt left [0, 1).
+def _seam(f, chart, th, vt, vth, s):
+    """Cross the rim at arclength s onto the other chart.
 
-    A step past the rim is cut at hs = (1 - t) / vt, which is exact: a radial
-    step is linear, and a non-radial one starts on the plateau (ds < 1 - t1),
-    where phi_t = 0 keeps vt constant.  On the other chart the angle maps
-    through the rim identification, vt flips (the chart radii point in
-    opposite directions across the seam, collar coordinate u = 2 - t), and
-    vtheta follows dtheta2 = F'(theta1) dtheta1, which keeps the speed under
-    the compatibility rule.  Any other end radius raises FloatingPointError.
+    The angle maps through the rim identification, vt flips (the chart radii
+    point in opposite directions across the seam, collar coordinate
+    u = 2 - t), and vtheta follows dtheta2 = F'(theta1) dtheta1, which keeps
+    the speed under the compatibility rule.
     """
-    if not nt >= 1.0:
-        what = "negative" if math.isfinite(nt) else "non-finite"
-        raise FloatingPointError(
-            f"step from t={float(t)!r} on chart {chart} at s={float(s)!r} "
-            f"reached the {what} radius {float(nt)!r}"
-        )
-    hs = (1.0 - t) / vt
-    _t_at, th, vt, vth = _rk4(_rhs, metric, chart, t, th, vt, vth, hs)
-    s += hs
-    f = metric.f
     if chart == 1:
         th1 = normalize(th)
         th2 = f(th1)
@@ -247,6 +236,53 @@ def _rim(metric, chart, t, th, vt, vth, s, nt):
     th2 = normalize(th)
     th1 = f.inverse(th2)
     return (1, 1.0, th1, -vt, vth / f.derivative(th1), s), RimCrossing(s, 2, th1, th2)
+
+
+def _rim(f, chart, t, th, vt, vth, s, nt):
+    """Finish an annulus step from (t, ...) at arclength s whose end radius nt left [0, 1).
+
+    Only a radial step can run past the rim, since a non-radial one is
+    shorter than the plateau (ds < 1 - t1); it is linear, so it is cut at
+    the rim after (1 - t) / vt and crosses the seam there.  A negative or
+    non-finite end radius, or a non-radial step past the rim, raises
+    FloatingPointError.
+    """
+    where = f"step from t={float(t)!r} on chart {chart} at s={float(s)!r}"
+    if not nt >= 1.0:
+        what = "negative" if math.isfinite(nt) else "non-finite"
+        raise FloatingPointError(f"{where} reached the {what} radius {float(nt)!r}")
+    if vth != 0.0:
+        raise FloatingPointError(f"non-radial {where} jumped the plateau to radius {float(nt)!r}")
+    return _seam(f, chart, th, vt, vth, s + (1.0 - t) / vt)
+
+
+def _plateau(metric, chart, t, th, vt, vth, s, s_end):
+    """Carry a plateau state (t > t1, or t == t1 moving outward) along its straight line.
+
+    In sigma = int psi dtheta the plateau metric is dt^2 + dsigma^2, so vt
+    and vsigma = psi * vtheta are constant.  The state stops at the rim
+    after (1 - t) / vt and crosses the seam (`_seam`), at exactly t1 after
+    (t - t1) / -vt, or at s_end, whichever comes first.  theta moves to
+    sigma^-1(sigma(theta) + vsigma h) and vtheta to vsigma / psi there; a
+    radial state keeps theta bit for bit.
+    """
+    if vt > 0.0:
+        h_exit = (1.0 - t) / vt
+    elif vt < 0.0:
+        h_exit = (t - metric.t1) / -vt
+    else:
+        h_exit = math.inf
+    h = min(h_exit, s_end - s)
+    if vth != 0.0:
+        psi = metric.psi1 if chart == 1 else metric.psi2
+        vsigma = psi(th) * vth
+        th = metric.plateau_angle(chart, th, vsigma * h)
+        vth = vsigma / psi(th)
+    if h < h_exit:
+        return (chart, t + h * vt, th, vt, vth, s + h), None
+    if vt < 0.0:
+        return (chart, metric.t1, th, vt, vth, s + h), None
+    return _seam(metric.f, chart, th, vt, vth, s + h)
 
 
 def integrate(
@@ -261,28 +297,37 @@ def integrate(
     to radial when |vtheta| < RADIAL_TOL, and ds < min(t0, 1 - t1) unless
     radial.  A state inside the flat disk (t < t0) moves along its straight
     chord in one step (`_chord`), and so does a radial state whose next step
-    would end inside the disk; every other state takes an RK4 step of ds,
-    cut at the rim in closed form (`_rim`).  Only radial states pass through
-    a center (the angle jumps to the antipode, the radial velocity flips).
-    A step that ends at a negative radius or one that is not a number raises
-    FloatingPointError.  Each chord, step and rim crossing appends one state.
+    would end inside the disk.  A state on the plateau (t > t1, or t == t1
+    moving outward) moves along its straight line to the rim, where it
+    crosses the seam, or to exactly t1 (`_plateau`).  Only a state of the
+    annulus [t0, t1) takes an RK4 step, of arclength ds; a radial one that
+    runs past the rim is cut there (`_rim`).  Only radial states pass
+    through a center (the angle jumps to the antipode, the radial velocity
+    flips).  A step that ends at a negative radius or one that is not a
+    number raises FloatingPointError.  Each chord, plateau segment and step
+    appends one state, so a plateau visit records its rim crossing and its
+    return to t1.
     """
     chart, t, th, vt, vth, s, s_end = _start(metric, init, ds, s_max)
-    t0 = metric.t0
+    t0, t1 = metric.t0, metric.t1
     traj = Trajectory(states=[GeodesicState(chart, t, th, vt, vth, s)])
     while s < s_end - 1e-15:
         h = min(ds, s_end - s)
+        crossing = None
         if t < t0 or (vth == 0.0 and t + h * vt < t0):
             (chart, t, th, vt, vth, s), passage = _chord(t0, chart, t, th, vt, vth, s, s_end)
             if passage is not None:
                 traj.center_passages.append(passage)
+        elif t > t1 or (t == t1 and vt >= 0.0):
+            (chart, t, th, vt, vth, s), crossing = _plateau(metric, chart, t, th, vt, vth, s, s_end)
         else:
             nt, nth, nvt, nvth = _rk4(_rhs, metric, chart, t, th, vt, vth, h)
             if 0.0 <= nt < 1.0:
                 t, th, vt, vth, s = nt, nth, nvt, nvth, s + h
             else:
-                (chart, t, th, vt, vth, s), crossing = _rim(metric, chart, t, th, vt, vth, s, nt)
-                traj.crossings.append(crossing)
+                (chart, t, th, vt, vth, s), crossing = _rim(metric.f, chart, t, th, vt, vth, s, nt)
+        if crossing is not None:
+            traj.crossings.append(crossing)
         traj.states.append(GeodesicState(chart, t, th, vt, vth, s))
     return traj
 
@@ -308,13 +353,14 @@ def integrate_ensemble(
 ) -> EnsembleResult:
     """Integrate many independent non-radial geodesics in lockstep.
 
-    The same start rule, chord, RK4 step and rim crossing as `integrate`,
+    The same start rule, chord, plateau segment and RK4 step as `integrate`,
     with the step taken on arrays: in each round a member inside the flat
-    disk takes its chord and every other active member one step, so members
-    desynchronize in s at chords and rim crossings.  Members that are radial
-    after the start rule raise ValueError; integrate those with `integrate`.
-    Full paths are not stored; per-trajectory monitors are accumulated
-    online, once per round.
+    disk takes its chord, a member on the plateau its straight segment, and
+    every other active member, all in the annulus [t0, t1), one RK4 step, so
+    members desynchronize in s at chords and plateau segments.  Members that
+    are radial after the start rule raise ValueError; integrate those with
+    `integrate`.  Full paths are not stored; per-trajectory monitors are
+    accumulated online, once per round.
     """
     n = len(inits)
     starts = [_start(metric, st, ds, s_max) for st in inits]
@@ -323,7 +369,7 @@ def integrate_ensemble(
             raise ValueError(f"ensemble member {i} is radial; integrate it with integrate()")
     chart, t, th, vt, vth, s, s_end = np.array(starts, dtype=float).reshape(n, 7).T.copy()
     chart = chart.astype(np.int8)
-    t0 = metric.t0
+    t0, t1 = metric.t0, metric.t1
 
     sign0 = np.sign(vth)
     flips = np.zeros(n, dtype=int)
@@ -333,16 +379,22 @@ def integrate_ensemble(
     active = s < s_end - 1e-15
     while np.any(active):
         inside = t < t0
-        h = np.where(active & ~inside, np.minimum(ds, s_end - s), 0.0)
+        plateau = (t > t1) | ((t == t1) & (vt >= 0.0))
+        annulus = active & ~inside & ~plateau
+        h = np.where(annulus, np.minimum(ds, s_end - s), 0.0)
         nt, nth, nvt, nvth = _rk4(_rhs_vec, metric, chart, t, th, vt, vth, h)
-        ok = active & ~inside & (nt >= 0.0) & (nt < 1.0)
+        ok = annulus & (nt >= 0.0) & (nt < 1.0)
         for i in np.flatnonzero(active & ~ok):
             state = (int(chart[i]), t[i], th[i], vt[i], vth[i], s[i])
             if inside[i]:
                 (chart[i], t[i], th[i], vt[i], vth[i], s[i]), _ = _chord(t0, *state, s_end[i])
+                continue
+            if plateau[i]:
+                new, crossing = _plateau(metric, *state, s_end[i])
             else:
-                (chart[i], t[i], th[i], vt[i], vth[i], s[i]), _ = _rim(metric, *state, nt[i])
-                crossings[i] += 1
+                new, crossing = _rim(metric.f, *state, nt[i])
+            chart[i], t[i], th[i], vt[i], vth[i], s[i] = new
+            crossings[i] += crossing is not None
         t[ok], th[ok], vt[ok], vth[ok] = nt[ok], nth[ok], nvt[ok], nvth[ok]
         s[ok] += h[ok]
 

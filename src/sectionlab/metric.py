@@ -22,6 +22,11 @@ which makes the angular metric term agree across the seam; because both
 sides are radially constant there, the glued metric is smooth to all orders
 across the rim.  psi_2 is free (default: constant 1) and psi_1 is always
 derived from the rule, so configurations are unambiguous.
+
+On the plateau the metric is dt^2 + dsigma^2 in the coordinate
+sigma = int psi dtheta, a flat strip: sigma_2 = m P(theta) and
+sigma_1 = psi1_scale m P(F(theta)), with m the mean of psi_2 and
+P = Sigma_2 / m a degree-one circle lift (the identity for a constant psi_2).
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import math
 
 import numpy as np
 
-from .circle import TWO_PI, CircleDiffeo
+from .circle import TWO_PI, CircleDiffeo, IdentityDiffeo
 
 DEFAULT_T0 = 0.25
 DEFAULT_T1 = 0.75
@@ -90,6 +95,28 @@ def smooth_step(t, t0: float, t1: float):
     return _step01((t - t0) / (t1 - t0))[0]
 
 
+class _PlateauLift(CircleDiffeo):
+    """P = Sigma_2 / m for a psi_2 spline: its primitive over its mean m.
+
+    A degree-one lift with P(0) = 0 and P' = psi_2 / m > 0, so the base
+    class's safeguarded Newton inverts it; only the lift, its derivative and
+    that inverse are used.
+    """
+
+    kind = "plateau"
+
+    def __init__(self, psi2):
+        self._psi2 = psi2
+        self._origin = psi2(0.0, -1)
+        self.mean = (psi2(TWO_PI, -1) - self._origin) / TWO_PI
+
+    def lift(self, x):
+        return (self._psi2(x, -1) - self._origin) / self.mean
+
+    def lift_derivative(self, x):
+        return self._psi2(x) / self.mean
+
+
 class GluedMetric:
     """The glued two-disk metric; immutable after construction.
 
@@ -101,10 +128,11 @@ class GluedMetric:
     t0, t1 : float
         Zone boundaries with 0 < t0 < t1 < 1; [0, t0] is exactly Euclidean,
         [t1, 1] is the radially constant plateau.
-    psi2 : None | float | (callable, callable)
+    psi2 : None | float | callable
         Plateau profile of chart 2: a constant, stored as the number itself
-        (None means 1.0), or a (value, derivative) pair.  psi_1 is always
-        derived from the compatibility rule.
+        (None means 1.0), or a `circle.periodic_spline` evaluator, whose
+        nu = 1 and nu = -1 give the derivative and the primitive.  psi_1 is
+        always derived from the compatibility rule.
     psi1_scale : float
         Deliberate compatibility breaker for negative controls, positive and
         finite; the default 1.0 keeps the gluing exact.
@@ -130,7 +158,7 @@ class GluedMetric:
             self._psi2_const = 1.0 if psi2 is None else psi2
         else:
             self._psi2_const = None
-            self._psi2, self._psi2_prime = psi2
+            self._psi2 = psi2
 
         grid = np.linspace(0.0, TWO_PI, _PSI_GRID, endpoint=False)
         psi2_vals = np.asarray(self.psi2(grid), dtype=float)
@@ -141,6 +169,11 @@ class GluedMetric:
         if not psi1_min > 0.0:
             raise ValueError(f"derived psi1 must be positive; min on grid is {psi1_min:.6g}")
         self.psi_min = min(psi1_min, float(np.min(psi2_vals)))
+        if self._psi2_const is not None:
+            self._plateau_lift, self._psi2_mean = IdentityDiffeo(), self._psi2_const
+        else:
+            self._plateau_lift = _PlateauLift(psi2)
+            self._psi2_mean = self._plateau_lift.mean
 
     # -- plateau profiles -----------------------------------------------------
 
@@ -158,7 +191,7 @@ class GluedMetric:
         if chart == 2:
             if c is not None:
                 return c, 0.0
-            return self._psi2(theta), self._psi2_prime(theta)
+            return self._psi2(theta), self._psi2(theta, 1)
         if chart != 1:
             raise ValueError(f"chart must be 1 or 2, got {chart!r}")
         fp, fpp = self.f.derivative_pair(theta)
@@ -168,8 +201,21 @@ class GluedMetric:
         p2 = self._psi2(y)
         return (
             self.psi1_scale * (p2 * fp),
-            self.psi1_scale * (self._psi2_prime(y) * fp * fp + p2 * fpp),
+            self.psi1_scale * (self._psi2(y, 1) * fp * fp + p2 * fpp),
         )
+
+    def plateau_angle(self, chart: int, theta: float, dsigma: float) -> float:
+        """The angle in [0, 2*pi) at plateau distance dsigma from theta.
+
+        Solves sigma(theta') = sigma(theta) + dsigma on the circle, with
+        sigma_2 = m P(theta) and sigma_1 = psi1_scale m P(F(theta)): through
+        P's inverse, and on chart 1 then f's.
+        """
+        p = self._plateau_lift
+        if chart == 2:
+            return p.inverse(p.lift(theta) + dsigma / self._psi2_mean)
+        f = self.f
+        return f.inverse(p.inverse(p.lift(f(theta)) + dsigma / (self.psi1_scale * self._psi2_mean)))
 
     # -- warp and Christoffel symbols ------------------------------------------
 

@@ -409,9 +409,44 @@ def test_periodic_spline_matches_scipy(table):
     check_periodic_spline(*table)
 
 
+def check_spline_antiderivative(knots, values):
+    from scipy.interpolate import CubicSpline
+
+    knots, values = np.asarray(knots, dtype=float), np.asarray(values, dtype=float)
+    spline = periodic_spline(knots, values)
+    ref = CubicSpline(
+        np.append(knots, knots[0] + TWO_PI), np.append(values, values[0]), bc_type="periodic"
+    ).antiderivative()
+    scale = max(1.0, float(np.max(np.abs(spline(_SPLINE_GRID)))))
+    # on the base period, where scipy's antiderivative is defined
+    base = knots[0] + np.linspace(0.0, TWO_PI, 1001)
+    assert np.max(np.abs(spline(base, -1) - ref(base))) <= 1e-13 * scale
+    assert spline(knots[0], -1) == 0.0
+    # one period integral per 2*pi turn, on the whole line
+    period = float(ref(knots[0] + TWO_PI))
+    gap = spline(_SPLINE_GRID + TWO_PI, -1) - spline(_SPLINE_GRID, -1) - period
+    assert np.max(np.abs(gap)) <= 1e-12 * scale
+    # its derivative is the spline: central differences of step 1e-5
+    h = 1e-5
+    slope = (spline(_SPLINE_GRID + h, -1) - spline(_SPLINE_GRID - h, -1)) / (2.0 * h)
+    tol = 1e-6 * scale + h * h * spline_scales(spline, knots)[2]
+    assert np.max(np.abs(slope - spline(_SPLINE_GRID))) <= tol
+
+
+@pytest.mark.parametrize("knots, values", FEW_KNOTS, ids=["1", "2", "3"])
+def test_periodic_spline_antiderivative_few_knots(knots, values):
+    check_spline_antiderivative(knots, values)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(spline_tables())
+def test_periodic_spline_antiderivative_matches_scipy(table):
+    check_spline_antiderivative(*table)
+
+
 def test_periodic_spline_return_types():
     spline = periodic_spline([0.0, 2.0, 4.0], [1.0, 0.5, 2.0])
-    for nu in range(3):
+    for nu in range(-1, 3):
         assert type(spline(1.0, nu)) is float
         assert type(spline(np.float64(7.5), nu)) is float
         grid = np.linspace(-3.0, 9.0, 12).reshape(3, 4)

@@ -218,6 +218,8 @@ def test_verify_tampered_fails_exit_4(tmp_path, capsys):
     assert "FAIL" in out
     csv_text = (tmp_path / "o" / "verify.csv").read_text()
     assert "gluing_compatibility,0," in csv_text
+    # the tampered seam is no isometry: no sign flips, but the speed drifts
+    assert "all_or_none,0,0.0" in csv_text
 
 
 def test_verify_overflowing_psi1_exit_4(tmp_path, capsys):

@@ -31,6 +31,7 @@ from sectionlab import (
     unit_speed_state,
 )
 
+from sectionlab.circle import periodic_spline
 from sectionlab.geodesics import ANGLE_BOUND
 from sectionlab.verify import _sample_nonradial_states
 from oracles import flat_polar_geodesic
@@ -42,6 +43,15 @@ RNG = np.random.default_rng(4242)
 
 def default_metric():
     return GluedMetric(semicircle_bump(0.3))
+
+
+def psi2_table_metric():
+    psi2 = periodic_spline(np.arange(6.0), [1.0, 1.15, 1.1, 0.95, 0.85, 0.9])
+    return GluedMetric(semicircle_bump(0.3), psi2=psi2)
+
+
+def tampered_metric():
+    return GluedMetric(semicircle_bump(0.3), psi1_scale=1.01)
 
 
 # --- integrator: Euclidean zone ------------------------------------------------
@@ -270,12 +280,26 @@ def _first_crossing_oracle(m, init):
     return s_hit, sol.y_events[0][0][1]
 
 
+_CROSSING_STARTS = [(1, 0.5, 1.0, 1.1), (2, 0.7, 4.0, -0.9), (1, 0.9, 2.0, 0.7), (2, 0.3, 5.5, 0.4)]
+_CROSSING_METRICS = {
+    "": default_metric,
+    "psi2_table-": psi2_table_metric,
+    "psi1_scale-": tampered_metric,
+}
+
+
 @pytest.mark.parametrize(
-    "chart, t, theta, direction",
-    [(1, 0.5, 1.0, 1.1), (2, 0.7, 4.0, -0.9), (1, 0.9, 2.0, 0.7), (2, 0.3, 5.5, 0.4)],
+    "make_metric, chart, t, theta, direction",
+    [
+        pytest.param(make, *start, id=prefix + "-".join(map(str, start)))
+        for prefix, make in _CROSSING_METRICS.items()
+        for start in _CROSSING_STARTS
+    ],
 )
-def test_nonradial_crossing_matches_solve_ivp(chart, t, theta, direction):
-    m = default_metric()
+def test_nonradial_crossing_matches_solve_ivp(make_metric, chart, t, theta, direction):
+    # the plateau segment to the rim against DOP853 on the geodesic equation,
+    # for a constant and a tabulated psi2 and for a seam-breaking psi1 scale
+    m = make_metric()
     init = unit_speed_state(m, chart, t, theta, direction)
     s_ref, theta_ref = _first_crossing_oracle(m, init)
     traj = integrate(m, init, ds=1e-3, s_max=s_ref + 0.01)
@@ -283,6 +307,48 @@ def test_nonradial_crossing_matches_solve_ivp(chart, t, theta, direction):
     assert cross.chart_from == chart
     assert abs(cross.s - s_ref) < 1e-9
     assert circle_distance(cross.theta1 if chart == 1 else cross.theta2, theta_ref) < 1e-9
+
+
+def _speed_squared(m, st):
+    psi = m.psi1 if st.chart == 1 else m.psi2
+    return st.vt * st.vt + (psi(st.theta) * st.vtheta) ** 2
+
+
+@pytest.mark.parametrize(
+    "make_metric", [default_metric, psi2_table_metric], ids=["psi2_const", "psi2_table"]
+)
+def test_plateau_visit_is_one_segment_each_way(make_metric):
+    # from exactly t1 outward: one straight segment to the rim, the seam, and
+    # one back to exactly t1 on the other chart; then RK4 in the annulus
+    m = make_metric()
+    init = unit_speed_state(m, 1, m.t1, 2.0, 0.7)
+    traj = integrate(m, init, ds=1e-3, s_max=0.7)
+    start, rim, back = traj.states[:3]
+    (cross,) = traj.crossings
+    assert rim.chart == 2 and rim.t == 1.0 and rim.s == cross.s == (1.0 - m.t1) / init.vt
+    assert rim.vt == -init.vt and rim.theta == cross.theta2
+    assert back.chart == 2 and back.t == m.t1 and back.vt == rim.vt
+    assert back.s == pytest.approx(2.0 * cross.s, rel=1e-15)
+    # vt^2 + (psi vtheta)^2 across each segment and the seam, to a few ulps
+    for a, b in ((start, rim), (rim, back)):
+        assert abs(_speed_squared(m, b) - _speed_squared(m, a)) <= 4.0 * np.finfo(float).eps
+    assert back.vtheta > 0.0 and all(st.t < m.t1 for st in traj.states[3:])
+    # no RK4 step starts on the plateau: a plateau state is followed by the rim or t1
+    for prev, st in zip(traj.states, traj.states[1:]):
+        if prev.t > m.t1 or (prev.t == m.t1 and prev.vt >= 0.0):
+            assert st.t in (1.0, m.t1) or st is traj.final
+    res = integrate_ensemble(m, [init], ds=1e-3, s_max=0.7)
+    fin, ref = res.final_states[0], traj.final
+    assert res.crossings[0] == 1 and fin.chart == ref.chart == 2
+    assert abs(fin.t - ref.t) < 1e-12 and circle_distance(fin.theta, ref.theta) < 1e-12
+
+
+def test_plateau_radial_state_keeps_theta():
+    m = psi2_table_metric()
+    traj = integrate(m, GeodesicState(2, 0.8, 4.25, 1.0, 0.0), ds=1e-3, s_max=0.5)
+    _, rim, back = traj.states[:3]
+    assert rim.chart == 1 and rim.theta == m.f.inverse(4.25) and rim.vtheta == 0.0
+    assert back.t == m.t1 and back.theta == rim.theta and back.s == pytest.approx(0.45, abs=1e-15)
 
 
 def test_step_past_the_plateau_rejected():

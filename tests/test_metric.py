@@ -111,7 +111,7 @@ def test_constant_psi2_matches_constant_table():
     f = semicircle_bump(0.3)
     spline = periodic_spline(np.linspace(0.0, 5.0, 6), np.full(6, 1.3))
     const = GluedMetric(f, psi2=1.3)
-    table = GluedMetric(f, psi2=(spline, lambda theta: spline(theta, 1)))
+    table = GluedMetric(f, psi2=spline)
     thetas = np.linspace(0.0, TWO_PI, 97)
     for chart in (1, 2):
         for t in (0.1, 0.5, 0.9):  # flat disk, blend annulus, plateau
@@ -226,17 +226,7 @@ def test_gluing_residual_detects_tampering():
 def test_gluing_residual_with_tabulated_psi2():
     thetas = np.linspace(0.0, TWO_PI, 12, endpoint=False)
     vals = 1.0 + 0.2 * np.cos(thetas)
-    from scipy.interpolate import CubicSpline
-
-    x_ext = np.append(thetas, TWO_PI)
-    y_ext = np.append(vals, vals[0])
-    spl = CubicSpline(x_ext, y_ext, bc_type="periodic")
-    dspl = spl.derivative(1)
-    psi2 = (
-        lambda th: spl(np.mod(th, TWO_PI)) if isinstance(th, np.ndarray) else float(spl(th % TWO_PI)),
-        lambda th: dspl(np.mod(th, TWO_PI)) if isinstance(th, np.ndarray) else float(dspl(th % TWO_PI)),
-    )
-    m = GluedMetric(semicircle_bump(0.2), psi2=psi2)
+    m = GluedMetric(semicircle_bump(0.2), psi2=periodic_spline(thetas, vals))
     assert m.gluing_residual() < 1e-13
 
 

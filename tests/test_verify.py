@@ -11,11 +11,12 @@ from sectionlab import (
     NonPositiveRadius,
     VerificationReport,
     all_or_none_check,
+    geodesics,
     rational_closure,
     run_all_checks,
     semicircle_bump,
 )
-from sectionlab.verify import CheckResult, gluing_check
+from sectionlab.verify import DRIFT_BOUND, CheckResult, gluing_check
 
 from oracles import lcm_brute
 
@@ -26,6 +27,11 @@ def default_metric():
     return GluedMetric(semicircle_bump(0.3))
 
 
+def _drift(res):
+    """The worst final speed_error that all_or_none_check reports in its detail."""
+    return float(res.detail.split("worst speed drift=")[1].split()[0])
+
+
 # --- individual checks ---------------------------------------------------------
 
 
@@ -34,11 +40,28 @@ def test_all_or_none_small_run_passes():
     assert res.passed
     assert res.residual == 0.0
     assert res.params["seed"] == 3
+    assert 0.0 < _drift(res) <= DRIFT_BOUND
 
 
 def test_all_or_none_flat_disk():
     res = all_or_none_check(GluedMetric(IdentityDiffeo()), n_geodesics=8, s_max=3.0, seed=1)
     assert res.passed
+
+
+def test_all_or_none_fails_on_drift_under_a_wrong_christoffel_term(monkeypatch):
+    # negative control: Gamma^theta_t-theta scaled by 1.01.  vtheta' stays
+    # homogeneous in vtheta, so no sign flips; only the drift bound can fail
+    def skewed_rhs(metric, chart, t, th, vt, vth):
+        phi, phi_t, phi_th = metric.warp_with_partials_vec(chart, t, th)
+        dvt = phi * phi_t * vth * vth
+        dvth = -1.01 * (2.0 * phi_t / phi) * vt * vth - (phi_th / phi) * vth * vth
+        return vt, vth, dvt, dvth
+
+    monkeypatch.setattr(geodesics, "_rhs_vec", skewed_rhs)
+    res = all_or_none_check(default_metric(), n_geodesics=12, s_max=4.0, seed=3)
+    assert not res.passed
+    assert res.residual == 0.0
+    assert _drift(res) > 1e3 * DRIFT_BOUND
 
 
 def test_gluing_check_pass_and_tampered_fail():
