@@ -238,21 +238,27 @@ def _seam(f, chart, th, vt, vth, s):
     return (1, 1.0, th1, -vt, vth / f.derivative(th1), s), RimCrossing(s, 2, th1, th2)
 
 
-def _rim(f, chart, t, th, vt, vth, s, nt):
-    """Finish an annulus step from (t, ...) at arclength s whose end radius nt left [0, 1).
-
-    Only a radial step can run past the rim, since a non-radial one is
-    shorter than the plateau (ds < 1 - t1); it is linear, so it is cut at
-    the rim after (1 - t) / vt and crosses the seam there.  A negative or
-    non-finite end radius, or a non-radial step past the rim, raises
-    FloatingPointError.
-    """
+def _bad_step(chart, t, s, nt):
+    """The FloatingPointError for a step from t at arclength s that ended at
+    the radius nt outside [0, 1), which no geodesic reaches in one step
+    unless it is radial and past the rim: a negative or non-finite radius,
+    or a non-radial step past the rim (the step is shorter than the plateau,
+    ds < 1 - t1, so only a runaway RK4 step gets there)."""
     where = f"step from t={float(t)!r} on chart {chart} at s={float(s)!r}"
-    if not nt >= 1.0:
-        what = "negative" if math.isfinite(nt) else "non-finite"
-        raise FloatingPointError(f"{where} reached the {what} radius {float(nt)!r}")
-    if vth != 0.0:
-        raise FloatingPointError(f"non-radial {where} jumped the plateau to radius {float(nt)!r}")
+    if nt >= 1.0:
+        return FloatingPointError(f"non-radial {where} jumped the plateau to radius {float(nt)!r}")
+    what = "negative" if math.isfinite(nt) else "non-finite"
+    return FloatingPointError(f"{where} reached the {what} radius {float(nt)!r}")
+
+
+def _rim(f, chart, t, th, vt, vth, s, nt):
+    """Finish a radial annulus step from (t, ...) at arclength s whose end
+    radius nt is past the rim: the step is linear, so it is cut at the rim
+    after (1 - t) / vt and crosses the seam there.  Any other end radius
+    outside [0, 1) raises `_bad_step`'s FloatingPointError.
+    """
+    if vth != 0.0 or not nt >= 1.0:
+        raise _bad_step(chart, t, s, nt)
     return _seam(f, chart, th, vt, vth, s + (1.0 - t) / vt)
 
 
@@ -359,8 +365,10 @@ def integrate_ensemble(
     every other active member, all in the annulus [t0, t1), one RK4 step, so
     members desynchronize in s at chords and plateau segments.  Members that
     are radial after the start rule raise ValueError; integrate those with
-    `integrate`.  Full paths are not stored; per-trajectory monitors are
-    accumulated online, once per round.
+    `integrate`.  Since every member is non-radial, no step may end outside
+    [0, 1): one that does raises FloatingPointError (`_bad_step`).  Full
+    paths are not stored; per-trajectory monitors are accumulated online,
+    once per round.
     """
     n = len(inits)
     starts = [_start(metric, st, ds, s_max) for st in inits]
@@ -388,13 +396,13 @@ def integrate_ensemble(
             state = (int(chart[i]), t[i], th[i], vt[i], vth[i], s[i])
             if inside[i]:
                 (chart[i], t[i], th[i], vt[i], vth[i], s[i]), _ = _chord(t0, *state, s_end[i])
-                continue
-            if plateau[i]:
+            elif plateau[i]:
                 new, crossing = _plateau(metric, *state, s_end[i])
+                chart[i], t[i], th[i], vt[i], vth[i], s[i] = new
+                crossings[i] += crossing is not None
             else:
-                new, crossing = _rim(metric.f, *state, nt[i])
-            chart[i], t[i], th[i], vt[i], vth[i], s[i] = new
-            crossings[i] += crossing is not None
+                # every member is non-radial, so no annulus step may leave [0, 1)
+                raise _bad_step(state[0], t[i], s[i], nt[i])
         t[ok], th[ok], vt[ok], vth[ok] = nt[ok], nth[ok], nvt[ok], nvth[ok]
         s[ok] += h[ok]
 

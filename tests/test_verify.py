@@ -16,7 +16,7 @@ from sectionlab import (
     run_all_checks,
     semicircle_bump,
 )
-from sectionlab.verify import DRIFT_BOUND, CheckResult, gluing_check
+from sectionlab.verify import DRIFT_BOUND, CheckResult, drift_bound, gluing_check
 
 from oracles import lcm_brute
 
@@ -43,12 +43,23 @@ def test_all_or_none_small_run_passes():
     assert 0.0 < _drift(res) <= DRIFT_BOUND
 
 
+def test_all_or_none_passes_at_a_coarser_legal_step():
+    # RK4's drift grows as ds^4: at ds = 5e-3 a correct run exceeds the
+    # bound of the default step, so the bound has to scale with the run
+    assert drift_bound(1e-3, 4.0) == drift_bound(5e-4, 20.0) == DRIFT_BOUND
+    assert drift_bound(2e-3, 40.0) == 64 * DRIFT_BOUND
+    res = all_or_none_check(default_metric(), n_geodesics=12, s_max=4.0, ds=5e-3, seed=3)
+    assert res.passed
+    assert DRIFT_BOUND < _drift(res) <= drift_bound(5e-3, 4.0)
+
+
 def test_all_or_none_flat_disk():
     res = all_or_none_check(GluedMetric(IdentityDiffeo()), n_geodesics=8, s_max=3.0, seed=1)
     assert res.passed
 
 
-def test_all_or_none_fails_on_drift_under_a_wrong_christoffel_term(monkeypatch):
+@pytest.mark.parametrize("ds", [1e-3, 5e-3])
+def test_all_or_none_fails_on_drift_under_a_wrong_christoffel_term(monkeypatch, ds):
     # negative control: Gamma^theta_t-theta scaled by 1.01.  vtheta' stays
     # homogeneous in vtheta, so no sign flips; only the drift bound can fail
     def skewed_rhs(metric, chart, t, th, vt, vth):
@@ -58,10 +69,10 @@ def test_all_or_none_fails_on_drift_under_a_wrong_christoffel_term(monkeypatch):
         return vt, vth, dvt, dvth
 
     monkeypatch.setattr(geodesics, "_rhs_vec", skewed_rhs)
-    res = all_or_none_check(default_metric(), n_geodesics=12, s_max=4.0, seed=3)
+    res = all_or_none_check(default_metric(), n_geodesics=12, s_max=4.0, ds=ds, seed=3)
     assert not res.passed
     assert res.residual == 0.0
-    assert _drift(res) > 1e3 * DRIFT_BOUND
+    assert _drift(res) > 1e3 * drift_bound(ds, 4.0)
 
 
 def test_gluing_check_pass_and_tampered_fail():
