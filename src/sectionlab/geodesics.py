@@ -9,7 +9,7 @@ geodesic equation of the glued metric
     t'' = phi * phi_t * vtheta^2
     theta'' = -(2 phi_t / phi) vt vtheta - (phi_theta / phi) vtheta^2
 
-with fixed-step fourth-order Runge-Kutta steps that start only on the blend
+with adaptive Dormand-Prince 5(4) steps that start only on the blend
 annulus [t0, t1), and in closed form in the two flat zones.  Inside the flat
 disk t < t0 the metric is the Euclidean plane (phi = t), so a geodesic there
 is a straight chord, taken in one step; a radial chord through the center
@@ -17,7 +17,9 @@ records the passage.  On the plateau [t1, 1] the metric is dt^2 + dsigma^2 in th
 coordinate sigma = int psi dtheta (`GluedMetric.plateau_angle`), so a
 geodesic there is a straight line in (t, sigma), taken in one step to the
 rim, to t1 or to the end of the run; at the rim it crosses the seam.
-A non-radial run needs ds < min(t0, 1 - t1), so no step jumps a flat zone.
+Radial lines are straight in every metric of the family, so a radial state
+never takes a numerical step.  Annulus steps are at most half the narrower
+flat zone long, so none jumps a flat zone.
 """
 
 from __future__ import annotations
@@ -114,8 +116,6 @@ def speed_error(metric: GluedMetric, st: GeodesicState) -> float:
 
 
 def _rhs(metric, chart, t, th, vt, vth):
-    if vth == 0.0:
-        return vt, 0.0, 0.0, 0.0
     phi, phi_t, phi_th = metric.warp_with_partials(chart, t, th)
     a = vth * vth
     return vt, vth, phi * phi_t * a, -(2.0 * phi_t / phi) * vt * vth - (phi_th / phi) * a
@@ -128,43 +128,60 @@ def _rhs_vec(metric, chart, t, th, vt, vth):
     return vt, vth, dvt, dvth
 
 
-def _rk4(rhs, metric, chart, t, th, vt, vth, h):
-    """One classical RK4 step; the same arithmetic for floats and arrays."""
-    k1 = rhs(metric, chart, t, th, vt, vth)
-    k2 = rhs(
-        metric,
-        chart,
-        t + 0.5 * h * k1[0],
-        th + 0.5 * h * k1[1],
-        vt + 0.5 * h * k1[2],
-        vth + 0.5 * h * k1[3],
-    )
-    k3 = rhs(
-        metric,
-        chart,
-        t + 0.5 * h * k2[0],
-        th + 0.5 * h * k2[1],
-        vt + 0.5 * h * k2[2],
-        vth + 0.5 * h * k2[3],
-    )
-    k4 = rhs(metric, chart, t + h * k3[0], th + h * k3[1], vt + h * k3[2], vth + h * k3[3])
-    c = h / 6.0
-    return (
-        t + c * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        th + c * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        vt + c * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-        vth + c * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
-    )
+# Dormand-Prince 5(4): the stage rows a_ij, the last one the fifth-order
+# weights b (first same as last), and the error weights b - b* of the
+# embedded fourth-order solution (Hairer, Norsett & Wanner, Table II.5.2)
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# an annulus step is accepted when its error estimate is at most
+# ANNULUS_TOL * (ds / DEFAULT_DS)**4, the accuracy of fixed RK4 steps of ds
+ANNULUS_TOL = 1e-11
+
+
+def _combine(y, h, weights, ks):
+    """y + h * sum_j weights[j] * ks[j] over the four components; y None adds nothing."""
+    out = []
+    for c in range(4):
+        acc = None
+        for w, k in zip(weights, ks):
+            if w != 0.0:
+                acc = w * k[c] if acc is None else acc + w * k[c]
+        out.append(h * acc if y is None else y[c] + h * acc)
+    return out
+
+
+def _dp5(rhs, metric, chart, t, th, vt, vth, h):
+    """One Dormand-Prince 5(4) step; the same arithmetic for floats and arrays.
+
+    Returns the fifth-order state (t, theta, vt, vtheta) after h and the
+    RMS over its four components of the embedded error estimate.
+    """
+    y = (t, th, vt, vth)
+    ks = [rhs(metric, chart, t, th, vt, vth)]
+    for row in _DP_A:
+        point = _combine(y, h, row, ks)
+        ks.append(rhs(metric, chart, *point))
+    err = _combine(None, h, _DP_E, ks)
+    return (*point, ((err[0] ** 2 + err[1] ** 2 + err[2] ** 2 + err[3] ** 2) / 4.0) ** 0.5)
 
 
 def _start(metric, init: GeodesicState, ds: float, s_max: float):
     """Checked start of a run: (chart, t, theta, vt, vtheta, s, s_end).
 
-    The step must be positive, the span positive and finite, and the state
-    on chart 1 or 2, inside the disk (0 <= t < 1), with |theta| < ANGLE_BOUND,
-    finite s and unit speed to 1e-9.  A state with |vtheta| < RADIAL_TOL is
-    snapped to exactly radial.  Any other state must lie off the center and
-    needs ds < min(t0, 1 - t1), so that no step jumps over a flat zone.
+    The accuracy parameter ds must be positive, the span positive and
+    finite, and the state on chart 1 or 2, inside the disk (0 <= t < 1),
+    with |theta| < ANGLE_BOUND, finite s and unit speed to 1e-9.  A state
+    with |vtheta| < RADIAL_TOL is snapped to exactly radial.  Any other
+    state must lie off the center and needs ds < min(t0, 1 - t1).  ds sets
+    the accuracy of the annulus steps, not their length (`_annulus_control`):
+    at the default it matches fixed fourth-order steps of length ds.
     """
     if not ds > 0.0:
         raise ValueError(f"ds must be positive, got {ds!r}")
@@ -187,10 +204,20 @@ def _start(metric, init: GeodesicState, ds: float, s_max: float):
         raise ValueError(f"a state at the center t=0 must be radial, got vtheta={vth!r}")
     elif not ds < limit:
         raise ValueError(
-            f"a non-radial run needs ds < min(t0, 1 - t1) = {limit!r}, so that no step jumps "
-            f"over a flat zone; got ds={float(ds)!r} with t0={metric.t0!r}, t1={metric.t1!r}"
+            f"a non-radial run needs ds < min(t0, 1 - t1) = {limit!r}; "
+            f"got ds={float(ds)!r} with t0={metric.t0!r}, t1={metric.t1!r}"
         )
     return init.chart, init.t, init.theta, vt, vth, init.s, init.s + s_max
+
+
+def _annulus_control(metric, ds):
+    """(tol, h_max) of the annulus steps for the accuracy parameter ds.
+
+    A step is accepted when its error estimate is at most
+    tol = ANNULUS_TOL * (ds / DEFAULT_DS)**4.  Steps are at most h_max, half
+    the narrower flat zone, so none jumps the inner disk or reaches the rim.
+    """
+    return ANNULUS_TOL * (ds / DEFAULT_DS) ** 4, min(metric.t0, 1.0 - metric.t1) / 2.0
 
 
 def _chord(t0, chart, t, th, vt, vth, s, s_end):
@@ -238,35 +265,28 @@ def _seam(f, chart, th, vt, vth, s):
     return (1, 1.0, th1, -vt, vth / f.derivative(th1), s), RimCrossing(s, 2, th1, th2)
 
 
-def _bad_step(chart, t, s, nt):
-    """The FloatingPointError for a step from t at arclength s that ended at
-    the radius nt outside [0, 1), which no geodesic reaches in one step
-    unless it is radial and past the rim: a negative or non-finite radius,
-    or a non-radial step past the rim (the step is shorter than the plateau,
-    ds < 1 - t1, so only a runaway RK4 step gets there)."""
+def _bad_step(chart, t, s, nt, err):
+    """The FloatingPointError for an annulus step from t at arclength s that
+    ended at the radius nt outside [0, 1), or whose error estimate err is
+    not a finite number.  Annulus steps are non-radial and at most half the
+    narrower flat zone long, so only a runaway step gets there: past the
+    rim, to a negative or non-finite radius, or through an overflow."""
     where = f"step from t={float(t)!r} on chart {chart} at s={float(s)!r}"
     if nt >= 1.0:
         return FloatingPointError(f"non-radial {where} jumped the plateau to radius {float(nt)!r}")
+    if nt >= 0.0:
+        return FloatingPointError(f"{where} has the non-finite error estimate {float(err)!r}")
     what = "negative" if math.isfinite(nt) else "non-finite"
     return FloatingPointError(f"{where} reached the {what} radius {float(nt)!r}")
-
-
-def _rim(f, chart, t, th, vt, vth, s, nt):
-    """Finish a radial annulus step from (t, ...) at arclength s whose end
-    radius nt is past the rim: the step is linear, so it is cut at the rim
-    after (1 - t) / vt and crosses the seam there.  Any other end radius
-    outside [0, 1) raises `_bad_step`'s FloatingPointError.
-    """
-    if vth != 0.0 or not nt >= 1.0:
-        raise _bad_step(chart, t, s, nt)
-    return _seam(f, chart, th, vt, vth, s + (1.0 - t) / vt)
 
 
 def _plateau(metric, chart, t, th, vt, vth, s, s_end):
     """Carry a plateau state (t > t1, or t == t1 moving outward) along its straight line.
 
-    In sigma = int psi dtheta the plateau metric is dt^2 + dsigma^2, so vt
-    and vsigma = psi * vtheta are constant.  The state stops at the rim
+    A radial state moving outward from the annulus takes the same segment:
+    radial lines are straight in every metric of the family.  In
+    sigma = int psi dtheta the plateau metric is dt^2 + dsigma^2, so vt and
+    vsigma = psi * vtheta are constant.  The state stops at the rim
     after (1 - t) / vt and crosses the seam (`_seam`), at exactly t1 after
     (t - t1) / -vt, or at s_end, whichever comes first.  theta moves to
     sigma^-1(sigma(theta) + vsigma h) and vtheta to vsigma / psi there; a
@@ -301,37 +321,50 @@ def integrate(
 
     The start rule is `_start`'s: a unit-speed state inside its disk, snapped
     to radial when |vtheta| < RADIAL_TOL, and ds < min(t0, 1 - t1) unless
-    radial.  A state inside the flat disk (t < t0) moves along its straight
-    chord in one step (`_chord`), and so does a radial state whose next step
-    would end inside the disk.  A state on the plateau (t > t1, or t == t1
-    moving outward) moves along its straight line to the rim, where it
-    crosses the seam, or to exactly t1 (`_plateau`).  Only a state of the
-    annulus [t0, t1) takes an RK4 step, of arclength ds; a radial one that
-    runs past the rim is cut there (`_rim`).  Only radial states pass
-    through a center (the angle jumps to the antipode, the radial velocity
-    flips).  A step that ends at a negative radius or one that is not a
-    number raises FloatingPointError.  Each chord, plateau segment and step
-    appends one state, so a plateau visit records its rim crossing and its
-    return to t1.
+    radial.  A state on the plateau (t > t1, or t == t1 moving outward), or
+    a radial one moving outward from the annulus, moves along its straight
+    line to the rim, where it crosses the seam, or to exactly t1
+    (`_plateau`).  A state inside the flat disk (t < t0), or a radial one
+    moving inward, moves along its straight chord to exactly t0 (`_chord`);
+    only radial chords pass through a center (the angle jumps to the
+    antipode, the radial velocity flips).  Only a non-radial state of the
+    annulus [t0, t1) takes a Dormand-Prince 5(4) step (`_dp5`).  ds sets the
+    accuracy of these steps, not their length: each step is accepted when
+    its error estimate is at most ANNULUS_TOL * (ds / DEFAULT_DS)**4, which
+    at the default matches fixed fourth-order steps of length ds, and the
+    step size h follows h * clamp(0.9 (err/tol)^(-1/5), 0.2, 5), at most half
+    the narrower flat zone (`_annulus_control`).  A rejected step is retried
+    at once with the smaller h.  A step is not cut at t0 or t1: the metric
+    is smooth across both, so a step that ends in a flat zone hands its
+    state to the chord or the plateau segment.  A step that ends outside
+    [0, 1) or with an error estimate that is not a number raises
+    FloatingPointError (`_bad_step`).  Each chord, plateau segment and
+    accepted step appends one state, so a plateau visit records its rim
+    crossing and its return to t1.
     """
     chart, t, th, vt, vth, s, s_end = _start(metric, init, ds, s_max)
     t0, t1 = metric.t0, metric.t1
+    tol, h_max = _annulus_control(metric, ds)
+    h = min(ds, h_max)
     traj = Trajectory(states=[GeodesicState(chart, t, th, vt, vth, s)])
     while s < s_end - 1e-15:
-        h = min(ds, s_end - s)
         crossing = None
-        if t < t0 or (vth == 0.0 and t + h * vt < t0):
+        if t > t1 or (t == t1 and vt >= 0.0) or (vth == 0.0 and vt > 0.0 and t >= t0):
+            (chart, t, th, vt, vth, s), crossing = _plateau(metric, chart, t, th, vt, vth, s, s_end)
+        elif t < t0 or vth == 0.0:
             (chart, t, th, vt, vth, s), passage = _chord(t0, chart, t, th, vt, vth, s, s_end)
             if passage is not None:
                 traj.center_passages.append(passage)
-        elif t > t1 or (t == t1 and vt >= 0.0):
-            (chart, t, th, vt, vth, s), crossing = _plateau(metric, chart, t, th, vt, vth, s, s_end)
         else:
-            nt, nth, nvt, nvth = _rk4(_rhs, metric, chart, t, th, vt, vth, h)
-            if 0.0 <= nt < 1.0:
-                t, th, vt, vth, s = nt, nth, nvt, nvth, s + h
-            else:
-                (chart, t, th, vt, vth, s), crossing = _rim(metric.f, chart, t, th, vt, vth, s, nt)
+            step = min(h, s_end - s)
+            nt, nth, nvt, nvth, err = _dp5(_rhs, metric, chart, t, th, vt, vth, step)
+            if not (0.0 <= nt < 1.0 and err < math.inf):
+                raise _bad_step(chart, t, s, nt, err)
+            # err + 1e-300: a zero error estimate grows h by the full factor 5
+            h = min(h_max, step * max(0.2, min(5.0, 0.9 * (tol / (err + 1e-300)) ** 0.2)))
+            if not err <= tol:
+                continue
+            t, th, vt, vth, s = nt, nth, nvt, nvth, s + step
         if crossing is not None:
             traj.crossings.append(crossing)
         traj.states.append(GeodesicState(chart, t, th, vt, vth, s))
@@ -359,16 +392,17 @@ def integrate_ensemble(
 ) -> EnsembleResult:
     """Integrate many independent non-radial geodesics in lockstep.
 
-    The same start rule, chord, plateau segment and RK4 step as `integrate`,
-    with the step taken on arrays: in each round a member inside the flat
-    disk takes its chord, a member on the plateau its straight segment, and
-    every other active member, all in the annulus [t0, t1), one RK4 step, so
-    members desynchronize in s at chords and plateau segments.  Members that
-    are radial after the start rule raise ValueError; integrate those with
-    `integrate`.  Since every member is non-radial, no step may end outside
-    [0, 1): one that does raises FloatingPointError (`_bad_step`).  Full
-    paths are not stored; per-trajectory monitors are accumulated online,
-    once per round.
+    The same start rule, chord, plateau segment and Dormand-Prince step as
+    `integrate`, with the steps taken on arrays: in each round a member
+    inside the flat disk takes its chord, a member on the plateau its
+    straight segment, and the active members of the annulus [t0, t1) one
+    trial step each, of their own step size.  A rejected member retries
+    with its smaller step in the next round.  Members desynchronize in s.
+    Members that are radial after the start rule raise ValueError;
+    integrate those with `integrate`.  A trial step that ends outside [0, 1)
+    or with an error estimate that is not a number raises
+    FloatingPointError (`_bad_step`).  Full paths are not stored;
+    per-trajectory monitors are accumulated online, once per round.
     """
     n = len(inits)
     starts = [_start(metric, st, ds, s_max) for st in inits]
@@ -378,6 +412,8 @@ def integrate_ensemble(
     chart, t, th, vt, vth, s, s_end = np.array(starts, dtype=float).reshape(n, 7).T.copy()
     chart = chart.astype(np.int8)
     t0, t1 = metric.t0, metric.t1
+    tol, h_max = _annulus_control(metric, ds)
+    h = np.full(n, min(ds, h_max))
 
     sign0 = np.sign(vth)
     flips = np.zeros(n, dtype=int)
@@ -388,23 +424,28 @@ def integrate_ensemble(
     while np.any(active):
         inside = t < t0
         plateau = (t > t1) | ((t == t1) & (vt >= 0.0))
-        annulus = active & ~inside & ~plateau
-        h = np.where(annulus, np.minimum(ds, s_end - s), 0.0)
-        nt, nth, nvt, nvth = _rk4(_rhs_vec, metric, chart, t, th, vt, vth, h)
-        ok = annulus & (nt >= 0.0) & (nt < 1.0)
-        for i in np.flatnonzero(active & ~ok):
+        annulus = np.flatnonzero(active & ~inside & ~plateau)
+        for i in np.flatnonzero(active & (inside | plateau)):
             state = (int(chart[i]), t[i], th[i], vt[i], vth[i], s[i])
             if inside[i]:
                 (chart[i], t[i], th[i], vt[i], vth[i], s[i]), _ = _chord(t0, *state, s_end[i])
-            elif plateau[i]:
+            else:
                 new, crossing = _plateau(metric, *state, s_end[i])
                 chart[i], t[i], th[i], vt[i], vth[i], s[i] = new
                 crossings[i] += crossing is not None
-            else:
-                # every member is non-radial, so no annulus step may leave [0, 1)
-                raise _bad_step(state[0], t[i], s[i], nt[i])
-        t[ok], th[ok], vt[ok], vth[ok] = nt[ok], nth[ok], nvt[ok], nvth[ok]
-        s[ok] += h[ok]
+        if annulus.size:
+            k = annulus
+            step = np.minimum(h[k], s_end[k] - s[k])
+            nt, nth, nvt, nvth, err = _dp5(_rhs_vec, metric, chart[k], t[k], th[k], vt[k], vth[k], step)
+            bad = np.flatnonzero(~((nt >= 0.0) & (nt < 1.0) & (err < math.inf)))
+            if bad.size:
+                j = bad[0]
+                raise _bad_step(int(chart[k[j]]), t[k[j]], s[k[j]], nt[j], err[j])
+            h[k] = np.minimum(h_max, step * np.clip(0.9 * (tol / (err + 1e-300)) ** 0.2, 0.2, 5.0))
+            ok = err <= tol
+            k = k[ok]
+            t[k], th[k], vt[k], vth[k] = nt[ok], nth[ok], nvt[ok], nvth[ok]
+            s[k] += step[ok]
 
         flips += (active & (np.sign(vth) != sign0)).astype(int)
         np.minimum(min_abs, np.abs(vth), out=min_abs)

@@ -36,8 +36,8 @@ from .metric import GluedMetric
 from .table import csv_text
 
 # the largest final speed_error that all_or_none_check accepts at ds = 1e-3 and
-# s_max <= 20: 5.3x the worst of its 100 default runs at seed 0 (1.9e-10), 3.5x
-# the worst over 43 seeds (2.8e-10); `drift_bound` scales it to other runs
+# s_max <= 20: 3.3x the worst of its 100 default runs at seed 0 (3.0e-10), 2.4x
+# the worst over 42 seeds (4.1e-10); `drift_bound` scales it to other runs
 DRIFT_BOUND = 1e-9
 
 
@@ -104,16 +104,17 @@ def _sample_nonradial_states(
 def drift_bound(ds: float, s_max: float) -> float:
     """The largest worst-member speed_error that all_or_none_check accepts.
 
-    DRIFT_BOUND for steps up to DEFAULT_DS and runs up to DEFAULT_S_MAX,
-    times (ds / DEFAULT_DS)**5 and s_max / DEFAULT_S_MAX above them.  The
-    drift of the default metric's 100 runs is set by the worst annulus
-    passes, so it scales with the step: as ds^4 for RK4 while steps are
-    small (3.1e-9 at ds = 2e-3, 2.4e-6 at 1e-2), and faster once they near
-    the annulus width (worst of 4 seeds 2.8e-1 at 0.12, where the fifth
-    power still leaves 89x; at 0.14 steps jump the plateau and the run
-    aborts).  It grows with s_max far less than linearly (1.5e-10 at
-    s_max = 1, 2.1e-10 at 100; 10 runs reach 2.2e-10 at 400), and shorter
-    steps only lower it (8e-14 at ds = 1e-4).
+    DRIFT_BOUND for ds up to DEFAULT_DS and runs up to DEFAULT_S_MAX, times
+    (ds / DEFAULT_DS)**5 and s_max / DEFAULT_S_MAX above them.  The drift
+    of the default metric's 100 runs is set by the annulus steps, whose
+    error tolerance grows as ds^4 (`geodesics.ANNULUS_TOL`), and so does
+    the drift while steps are short (4.4e-9 at ds = 2e-3, 2.0e-6 at 1e-2);
+    it levels off near 0.14 once every step is the largest one, half the
+    narrower flat zone (worst of 4 seeds: 9.3e-3 at ds = 0.05, 1.3e-1 at
+    0.12, 1.4e-1 at 0.2 and at 0.24, where the bound is 8e2).  It grows
+    with s_max about linearly (1.6e-11 at s_max = 1, 1.1e-9 at 100; 10
+    runs reach 2.3e-9 at 400), and shorter steps only lower it (4e-14 at
+    ds = 1e-4).
     """
     return DRIFT_BOUND * max(1.0, ds / DEFAULT_DS) ** 5 * max(1.0, s_max / DEFAULT_S_MAX)
 

@@ -32,7 +32,7 @@ from sectionlab import (
 )
 
 from sectionlab.circle import periodic_spline
-from sectionlab.geodesics import ANGLE_BOUND
+from sectionlab.geodesics import ANGLE_BOUND, _dp5
 from sectionlab.verify import _sample_nonradial_states
 from oracles import flat_polar_geodesic
 from strategies import drawn_maps
@@ -91,6 +91,59 @@ def test_initial_state_must_be_unit_speed():
     m = default_metric()
     with pytest.raises(ValueError):
         integrate(m, GeodesicState(1, 0.5, 0.0, 1.0, 0.5), s_max=0.01)
+
+
+# --- integrator: the Dormand-Prince stepper ------------------------------------
+
+
+def test_dp5_step_is_the_stability_polynomial():
+    # on y' = lambda y one step multiplies every component by the DP5 stability
+    # polynomial of z = lambda h; this pins the tableau
+    y0 = (1.0, -2.0, 0.5, 3.0)
+    for z in (-0.5, 0.3, 0.01):
+        step = _dp5(lambda _m, _c, *y: tuple(z * x for x in y), None, 1, *y0, 1.0)
+        poly = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24 + z**5 / 120 + z**6 / 600
+        for got, y in zip(step[:4], y0):
+            assert abs(got - poly * y) <= 4.0 * np.finfo(float).eps * abs(poly * y)
+        assert all(type(x) is float for x in step)  # floats stay Python floats
+
+
+def test_dp5_local_error_orders():
+    # y' = y^2 from y = -1: the fifth-order step errs by O(h^6) against the
+    # exact -1 / (1 + h), and the embedded estimate scales as h^5
+    def square(_m, _c, *y):
+        return tuple(x * x for x in y)
+
+    errors, estimates = [], []
+    for h in (0.025, 0.0125):
+        *state, estimate = _dp5(square, None, 1, -1.0, -1.0, -1.0, -1.0, h)
+        errors.append(max(abs(x + 1.0 / (1.0 + h)) for x in state))
+        estimates.append(estimate)
+    assert 5.5 < math.log2(errors[0] / errors[1]) < 6.5
+    assert 4.5 < math.log2(estimates[0] / estimates[1]) < 5.5
+
+
+def test_adaptive_annulus_steps_are_few():
+    # fixed RK4 steps of ds = 1e-3 recorded 11609 states on this run
+    m = default_metric()
+    traj = integrate(m, unit_speed_state(m, 1, 0.5, 1.0, 1.1), ds=1e-3, s_max=20.0)
+    assert traj.final.s == 20.0 and len(traj.crossings) == 12
+    assert len(traj.states) < 11609 / 3
+
+
+def test_radial_run_is_exact_segments():
+    # radial lines are straight: outward to the rim in one plateau segment,
+    # inward to t1, one chord through the center to t0 on the far side, and
+    # outward again to the end of the run
+    m = default_metric()
+    traj = integrate(m, GeodesicState(1, 0.5, 2.0, 1.0, 0.0), ds=1e-3, s_max=2.0)
+    expected = [(1, 0.5, 0.0), (2, 1.0, 0.5), (2, m.t1, 0.75), (2, m.t0, 1.75), (2, 0.5, 2.0)]
+    assert [(st.chart, st.t, st.s) for st in traj.states] == expected
+    (passage,) = traj.center_passages
+    assert passage.s == 1.5 and traj.final.theta == passage.direction
+    # a 20-unit radial run from the center records 3 states per diameter
+    traj = integrate(m, GeodesicState(1, 0.0, 0.5, 1.0, 0.0), ds=1e-3, s_max=20.0)
+    assert len(traj.states) == 32 and len(traj.center_passages) == 10
 
 
 # --- integrator: crossings and center passages ----------------------------------
@@ -238,7 +291,7 @@ def test_ensemble_agrees_with_scalar():
     res = integrate_ensemble(m, inits, ds=1e-3, s_max=5.0)
     for i, (init, fin) in enumerate(zip(inits, res.final_states)):
         traj = integrate(m, init, ds=1e-3, s_max=5.0)
-        # a state inside the flat disk is followed by its chord's end, never an RK4 step
+        # a state inside the flat disk is followed by its chord's end, never an annulus step
         for prev, st in zip(traj.states, traj.states[1:]):
             assert prev.t >= m.t0 or st.t == m.t0 or st is traj.final
         assert res.crossings[i] == len(traj.crossings)
@@ -319,7 +372,7 @@ def _speed_squared(m, st):
 )
 def test_plateau_visit_is_one_segment_each_way(make_metric):
     # from exactly t1 outward: one straight segment to the rim, the seam, and
-    # one back to exactly t1 on the other chart; then RK4 in the annulus
+    # one back to exactly t1 on the other chart; then annulus steps
     m = make_metric()
     init = unit_speed_state(m, 1, m.t1, 2.0, 0.7)
     traj = integrate(m, init, ds=1e-3, s_max=0.7)
@@ -333,7 +386,7 @@ def test_plateau_visit_is_one_segment_each_way(make_metric):
     for a, b in ((start, rim), (rim, back)):
         assert abs(_speed_squared(m, b) - _speed_squared(m, a)) <= 4.0 * np.finfo(float).eps
     assert back.vtheta > 0.0 and all(st.t < m.t1 for st in traj.states[3:])
-    # no RK4 step starts on the plateau: a plateau state is followed by the rim or t1
+    # no annulus step starts on the plateau: a plateau state is followed by the rim or t1
     for prev, st in zip(traj.states, traj.states[1:]):
         if prev.t > m.t1 or (prev.t == m.t1 and prev.vt >= 0.0):
             assert st.t in (1.0, m.t1) or st is traj.final

@@ -44,13 +44,23 @@ def test_all_or_none_small_run_passes():
 
 
 def test_all_or_none_passes_at_a_coarser_legal_step():
-    # RK4's drift grows as ds^4: at ds = 5e-3 a correct run exceeds the
-    # bound of the default step, so the bound has to scale with the run
+    # ds sets the annulus tolerance, which grows as ds^4: at ds = 5e-3 a
+    # correct run exceeds the bound of the default step, so the bound has to
+    # scale with the run
     assert drift_bound(1e-3, 4.0) == drift_bound(5e-4, 20.0) == DRIFT_BOUND
     assert drift_bound(2e-3, 40.0) == 64 * DRIFT_BOUND
     res = all_or_none_check(default_metric(), n_geodesics=12, s_max=4.0, ds=5e-3, seed=3)
     assert res.passed
     assert DRIFT_BOUND < _drift(res) <= drift_bound(5e-3, 4.0)
+
+
+def test_all_or_none_passes_at_the_largest_legal_steps():
+    # annulus steps are at most half the narrower flat zone whatever ds, so
+    # every ds that Config.validate accepts runs to the end (fixed steps of
+    # 0.2 jumped the plateau on these 100 runs)
+    res = all_or_none_check(default_metric(), n_geodesics=100, s_max=4.0, ds=0.2, seed=3)
+    assert res.passed, res.detail
+    assert "integration aborted" not in res.detail
 
 
 def test_all_or_none_flat_disk():
