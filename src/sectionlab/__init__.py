@@ -46,7 +46,7 @@ from .geodesics import (
     trace_section,
     unit_speed_state,
 )
-from .metric import DegenerateAtCenter, GluedMetric, smooth_step
+from .metric import DegenerateAtCenter, GluedMetric
 from .verify import (
     CheckResult,
     NonPositiveRadius,
@@ -96,7 +96,6 @@ __all__ = [
     "unit_speed_state",
     "DegenerateAtCenter",
     "GluedMetric",
-    "smooth_step",
     "CheckResult",
     "NonPositiveRadius",
     "VerificationReport",

@@ -72,9 +72,6 @@ def line_distance(a, b):
     Angles that differ by pi describe the same line, so this is the circle
     distance computed modulo pi; the result lies in [0, pi/2].
     """
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        d = np.mod(np.abs(np.asarray(a, dtype=float) - b), math.pi)
-        return np.minimum(d, math.pi - d)
     d = abs(a - b) % math.pi
     return min(d, math.pi - d)
 
@@ -166,9 +163,10 @@ def _bump01_d1d2_vec(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class CircleDiffeo:
     """Base class: an orientation-preserving diffeomorphism of the circle.
 
-    Subclasses provide the lift and its derivatives; the base class supplies
-    evaluation, the generic monotone inverse, and construction-time checks.
-    Instances are immutable after construction and safe for concurrent reads.
+    Subclasses provide the lift, its derivative and `derivative_pair`; the
+    base class supplies evaluation, the generic monotone inverse, and
+    construction-time checks.  Instances are immutable after construction
+    and safe for concurrent reads.
     """
 
     kind = "abstract"
@@ -182,9 +180,6 @@ class CircleDiffeo:
     def lift_derivative(self, x):
         raise NotImplementedError
 
-    def lift_second_derivative(self, x):
-        raise NotImplementedError
-
     def __call__(self, theta):
         """Evaluate the map; returns the canonical representative."""
         return normalize(self.lift(normalize(theta)))
@@ -193,12 +188,9 @@ class CircleDiffeo:
         """F'(theta) > 0; the same value for every representative of theta."""
         return self.lift_derivative(normalize(theta))
 
-    def second_derivative(self, theta):
-        return self.lift_second_derivative(normalize(theta))
-
     def derivative_pair(self, theta):
-        """(F', F'') in one call; subclasses may share subexpressions."""
-        return self.derivative(theta), self.second_derivative(theta)
+        """(F'(theta), F''(theta)); F' is bit-equal to `derivative(theta)`."""
+        raise NotImplementedError
 
     def inverse(self, y):
         """Solve f(x) = y on the circle.
@@ -321,8 +313,9 @@ class RotationDiffeo(CircleDiffeo):
     def lift_derivative(self, x):
         return np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0
 
-    def lift_second_derivative(self, x):
-        return np.zeros_like(x, dtype=float) if isinstance(x, np.ndarray) else 0.0
+    def derivative_pair(self, theta):
+        one = self.lift_derivative(theta)
+        return one, 0.0 * one
 
     def inverse(self, y):
         # exact: no root finding needed
@@ -383,9 +376,6 @@ class BumpDiffeo(CircleDiffeo):
         u = self._u(x)
         d1 = _bump01_d1_vec(u) if isinstance(u, np.ndarray) else _bump01_d1(u)
         return 1.0 + (self.amplitude / self._width) * d1
-
-    def lift_second_derivative(self, x):
-        return self.derivative_pair(x)[1]
 
     def derivative_pair(self, theta):
         u = self._u(theta)
@@ -487,8 +477,9 @@ class SplineDiffeo(CircleDiffeo):
     def lift_derivative(self, x):
         return 1.0 + self._dev(x, 1)
 
-    def lift_second_derivative(self, x):
-        return self._dev(x, 2)
+    def derivative_pair(self, theta):
+        x = normalize(theta)
+        return 1.0 + self._dev(x, 1), self._dev(x, 2)
 
     def __repr__(self):
         return f"SplineDiffeo(n_knots={self.knots.size})"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -105,6 +106,11 @@ def cmd_trace(cfg: Config, seed: int, out: Path, theta0: float, max_legs: int, n
 
 
 def cmd_verify(cfg: Config, seed: int, out: Path, tamper_psi1: float) -> int:
+    # the flags are checked here, so that their errors do not blame the config
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative for verify, got {seed}")
+    if not 0.0 < tamper_psi1 < math.inf:
+        raise ValueError(f"--tamper-psi1 must be positive and finite, got {tamper_psi1!r}")
     metric = cfg.build_metric(psi1_scale=tamper_psi1)
     report = run_all_checks(metric, seed=seed, s_max=cfg.s_max, ds=cfg.ds)
     csv_path = out / "verify.csv"

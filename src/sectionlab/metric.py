@@ -41,6 +41,9 @@ DEFAULT_T0 = 0.25
 DEFAULT_T1 = 0.75
 # plateau profiles must be positive on this many equispaced angles
 _PSI_GRID = 720
+# gluing_residual compares the two sides of the seam on this angle x radius grid
+SEAM_GRID_THETA = 720
+SEAM_GRID_T = 64
 
 
 class DegenerateAtCenter(ValueError):
@@ -86,13 +89,6 @@ def _step01_vec(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         0.0,
     )
     return s, ds
-
-
-def smooth_step(t, t0: float, t1: float):
-    """Smooth step in t: 0 on (-inf, t0], 1 on [t1, inf)."""
-    if isinstance(t, np.ndarray):
-        return _step01_vec((t - t0) / (t1 - t0))[0]
-    return _step01((t - t0) / (t1 - t0))[0]
 
 
 class _PlateauLift(CircleDiffeo):
@@ -168,7 +164,6 @@ class GluedMetric:
         psi1_min = float(np.min(psi1_vals))
         if not psi1_min > 0.0:
             raise ValueError(f"derived psi1 must be positive; min on grid is {psi1_min:.6g}")
-        self.psi_min = min(psi1_min, float(np.min(psi2_vals)))
         if self._psi2_const is not None:
             self._plateau_lift, self._psi2_mean = IdentityDiffeo(), self._psi2_const
         else:
@@ -278,16 +273,18 @@ class GluedMetric:
         phi, phi_t, phi_theta = self.warp_with_partials(chart, t, theta)
         return (-phi * phi_t, phi_t / phi, phi_theta / phi)
 
-    def gluing_residual(self, n_theta: int = 720, n_t: int = 64) -> float:
-        """Max over a plateau grid of the seam compatibility defect.
+    def gluing_residual(self) -> float:
+        """Max over the plateau grid of the seam compatibility defect.
 
         Compares the chart-1 warp against the chart-2 warp pulled back
         through the rim identification (collar coordinate u = 2 - t, so
-        du = -dt and the angular term picks up one factor of F').  Exactly 0
-        up to evaluation roundoff under the default derived convention.
+        du = -dt and the angular term picks up one factor of F') on
+        SEAM_GRID_THETA equispaced angles times SEAM_GRID_T radii of
+        [t1, 1].  Exactly 0 up to evaluation roundoff under the default
+        derived convention.
         """
-        ts = np.linspace(self.t1, 1.0, n_t)
-        thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
+        ts = np.linspace(self.t1, 1.0, SEAM_GRID_T)
+        thetas = np.linspace(0.0, TWO_PI, SEAM_GRID_THETA, endpoint=False)
         worst = 0.0
         fprime = self.f.derivative(thetas)
         images = self.f(thetas)

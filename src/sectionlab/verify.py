@@ -32,7 +32,7 @@ from .geodesics import (
     speed_error,
     unit_speed_state,
 )
-from .metric import GluedMetric
+from .metric import SEAM_GRID_T, SEAM_GRID_THETA, GluedMetric
 from .table import csv_text
 
 # the largest final speed_error that all_or_none_check accepts at ds = 1e-3 and
@@ -176,13 +176,13 @@ def all_or_none_check(
     )
 
 
-def gluing_check(metric: GluedMetric, n_theta: int = 720, n_t: int = 64) -> CheckResult:
-    residual = metric.gluing_residual(n_theta=n_theta, n_t=n_t)
+def gluing_check(metric: GluedMetric) -> CheckResult:
+    residual = metric.gluing_residual()
     return CheckResult(
         name="gluing_compatibility",
         passed=residual < 1e-14,
         residual=residual,
-        params={"n_theta": n_theta, "n_t": n_t},
+        params={"n_theta": SEAM_GRID_THETA, "n_t": SEAM_GRID_T},
         detail=f"max seam defect over plateau grid = {residual:.3e}",
     )
 

@@ -195,6 +195,29 @@ def test_bad_input_exit_2(tmp_path, capsys, argv):
     assert not (out / "trace.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--tamper-psi1", "0"], "--tamper-psi1"),
+        (["verify", "--tamper-psi1=nan"], "--tamper-psi1"),
+        (["verify", "--tamper-psi1=-1"], "--tamper-psi1"),
+        (["--seed", "-1", "verify"], "--seed"),
+    ],
+)
+def test_bad_flag_names_the_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "o"
+    assert main(["--out", str(out)] + argv) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "config" not in err
+    assert not (out / "verify.csv").exists()
+
+
+def test_negative_seed_legal_outside_verify(tmp_path):
+    cfg = write(tmp_path, IDENTITY_CFG)
+    for argv in (["scan-periods"], ["trace", "0.0"]):
+        assert main(["--config", cfg, "--seed", "-1", "--out", str(tmp_path / "o")] + argv) == 0
+
+
 # --- verify ---------------------------------------------------------------------------
 
 
@@ -423,7 +446,19 @@ def test_tabulated_psi2(tmp_path, capsys):
 
 
 def test_public_names_resolve():
-    assert all(hasattr(sectionlab, name) for name in sectionlab.__all__)
+    # __all__ lists each name the package imports, once, so a deleted
+    # function cannot leave a stale export behind
+    tree = ast.parse(Path(sectionlab.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    exported = sectionlab.__all__
+    assert len(exported) == len(set(exported))
+    assert set(exported) == imported
+    assert all(hasattr(sectionlab, name) for name in exported)
 
 
 def test_scipy_never_loaded(tmp_path):

@@ -1,11 +1,13 @@
 """Tests for the exact tracer and the numerical geodesic integrator."""
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from sectionlab import (
@@ -20,6 +22,7 @@ from sectionlab import (
     antipode,
     circle_distance,
     compare_sections,
+    geodesics,
     integrate,
     integrate_ensemble,
     line_distance,
@@ -33,9 +36,9 @@ from sectionlab import (
 
 from sectionlab.circle import periodic_spline
 from sectionlab.geodesics import ANGLE_BOUND, _dp5
-from sectionlab.verify import _sample_nonradial_states
+from sectionlab.verify import _sample_nonradial_states, drift_bound
 from oracles import flat_polar_geodesic
-from strategies import drawn_maps
+from strategies import drawn_maps, spline_tables
 from test_circle import all_families
 
 RNG = np.random.default_rng(4242)
@@ -534,6 +537,98 @@ def test_bad_chart_rejected(chart):
         ):
             with pytest.raises(ValueError, match="chart must be 1 or 2"):
                 call()
+
+
+# --- invariants: Clairaut's integral and the flat zones ----------------------------
+
+# a clearly non-radial start: chart, radius, angle and direction (unit_speed_state)
+nonradial_starts = st.tuples(
+    st.integers(1, 2),
+    st.floats(0.05, 0.95),
+    st.floats(0.0, TWO_PI),
+    st.one_of(st.floats(0.1, math.pi - 0.1), st.floats(-math.pi + 0.1, -0.1)),
+)
+rotation_maps = st.floats(0.0, TWO_PI).map(lambda angle: lambda: RotationDiffeo(angle))
+
+
+def _clairaut_drift(m, traj):
+    """Worst change of L = phi^2 vtheta within a chart-2 visit of traj, or
+    along the whole run on a rotation gluing, whose seam keeps L as well."""
+    if isinstance(m.f, RotationDiffeo):
+        runs = [traj.states]
+    else:
+        by_chart = itertools.groupby(traj.states, key=lambda state: state.chart)
+        runs = [list(visit) for chart, visit in by_chart if chart == 2]
+    worst = 0.0
+    for run in runs:
+        ls = [m.warp(x.chart, x.t, x.theta) ** 2 * x.vtheta for x in run]
+        worst = max(worst, *(abs(x - ls[0]) for x in ls))
+    return worst
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(st.one_of(rotation_maps, drawn_maps), st.floats(0.5, 1.5), nonradial_starts)
+def test_clairaut_constant_kept_on_a_constant_psi2(build, c, start):
+    # with a constant psi2 chart 2 is a surface of revolution, so L is a
+    # first integral there (do Carmo, Differential Geometry of Curves and
+    # Surfaces, 4-4); the annulus steps keep it to their accuracy
+    try:
+        m = GluedMetric(build(), psi2=c)
+    except ValueError:  # MonotonicityViolation included
+        return
+    for ds in (1e-3, 5e-3):
+        traj = integrate(m, unit_speed_state(m, *start), ds=ds, s_max=4.0)
+        assert _clairaut_drift(m, traj) <= drift_bound(ds, 4.0)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [default_metric(), GluedMetric(RotationDiffeo(1.1), psi2=1.2)],
+    ids=["chart2_visits", "rotation_whole_run"],
+)
+def test_clairaut_oracle_fails_under_a_wrong_christoffel_term(monkeypatch, m):
+    # the negative control of all_or_none_check, on the scalar right-hand side
+    def skewed_rhs(metric, chart, t, th, vt, vth):
+        phi, phi_t, phi_th = metric.warp_with_partials(chart, t, th)
+        dvt = phi * phi_t * vth * vth
+        dvth = -1.01 * (2.0 * phi_t / phi) * vt * vth - (phi_th / phi) * vth * vth
+        return vt, vth, dvt, dvth
+
+    monkeypatch.setattr(geodesics, "_rhs", skewed_rhs)
+    states = _sample_nonradial_states(m, 6, np.random.default_rng(3))
+    worst = max(_clairaut_drift(m, integrate(m, init, s_max=4.0)) for init in states)
+    assert worst > 1e3 * drift_bound(1e-3, 4.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(
+    drawn_maps,
+    spline_tables(),
+    st.floats(0.02, 0.24),
+    st.floats(0.0, TWO_PI),
+    st.floats(-math.pi, math.pi).filter(lambda chi: abs(math.sin(chi)) > 1e-3),
+)
+def test_drawn_psi2_tables_glue_and_keep_the_flat_zone_invariants(build, table, t, theta, chi):
+    # a short run from the chart-1 flat disk: each chord keeps t^2 vtheta and
+    # each plateau segment keeps vsigma = psi vtheta, across the seam too
+    knots, values = table
+    try:
+        m = GluedMetric(build(), psi2=periodic_spline(knots, 1.0 + 0.4 * values))
+    except ValueError:  # a non-monotone map or a psi2 table that dips to 0
+        return
+    assert m.gluing_residual() < 1e-14
+    psi = {1: m.psi1, 2: m.psi2}
+    traj = integrate(m, unit_speed_state(m, 1, t, theta, chi), s_max=1.5)
+    chords = plateaus = 0
+    for a, b in zip(traj.states, traj.states[1:]):
+        if a.t < m.t0:
+            chords += 1
+            assert b.t**2 * b.vtheta == pytest.approx(a.t**2 * a.vtheta, rel=1e-14)
+        elif a.t > m.t1 or (a.t == m.t1 and a.vt >= 0.0):
+            plateaus += 1
+            vsigma = psi[a.chart](a.theta) * a.vtheta
+            assert psi[b.chart](b.theta) * b.vtheta == pytest.approx(vsigma, rel=1e-12)
+    assert chords >= 1 and plateaus >= 1
 
 
 # --- exact tracer ----------------------------------------------------------------

@@ -12,9 +12,9 @@ from sectionlab import (
     IdentityDiffeo,
     RotationDiffeo,
     semicircle_bump,
-    smooth_step,
 )
 from sectionlab.circle import periodic_spline
+from sectionlab.metric import _step01, _step01_vec
 
 RNG = np.random.default_rng(99)
 
@@ -27,18 +27,22 @@ def default_metric():
 
 
 def test_smooth_step_plateaus():
-    assert smooth_step(0.1, 0.25, 0.75) == 0.0
-    assert smooth_step(0.25, 0.25, 0.75) == 0.0
-    assert smooth_step(0.75, 0.25, 0.75) == 1.0
-    assert smooth_step(0.9, 0.25, 0.75) == 1.0
-    assert 0.0 < smooth_step(0.5, 0.25, 0.75) < 1.0
-    assert smooth_step(0.5, 0.25, 0.75) == pytest.approx(0.5, abs=1e-12)
+    # value and derivative of the step in u = (t - t0) / (t1 - t0)
+    for u in (-0.3, 0.0):
+        assert _step01(u) == (0.0, 0.0)
+    for u in (1.0, 1.3):
+        assert _step01(u) == (1.0, 0.0)
+    assert 0.0 < _step01(0.5)[0] < 1.0
+    assert _step01(0.5)[0] == pytest.approx(0.5, abs=1e-12)
+    s, ds = _step01_vec(np.array([-0.3, 0.0, 1.0, 1.3]))
+    assert s.tolist() == [0.0, 0.0, 1.0, 1.0] and ds.tolist() == [0.0] * 4
 
 
 def test_smooth_step_monotone():
-    ts = np.linspace(0.0, 1.0, 2001)
-    vals = smooth_step(ts, 0.25, 0.75)
-    assert np.all(np.diff(vals) >= 0)
+    us = np.linspace(-0.5, 1.5, 2001)
+    s, ds = _step01_vec(us)
+    assert np.all(np.diff(s) >= 0) and np.all(ds >= 0)
+    assert np.allclose(s, [_step01(u)[0] for u in us], rtol=0, atol=1e-15)
 
 
 # --- warp zones ----------------------------------------------------------------
@@ -77,7 +81,7 @@ def test_warp_positive_above_t0():
     m = default_metric()
     ts = np.linspace(0.25, 1.0, 200)
     thetas = np.linspace(0.0, TWO_PI, 720, endpoint=False)
-    lo = min(m.t0, m.psi_min)
+    lo = min(m.t0, np.min(m.psi1(thetas)), np.min(m.psi2(thetas)))
     for t in ts:
         phi = m.warp(1, np.full_like(thetas, float(t)), thetas)
         assert np.min(phi) >= lo * (1.0 - 1e-15)
@@ -215,7 +219,7 @@ def test_gluing_residual_rotation():
 
 
 def test_gluing_residual_bump_default_convention():
-    assert default_metric().gluing_residual(n_theta=720, n_t=64) < 1e-14
+    assert default_metric().gluing_residual() < 1e-14
 
 
 def test_gluing_residual_detects_tampering():
