@@ -97,13 +97,13 @@ def antipode(theta):
 # u = 0, 1, which is what makes the bump family genuinely C-infinity.
 
 _PEAK = 4.0  # 1 / (q at u = 1/2); exp(4 - 1/q) has maximum 1
-# below q = 1e-3 the profile underflows to exactly 0.0 in double precision
+# below q = 1e-3 the profile underflows to exactly 0.0 in double precision;
+# off (0, 1), infinities included, q = u(1 - u) <= 0, so the floor alone
+# zeroes every kernel there
 _Q_FLOOR = 1e-3
 
 
 def _bump01(u: float) -> float:
-    if u <= 0.0 or u >= 1.0:
-        return 0.0
     q = u * (1.0 - u)
     if q < _Q_FLOOR:
         return 0.0
@@ -119,8 +119,6 @@ def _bump01_vec(u: np.ndarray) -> np.ndarray:
 
 def _bump01_d1(u: float) -> float:
     """First derivative alone, by the same expression as in _bump01_d1d2."""
-    if u <= 0.0 or u >= 1.0:
-        return 0.0
     q = u * (1.0 - u)
     if q < _Q_FLOOR:
         return 0.0
@@ -136,8 +134,6 @@ def _bump01_d1_vec(u: np.ndarray) -> np.ndarray:
 
 def _bump01_d1d2(u: float) -> tuple[float, float]:
     """First and second derivative from one shared exponential."""
-    if u <= 0.0 or u >= 1.0:
-        return 0.0, 0.0
     q = u * (1.0 - u)
     if q < _Q_FLOOR:
         return 0.0, 0.0

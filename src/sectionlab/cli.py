@@ -25,7 +25,7 @@ from .config import Config, ConfigError, load_config
 from .dynamics import TransitionMap, classify_scan
 from .geodesics import GeodesicState, integrate, section_verdict, trace_section
 from .table import csv_text
-from .verify import NonPositiveRadius, rational_closure, run_all_checks
+from .verify import rational_closure, run_all_checks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -143,13 +143,9 @@ def cmd_build_metric(cfg: Config, seed: int, out: Path, n_t: int, n_theta: int) 
 
 
 def cmd_common_period(args) -> int:
-    try:
-        value = rational_closure(
-            (args.r_num, args.r_den), (args.s_num, args.s_den), irrational_ratio=args.irrational
-        )
-    except (NonPositiveRadius, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    value = rational_closure(
+        (args.r_num, args.r_den), (args.s_num, args.s_den), irrational_ratio=args.irrational
+    )
     print("never closes" if value is None else f"L / (2*pi) = {value}")
     return EXIT_OK
 
@@ -196,17 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "common-period":
-        return cmd_common_period(args)
+    args = build_parser().parse_args(argv)
     try:
+        if args.command == "common-period":
+            return cmd_common_period(args)
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out = _out_dir(cfg, args.out)
-    try:
+        out = _out_dir(cfg, args.out)
         if args.command == "scan-periods":
             return cmd_scan_periods(cfg, args.seed, out)
         if args.command == "trace":
@@ -221,7 +212,7 @@ def main(argv=None) -> int:
     except ConvergenceFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except ValueError as exc:  # bad input; after the ValueError subclasses above
+    except (ValueError, OSError) as exc:  # bad input or output path; after ConfigError above
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -9,6 +9,7 @@ outputs, so an experiment is reproducible from the artifact alone.
 from __future__ import annotations
 
 import configparser
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -22,7 +23,9 @@ from .circle import (
     SplineDiffeo,
     periodic_spline,
 )
-from .metric import GluedMetric
+from .dynamics import DEFAULT_K_MAX, DEFAULT_TOL
+from .geodesics import DEFAULT_DS, DEFAULT_S_MAX, DS_MIN
+from .metric import DEFAULT_T0, DEFAULT_T1, GluedMetric
 
 
 class ConfigError(ValueError):
@@ -43,17 +46,17 @@ class Config:
     spline_knots: list = field(default_factory=list)
     spline_values: list = field(default_factory=list)
     # [metric]
-    t0: float = 0.25
-    t1: float = 0.75
+    t0: float = DEFAULT_T0
+    t1: float = DEFAULT_T1
     psi2_thetas: list = field(default_factory=list)
     psi2_values: list = field(default_factory=list)
     # [integrator]
-    ds: float = 1e-3
-    s_max: float = 20.0
+    ds: float = DEFAULT_DS
+    s_max: float = DEFAULT_S_MAX
     # [scan]
     n_samples: int = 360
-    k_max: int = 64
-    tol: float = 1e-9
+    k_max: int = DEFAULT_K_MAX
+    tol: float = DEFAULT_TOL
     # [output]
     directory: str = "out"
 
@@ -104,10 +107,15 @@ class Config:
                 values = value if kind == "list" else [value]
                 if kind in ("float", "list") and not all(map(math.isfinite, values)):
                     raise ConfigError(f"{section}.{key}: must be finite, got {value!r}")
+        if "\n" in self.directory:  # it would split its line of the output headers
+            raise ConfigError(f"output.directory: must be one line, got {self.directory!r}")
         if not 0.0 < self.t0 < self.t1 < 1.0:
             raise ConfigError(f"metric.t0/t1: need 0 < t0 < t1 < 1, got {self.t0}, {self.t1}")
-        if not 0 < self.ds < min(self.t0, 1.0 - self.t1):
-            raise ConfigError(f"integrator.ds: need 0 < ds < min(t0, 1 - t1), got {self.ds}")
+        if not DS_MIN <= self.ds < min(self.t0, 1.0 - self.t1):
+            raise ConfigError(
+                f"integrator.ds: need DS_MIN <= ds < min(t0, 1 - t1) with DS_MIN = {DS_MIN:.3g}, "
+                f"got {self.ds}"
+            )
         if not self.s_max > 0:
             raise ConfigError(f"integrator.s_max: must be positive, got {self.s_max}")
         if self.n_samples < 1:
@@ -119,32 +127,28 @@ class Config:
         # object-level invariants are enforced by construction
         self.build_metric()
 
+    def _entries(self):
+        """(section, key, formatted value) of every emitted key, in table order.
+
+        Empty lists are left out.
+        """
+        for section, keys in _SECTIONS.items():
+            for key in keys:
+                value, kind = getattr(self, key), _FIELD_KINDS[key]
+                if kind != "list" or value:
+                    yield section, key, _CODECS[kind][1](value)
+
     def effective_text(self) -> str:
         """Canonical INI text with every key explicit; emitting is idempotent."""
-        blocks = []
-        for section, keys in _SECTIONS.items():
-            lines = [f"[{section}]"]
-            for key in keys:
-                value = getattr(self, key)
-                kind = _FIELD_KINDS[key]
-                if kind != "list" or value:  # empty lists are left out
-                    lines.append(f"{key} = {_CODECS[kind][1](value)}")
-            blocks.append("\n".join(lines) + "\n")
+        blocks = (
+            "\n".join([f"[{section}]"] + [f"{key} = {text}" for _, key, text in entries]) + "\n"
+            for section, entries in itertools.groupby(self._entries(), key=lambda e: e[0])
+        )
         return "\n".join(blocks)
 
     def header_lines(self) -> list[str]:
         """Effective config as comment-ready lines for output headers."""
-        lines = []
-        section = None
-        for raw in self.effective_text().splitlines():
-            raw = raw.strip()
-            if not raw:
-                continue
-            if raw.startswith("["):
-                section = raw[1:-1]
-                continue
-            lines.append(f"{section}.{raw}")
-        return lines
+        return [f"{section}.{key} = {text}" for section, key, text in self._entries()]
 
 
 def _fmt_list(values) -> str:

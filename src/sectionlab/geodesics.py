@@ -143,6 +143,9 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 
 # an annulus step is accepted when its error estimate is at most
 # ANNULUS_TOL * (ds / DEFAULT_DS)**4, the accuracy of fixed RK4 steps of ds
 ANNULUS_TOL = 1e-11
+# the least legal ds: there the step tolerance is one rounding (2**-52) of an
+# O(1) state; below it the tolerance underflows and the steps stall at h -> 0
+DS_MIN = DEFAULT_DS * (2.0**-52 / ANNULUS_TOL) ** 0.25
 
 
 def _combine(y, h, weights, ks):
@@ -175,7 +178,7 @@ def _dp5(rhs, metric, chart, t, th, vt, vth, h):
 def _start(metric, init: GeodesicState, ds: float, s_max: float):
     """Checked start of a run: (chart, t, theta, vt, vtheta, s, s_end).
 
-    The accuracy parameter ds must be positive, the span positive and
+    The accuracy parameter ds must be at least DS_MIN, the span positive and
     finite, and the state on chart 1 or 2, inside the disk (0 <= t < 1),
     with |theta| < ANGLE_BOUND, finite s and unit speed to 1e-9.  A state
     with |vtheta| < RADIAL_TOL is snapped to exactly radial.  Any other
@@ -183,8 +186,8 @@ def _start(metric, init: GeodesicState, ds: float, s_max: float):
     the accuracy of the annulus steps, not their length (`_annulus_control`):
     at the default it matches fixed fourth-order steps of length ds.
     """
-    if not ds > 0.0:
-        raise ValueError(f"ds must be positive, got {ds!r}")
+    if not ds >= DS_MIN:
+        raise ValueError(f"ds must be at least DS_MIN = {DS_MIN:.3g}, got {ds!r}")
     if not 0.0 < s_max < math.inf:
         raise ValueError(f"s_max must be positive and finite, got {s_max!r}")
     check_chart(init.chart)
@@ -604,22 +607,19 @@ class SectionVerdict:
 def section_verdict(trace: SectionTrace) -> SectionVerdict:
     """Closure, length and injectivity of a traced section.
 
-    Closure is read off the traced returns: the section closes with period k
-    when the k-th return lies within trace.tol of the start.  A trace that
-    does not close gets `Period.not_found(trace.k_max)`, which its first
-    return already proves for every horizon (see `trace_section`).  A closed
-    period-k section consists of k diameters in each disk, and the radial
-    coordinate is arclength (g_tt = 1), so its length is exactly 4k.
+    Closure is read off the last traced return: `trace_section` stops at
+    the first return within trace.tol of the start, so the section closes
+    exactly when orbit[-1] does, with period k = len(orbit) - 1.  A trace
+    that does not close gets `Period.not_found(trace.k_max)`, which its
+    first return already proves for every horizon (see `trace_section`).
+    A closed period-k section consists of k diameters in each disk, and the
+    radial coordinate is arclength (g_tt = 1), so its length is exactly 4k.
     Injectivity fails exactly when some center is passed along two distinct
     lines; re-traversal of the same line (period-1 closure) does not count.
     """
     tol = trace.tol
-    theta0 = trace.orbit[0]
-    k = next(
-        (m for m in range(1, len(trace.orbit)) if circle_distance(trace.orbit[m], theta0) < tol),
-        None,
-    )
-    closed = k is not None
+    k = len(trace.orbit) - 1
+    closed = k >= 1 and circle_distance(trace.orbit[-1], trace.orbit[0]) < tol
     period = Period.finite(k) if closed else Period.not_found(trace.k_max)
     length = float(4 * k) if closed else math.inf
 

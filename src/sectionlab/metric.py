@@ -41,9 +41,8 @@ DEFAULT_T0 = 0.25
 DEFAULT_T1 = 0.75
 # plateau profiles must be positive on this many equispaced angles
 _PSI_GRID = 720
-# gluing_residual compares the two sides of the seam on this angle x radius grid
+# gluing_residual compares the two sides of the seam on this many angles
 SEAM_GRID_THETA = 720
-SEAM_GRID_T = 64
 
 
 class DegenerateAtCenter(ValueError):
@@ -274,22 +273,16 @@ class GluedMetric:
         return (-phi * phi_t, phi_t / phi, phi_theta / phi)
 
     def gluing_residual(self) -> float:
-        """Max over the plateau grid of the seam compatibility defect.
+        """Max over SEAM_GRID_THETA equispaced angles of the seam compatibility defect.
 
-        Compares the chart-1 warp against the chart-2 warp pulled back
-        through the rim identification (collar coordinate u = 2 - t, so
-        du = -dt and the angular term picks up one factor of F') on
-        SEAM_GRID_THETA equispaced angles times SEAM_GRID_T radii of
-        [t1, 1].  Exactly 0 up to evaluation roundoff under the default
-        derived convention.
+        Compares the chart-1 warp at the rim against the chart-2 warp at the
+        rim pulled back through the rim identification, whose angular term
+        picks up one factor of F'.  One ring decides the whole plateau: for
+        t >= t1 the step is exactly 1, so phi = psi(theta) bit for bit at
+        every plateau radius of both charts.  Exactly 0 up to evaluation
+        roundoff under the default derived convention.
         """
-        ts = np.linspace(self.t1, 1.0, SEAM_GRID_T)
         thetas = np.linspace(0.0, TWO_PI, SEAM_GRID_THETA, endpoint=False)
-        worst = 0.0
-        fprime = self.f.derivative(thetas)
-        images = self.f(thetas)
-        for t in ts:
-            lhs = self.warp(1, np.full_like(thetas, t), thetas)
-            rhs = self.warp(2, np.full_like(thetas, 2.0 - t), images) * fprime
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return worst
+        lhs = self.warp(1, 1.0, thetas)
+        rhs = self.warp(2, 1.0, self.f(thetas)) * self.f.derivative(thetas)
+        return float(np.max(np.abs(lhs - rhs)))

@@ -32,7 +32,7 @@ from .geodesics import (
     speed_error,
     unit_speed_state,
 )
-from .metric import SEAM_GRID_T, SEAM_GRID_THETA, GluedMetric
+from .metric import SEAM_GRID_THETA, GluedMetric
 from .table import csv_text
 
 # the largest final speed_error that all_or_none_check accepts at ds = 1e-3 and
@@ -122,8 +122,8 @@ def drift_bound(ds: float, s_max: float) -> float:
 def all_or_none_check(
     metric: GluedMetric,
     n_geodesics: int = 100,
-    s_max: float = 20.0,
-    ds: float = 1e-3,
+    s_max: float = DEFAULT_S_MAX,
+    ds: float = DEFAULT_DS,
     seed: int = 0,
 ) -> CheckResult:
     """Sign of vtheta never changes along non-radial geodesics, and the runs keep unit speed.
@@ -182,7 +182,7 @@ def gluing_check(metric: GluedMetric) -> CheckResult:
         name="gluing_compatibility",
         passed=residual < 1e-14,
         residual=residual,
-        params={"n_theta": SEAM_GRID_THETA, "n_t": SEAM_GRID_T},
+        params={"n_theta": SEAM_GRID_THETA},
         detail=f"max seam defect over plateau grid = {residual:.3e}",
     )
 
@@ -191,8 +191,8 @@ def run_all_checks(
     metric: GluedMetric,
     seed: int = 0,
     n_geodesics: int = 100,
-    s_max: float = 20.0,
-    ds: float = 1e-3,
+    s_max: float = DEFAULT_S_MAX,
+    ds: float = DEFAULT_DS,
 ) -> VerificationReport:
     """Run every metric-level check once; deterministic given the seed."""
     report = VerificationReport()
@@ -207,6 +207,8 @@ def run_all_checks(
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, tuple):
+        if x[1] == 0:
+            raise NonPositiveRadius(f"radius {x[0]}/{x[1]} has a zero denominator")
         return Fraction(x[0], x[1])
     return Fraction(x)
 

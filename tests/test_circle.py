@@ -18,7 +18,16 @@ from sectionlab import (
     normalize,
     semicircle_bump,
 )
-from sectionlab.circle import INVERSE_TOL, periodic_spline
+from sectionlab.circle import (
+    INVERSE_TOL,
+    _bump01,
+    _bump01_d1,
+    _bump01_d1_vec,
+    _bump01_d1d2,
+    _bump01_d1d2_vec,
+    _bump01_vec,
+    periodic_spline,
+)
 
 from oracles import bump_lift, central_diff, make_sinusoid_spline_data, spline_lift_oracle
 from strategies import drawn_maps, spline_tables
@@ -260,6 +269,30 @@ def test_derivative_pair_consistent():
         pairs = [f.derivative_pair(float(x)) for x in xs]
         assert [p[0] for p in pairs] == [f.derivative(float(x)) for x in xs], f.kind
         assert np.allclose([p[1] for p in pairs], d2, rtol=1e-13, atol=1e-14), f.kind
+
+
+def test_bump_kernels_vanish_off_the_open_unit_interval():
+    # off (0, 1) q = u(1 - u) <= 0, so the q floor alone zeroes every kernel
+    edges = [-math.inf, -1.0, -0.0, 0.0, 1.0, 2.0, math.inf]
+    for u in edges:
+        for value in (_bump01(u), _bump01_d1(u), *_bump01_d1d2(u)):
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0, u
+    grid = np.concatenate([edges, np.linspace(-0.5, 1.5, 4001)])
+    with np.errstate(invalid="ignore"):  # inf - inf in the discarded F'' branch at u = +-inf
+        arrays = [_bump01_vec(grid), _bump01_d1_vec(grid), *_bump01_d1d2_vec(grid)]
+    scalars = [
+        [_bump01(u) for u in grid],
+        [_bump01_d1(u) for u in grid],
+        [_bump01_d1d2(u)[0] for u in grid],
+        [_bump01_d1d2(u)[1] for u in grid],
+    ]
+    zero = grid * (1.0 - grid) < 1e-3  # where the floor applies
+    for scalar, array in zip(scalars, arrays):
+        scalar = np.array(scalar)
+        # bit for bit where the floor zeroes both; inside, math.exp and
+        # np.exp may differ in the last bit
+        assert np.array_equal(scalar[zero].view(np.int64), array[zero].view(np.int64))
+        assert np.allclose(scalar, array, rtol=1e-13, atol=0.0)
 
 
 # --- lift invariants --------------------------------------------------------

@@ -195,6 +195,29 @@ def test_bad_input_exit_2(tmp_path, capsys, argv):
     assert not (out / "trace.json").exists()
 
 
+def test_directory_on_two_lines_exit_2(tmp_path, capsys):
+    # an INI continuation line puts a line break into the value
+    cfg = write(tmp_path, "[output]\ndirectory = a\n  b\n")
+    out = tmp_path / "o"
+    assert main(["--config", cfg, "--out", str(out), "scan-periods"]) == 2
+    assert "output.directory: must be one line, got 'a\\nb'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("via", ["--out", "[output] directory"])
+def test_unwritable_output_directory_exit_2(tmp_path, capsys, via):
+    # a directory below a regular file cannot be made: an input error, no traceback
+    (tmp_path / "afile").write_text("not a directory\n")
+    target = tmp_path / "afile" / "sub"
+    if via == "--out":
+        argv = ["--out", str(target), "scan-periods"]
+    else:
+        argv = ["--config", write(tmp_path, f"[output]\ndirectory = {target}\n"), "scan-periods"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(target) in err
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -321,6 +344,9 @@ def test_common_period_irrational(capsys):
 
 def test_common_period_nonpositive_exit_2(capsys):
     assert main(["common-period", "0", "1", "3", "1"]) == 2
+    assert capsys.readouterr().err == "error: radii must be positive, got r=0, s=3\n"
+    assert main(["common-period", "1", "0", "1", "1"]) == 2
+    assert capsys.readouterr().err == "error: radius 1/0 has a zero denominator\n"
 
 
 # --- config handling -----------------------------------------------------------------------
@@ -414,10 +440,11 @@ def test_non_finite_config_exit_2(tmp_path, capsys, key):
         "[integrator]\nds = 0.3\n",
         "[metric]\nt0 = 0.1\n\n[integrator]\nds = 0.1\n",
         "[metric]\nt1 = 0.9\n\n[integrator]\nds = 0.1\n",
+        "[integrator]\nds = 1e-100\n",
     ],
 )
 def test_step_beyond_flat_zone_exit_2(tmp_path, capsys, text):
-    # ds must stay below min(t0, 1 - t1); a bad one is a config error, not a failed check
+    # ds must lie in [DS_MIN, min(t0, 1 - t1)); a bad one is a config error, not a failed check
     out = tmp_path / "o"
     assert main(["--config", write(tmp_path, text), "--out", str(out), "verify"]) == 2
     assert "integrator.ds" in capsys.readouterr().err

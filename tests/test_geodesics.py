@@ -3,10 +3,11 @@
 import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -35,7 +36,7 @@ from sectionlab import (
 )
 
 from sectionlab.circle import periodic_spline
-from sectionlab.geodesics import ANGLE_BOUND, _dp5
+from sectionlab.geodesics import ANGLE_BOUND, DS_MIN, _dp5
 from sectionlab.verify import _sample_nonradial_states, drift_bound
 from oracles import flat_polar_geodesic
 from strategies import drawn_maps, spline_tables
@@ -499,13 +500,16 @@ def test_non_finite_angles_rejected(f):
         GluedMetric(f, psi1_scale=math.inf)
 
 
-@pytest.mark.parametrize("span", [{"ds": math.nan}, {"ds": 0.0}, {"s_max": math.inf}, {"s_max": math.nan}])
+@pytest.mark.parametrize(
+    "span",
+    [{"ds": math.nan}, {"ds": 0.0}, {"s_max": math.inf}, {"s_max": math.nan}, {"ds": 1e-100}],
+)
 def test_bad_step_or_span_rejected(span):
     m = default_metric()
     init = GeodesicState(1, 0.5, 1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(span))):
         integrate(m, init, **span)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=next(iter(span))):
         integrate_ensemble(m, [init], **span)
 
 
@@ -579,6 +583,35 @@ def test_clairaut_constant_kept_on_a_constant_psi2(build, c, start):
     for ds in (1e-3, 5e-3):
         traj = integrate(m, unit_speed_state(m, *start), ds=ds, s_max=4.0)
         assert _clairaut_drift(m, traj) <= drift_bound(ds, 4.0)
+
+
+class StepBudgetExceeded(Exception):
+    pass
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(st.floats(0.0, 1.0), nonradial_starts)
+@example(0.0, (1, 0.5, 1.0, 1.1))
+def test_every_legal_ds_runs_to_the_end(fraction, start):
+    # ds log-uniform over [DS_MIN, min(t0, 1 - t1)); below DS_MIN the step
+    # tolerance underflows and the annulus steps stall at h -> 0 forever, so
+    # a budget of _dp5 calls (the worst of 40 runs at DS_MIN took 1096)
+    # turns a future stall into a failure
+    m = default_metric()
+    limit = min(m.t0, 1.0 - m.t1)
+    ds = min(DS_MIN * (limit / DS_MIN) ** fraction, math.nextafter(limit, 0.0))
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        if calls > 20_000:
+            raise StepBudgetExceeded(f"more than 20000 annulus steps at ds={ds!r}")
+        return _dp5(*args)
+
+    with mock.patch.object(geodesics, "_dp5", counted):
+        traj = integrate(m, unit_speed_state(m, *start), ds=ds, s_max=0.5)
+    assert traj.states[-1].s == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectionlab import (
     TWO_PI,
@@ -15,6 +17,8 @@ from sectionlab import (
 )
 from sectionlab.circle import periodic_spline
 from sectionlab.metric import _step01, _step01_vec
+
+from strategies import drawn_maps, spline_tables
 
 RNG = np.random.default_rng(99)
 
@@ -232,6 +236,37 @@ def test_gluing_residual_with_tabulated_psi2():
     vals = 1.0 + 0.2 * np.cos(thetas)
     m = GluedMetric(semicircle_bump(0.2), psi2=periodic_spline(thetas, vals))
     assert m.gluing_residual() < 1e-13
+
+
+def _seam_defect_on_64_radii(m):
+    """The seam defect as a brute-force maximum over 64 plateau radii of
+    [t1, 1], the chart-2 side at the collar coordinate 2 - t."""
+    thetas = np.linspace(0.0, TWO_PI, 720, endpoint=False)
+    fprime, images = m.f.derivative(thetas), m.f(thetas)
+    worst = 0.0
+    for t in np.linspace(m.t1, 1.0, 64):
+        lhs = m.warp(1, np.full_like(thetas, t), thetas)
+        rhs = m.warp(2, np.full_like(thetas, 2.0 - t), images) * fprime
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+psi2_profiles = st.one_of(
+    st.floats(0.5, 1.5),
+    spline_tables().map(lambda table: periodic_spline(table[0], 1.0 + 0.4 * table[1])),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(drawn_maps, psi2_profiles, st.one_of(st.just(1.0), st.floats(0.5, 1.5)))
+def test_gluing_residual_on_the_rim_is_the_plateau_maximum(build, psi2, scale):
+    # the warp is radially constant on the plateau of both charts, so the
+    # rim ring alone gives the maximum over every plateau radius, bit for bit
+    try:
+        m = GluedMetric(build(), psi2=psi2, psi1_scale=scale)
+    except ValueError:  # a non-monotone map or a psi2 table that dips to 0
+        return
+    assert m.gluing_residual() == _seam_defect_on_64_radii(m)
 
 
 def test_cross_rim_radial_flatness():
