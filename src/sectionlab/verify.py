@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import TWO_PI
+from .circle import TWO_PI, ConvergenceFailure
 from .geodesics import (
     DEFAULT_DS,
     DEFAULT_S_MAX,
@@ -147,12 +147,14 @@ def all_or_none_check(
     at psi1_scale = 1.01), so such a metric fails this check as well as
     gluing_compatibility.
     """
+    if n_geodesics < 1:
+        raise ValueError(f"n_geodesics must be at least 1, got {n_geodesics!r}")
     rng = np.random.default_rng(seed)
     states = _sample_nonradial_states(metric, n_geodesics, rng)
     params = {"n_geodesics": n_geodesics, "s_max": s_max, "ds": ds, "seed": seed}
     try:
         result = integrate_ensemble(metric, states, ds=ds, s_max=s_max)
-    except Exception as exc:  # a failed run is a report entry, not a crash
+    except (FloatingPointError, ConvergenceFailure) as exc:  # a solver failure is a report entry
         return CheckResult(
             name="all_or_none",
             passed=False,

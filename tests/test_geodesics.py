@@ -100,27 +100,26 @@ def test_initial_state_must_be_unit_speed():
 # --- integrator: the Dormand-Prince stepper ------------------------------------
 
 
-def test_dp5_step_is_the_stability_polynomial():
+def test_dp5_step_is_the_stability_polynomial(monkeypatch):
     # on y' = lambda y one step multiplies every component by the DP5 stability
     # polynomial of z = lambda h; this pins the tableau
     y0 = (1.0, -2.0, 0.5, 3.0)
     for z in (-0.5, 0.3, 0.01):
-        step = _dp5(lambda _m, _c, *y: tuple(z * x for x in y), None, 1, *y0, 1.0)
+        monkeypatch.setattr(geodesics, "_rhs", lambda _w, _c, *y: tuple(z * x for x in y))
+        step = _dp5(None, 1, *y0, 1.0)
         poly = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24 + z**5 / 120 + z**6 / 600
         for got, y in zip(step[:4], y0):
             assert abs(got - poly * y) <= 4.0 * np.finfo(float).eps * abs(poly * y)
         assert all(type(x) is float for x in step)  # floats stay Python floats
 
 
-def test_dp5_local_error_orders():
+def test_dp5_local_error_orders(monkeypatch):
     # y' = y^2 from y = -1: the fifth-order step errs by O(h^6) against the
     # exact -1 / (1 + h), and the embedded estimate scales as h^5
-    def square(_m, _c, *y):
-        return tuple(x * x for x in y)
-
+    monkeypatch.setattr(geodesics, "_rhs", lambda _w, _c, *y: tuple(x * x for x in y))
     errors, estimates = [], []
     for h in (0.025, 0.0125):
-        *state, estimate = _dp5(square, None, 1, -1.0, -1.0, -1.0, -1.0, h)
+        *state, estimate = _dp5(None, 1, -1.0, -1.0, -1.0, -1.0, h)
         errors.append(max(abs(x + 1.0 / (1.0 + h)) for x in state))
         estimates.append(estimate)
     assert 5.5 < math.log2(errors[0] / errors[1]) < 6.5
@@ -465,18 +464,27 @@ def test_start_at_or_beyond_rim_rejected(t, theta, direction):
 def test_angle_bound():
     m = default_metric()
     nonradial = unit_speed_state(m, 1, 0.2, 4.0, 1.1)  # flat zone: speed independent of theta
-    cases = ((ANGLE_BOUND, False), (-ANGLE_BOUND, False), (ANGLE_BOUND - 1.0, True), (-3.0, True))
-    for theta, ok in cases:
+    cases = (
+        (ANGLE_BOUND, False),
+        (-ANGLE_BOUND, False),
+        (1e16, False),
+        (ANGLE_BOUND - 1.0, True),
+        (-3.0, True),
+    )
+    for x, ok in cases:
         calls = (
-            lambda: trace_section(m.f, theta, max_legs=4),
-            lambda: integrate(m, GeodesicState(1, 0.5, theta, 1.0, 0.0), s_max=0.01),
-            lambda: integrate_ensemble(m, [replace(nonradial, theta=theta)], s_max=0.01),
+            ("theta", lambda: trace_section(m.f, x, max_legs=4)),
+            ("theta", lambda: integrate(m, GeodesicState(1, 0.5, x, 1.0, 0.0), s_max=0.01)),
+            ("theta", lambda: integrate_ensemble(m, [replace(nonradial, theta=x)], s_max=0.01)),
+            # from s = 1e16 a step of 1e-3 vanishes in s + step, and the run never ends
+            (r"\|s\|", lambda: integrate(m, replace(nonradial, s=x), s_max=0.01)),
+            (r"\|s\|", lambda: integrate_ensemble(m, [replace(nonradial, s=x)], s_max=0.01)),
         )
-        for call in calls:
+        for name, call in calls:
             if ok:
                 call()
             else:
-                with pytest.raises(ValueError, match="theta"):
+                with pytest.raises(ValueError, match=name):
                     call()
     assert ANGLE_BOUND == 2**20
 
@@ -620,9 +628,9 @@ def test_every_legal_ds_runs_to_the_end(fraction, start):
     ids=["chart2_visits", "rotation_whole_run"],
 )
 def test_clairaut_oracle_fails_under_a_wrong_christoffel_term(monkeypatch, m):
-    # the negative control of all_or_none_check, on the scalar right-hand side
-    def skewed_rhs(metric, chart, t, th, vt, vth):
-        phi, phi_t, phi_th = metric.warp_with_partials(chart, t, th)
+    # the negative control of all_or_none_check, here in the scalar driver
+    def skewed_rhs(warp, chart, t, th, vt, vth):
+        phi, phi_t, phi_th = warp(chart, t, th)
         dvt = phi * phi_t * vth * vth
         dvth = -1.01 * (2.0 * phi_t / phi) * vt * vth - (phi_th / phi) * vth * vth
         return vt, vth, dvt, dvth

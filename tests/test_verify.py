@@ -1,5 +1,6 @@
 """Tests for the verification checks and the common-period arithmetic."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,11 +13,18 @@ from sectionlab import (
     VerificationReport,
     all_or_none_check,
     geodesics,
+    integrate,
     rational_closure,
     run_all_checks,
     semicircle_bump,
 )
-from sectionlab.verify import DRIFT_BOUND, CheckResult, drift_bound, gluing_check
+from sectionlab.verify import (
+    DRIFT_BOUND,
+    CheckResult,
+    _sample_nonradial_states,
+    drift_bound,
+    gluing_check,
+)
 
 from oracles import lcm_brute
 
@@ -72,17 +80,57 @@ def test_all_or_none_flat_disk():
 def test_all_or_none_fails_on_drift_under_a_wrong_christoffel_term(monkeypatch, ds):
     # negative control: Gamma^theta_t-theta scaled by 1.01.  vtheta' stays
     # homogeneous in vtheta, so no sign flips; only the drift bound can fail
-    def skewed_rhs(metric, chart, t, th, vt, vth):
-        phi, phi_t, phi_th = metric.warp_with_partials_vec(chart, t, th)
+    def skewed_rhs(warp, chart, t, th, vt, vth):
+        phi, phi_t, phi_th = warp(chart, t, th)
         dvt = phi * phi_t * vth * vth
         dvth = -1.01 * (2.0 * phi_t / phi) * vt * vth - (phi_th / phi) * vth * vth
         return vt, vth, dvt, dvth
 
-    monkeypatch.setattr(geodesics, "_rhs_vec", skewed_rhs)
+    monkeypatch.setattr(geodesics, "_rhs", skewed_rhs)
     res = all_or_none_check(default_metric(), n_geodesics=12, s_max=4.0, ds=ds, seed=3)
     assert not res.passed
     assert res.residual == 0.0
     assert _drift(res) > 1e3 * drift_bound(ds, 4.0)
+
+
+def test_all_or_none_counts_the_sign_changes_of_a_forced_vtheta(monkeypatch):
+    # negative control of the flip half: a forcing term dvtheta/ds -= 0.5 is
+    # not homogeneous in vtheta, so vtheta can change sign; the residual is
+    # the number of sign changes, as counted along integrate's records
+    rhs = geodesics._rhs
+
+    def forced_rhs(warp, chart, t, th, vt, vth):
+        dt, dth, dvt, dvth = rhs(warp, chart, t, th, vt, vth)
+        return dt, dth, dvt, dvth - 0.5
+
+    monkeypatch.setattr(geodesics, "_rhs", forced_rhs)
+    m = default_metric()
+    res = all_or_none_check(m, n_geodesics=4, s_max=4.0, seed=3)
+    changes = 0
+    for init in _sample_nonradial_states(m, 4, np.random.default_rng(3)):
+        signs = np.sign([st.vtheta for st in integrate(m, init, s_max=4.0).states])
+        changes += int(np.count_nonzero(signs[1:] != signs[:-1]))
+    assert not res.passed
+    assert changes > 0
+    assert res.residual == changes
+
+
+def test_all_or_none_rejects_bad_parameters():
+    with pytest.raises(ValueError, match="n_geodesics"):
+        all_or_none_check(default_metric(), n_geodesics=0)
+    with pytest.raises(ValueError, match="ds"):
+        all_or_none_check(default_metric(), n_geodesics=2, ds=0.0)
+
+
+def test_all_or_none_reports_an_aborted_run():
+    # psi1 near the float limit overflows the plateau warp (see
+    # test_non_finite_step_raises): a solver failure is a FAIL row, not a crash
+    m = GluedMetric(semicircle_bump(0.3), psi1_scale=1e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = all_or_none_check(m, n_geodesics=10, s_max=20.0, seed=0)
+    assert not res.passed
+    assert res.residual == math.inf
+    assert "integration aborted" in res.detail
 
 
 def test_gluing_check_pass_and_tampered_fail():
