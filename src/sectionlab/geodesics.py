@@ -9,7 +9,7 @@ geodesic equation of the glued metric
     t'' = phi * phi_t * vtheta^2
     theta'' = -(2 phi_t / phi) vt vtheta - (phi_theta / phi) vtheta^2
 
-with adaptive Dormand-Prince 5(4) steps that start only on the blend
+with adaptive DOP853 steps (eighth order) that start only on the blend
 annulus [t0, t1), and in closed form in the two flat zones.  Inside the flat
 disk t < t0 the metric is the Euclidean plane (phi = t), so a geodesic there
 is a straight chord, taken in one step; a radial chord through the center
@@ -122,51 +122,179 @@ def _rhs(warp, chart, t, th, vt, vth):
     return vt, vth, dvt, dvth
 
 
-# Dormand-Prince 5(4): the stage rows a_ij, the last one the fifth-order
-# weights b (first same as last), and the error weights b - b* of the
-# embedded fourth-order solution (Hairer, Norsett & Wanner, Table II.5.2)
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5, and their dop853
+# code; Prince & Dormand 1981): the rows a_ij of stages 2..12, the
+# eighth-order weights b, and the weights of the fifth- and third-order
+# error estimates, as arrays for the stage sums of `_dop853`
+_A = tuple(
+    np.array(row)
+    for row in (
+        (5.26001519587677318785587544488e-2,),
+        (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+        (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+        (
+            2.41365134159266685502369798665e-1,
+            0.0,
+            -8.84549479328286085344864962717e-1,
+            9.24834003261792003115737966543e-1,
+        ),
+        (
+            3.7037037037037037037037037037e-2,
+            0.0,
+            0.0,
+            1.70828608729473871279604482173e-1,
+            1.25467687566822425016691814123e-1,
+        ),
+        (
+            3.7109375e-2,
+            0.0,
+            0.0,
+            1.70252211019544039314978060272e-1,
+            6.02165389804559606850219397283e-2,
+            -1.7578125e-2,
+        ),
+        (
+            3.70920001185047927108779319836e-2,
+            0.0,
+            0.0,
+            1.70383925712239993810214054705e-1,
+            1.07262030446373284651809199168e-1,
+            -1.53194377486244017527936158236e-2,
+            8.27378916381402288758473766002e-3,
+        ),
+        (
+            6.24110958716075717114429577812e-1,
+            0.0,
+            0.0,
+            -3.36089262944694129406857109825,
+            -8.68219346841726006818189891453e-1,
+            2.75920996994467083049415600797e1,
+            2.01540675504778934086186788979e1,
+            -4.34898841810699588477366255144e1,
+        ),
+        (
+            4.77662536438264365890433908527e-1,
+            0.0,
+            0.0,
+            -2.48811461997166764192642586468,
+            -5.90290826836842996371446475743e-1,
+            2.12300514481811942347288949897e1,
+            1.52792336328824235832596922938e1,
+            -3.32882109689848629194453265587e1,
+            -2.03312017085086261358222928593e-2,
+        ),
+        (
+            -9.3714243008598732571704021658e-1,
+            0.0,
+            0.0,
+            5.18637242884406370830023853209,
+            1.09143734899672957818500254654,
+            -8.14978701074692612513997267357,
+            -1.85200656599969598641566180701e1,
+            2.27394870993505042818970056734e1,
+            2.49360555267965238987089396762,
+            -3.0467644718982195003823669022,
+        ),
+        (
+            2.27331014751653820792359768449,
+            0.0,
+            0.0,
+            -1.05344954667372501984066689879e1,
+            -2.00087205822486249909675718444,
+            -1.79589318631187989172765950534e1,
+            2.79488845294199600508499808837e1,
+            -2.85899827713502369474065508674,
+            -8.87285693353062954433549289258,
+            1.23605671757943030647266201528e1,
+            6.43392746015763530355970484046e-1,
+        ),
+    )
 )
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_B = np.array(
+    (
+        5.42937341165687622380535766363e-2,
+        0.0,
+        0.0,
+        0.0,
+        0.0,
+        4.45031289275240888144113950566,
+        1.89151789931450038304281599044,
+        -5.8012039600105847814672114227,
+        3.1116436695781989440891606237e-1,
+        -1.52160949662516078556178806805e-1,
+        2.01365400804030348374776537501e-1,
+        4.47106157277725905176885569043e-2,
+    )
+)
+_E5 = np.array(
+    (
+        0.1312004499419488073250102996e-1,
+        0.0,
+        0.0,
+        0.0,
+        0.0,
+        -0.1225156446376204440720569753e1,
+        -0.4957589496572501915214079952,
+        0.1664377182454986536961530415e1,
+        -0.3503288487499736816886487290,
+        0.3341791187130174790297318841,
+        0.8192320648511571246570742613e-1,
+        -0.2235530786388629525884427845e-1,
+    )
+)
+# b minus the third-order weights bhh1, bhh2, bhh3 at stages 1, 9 and 12
+_E3 = _B - np.array(
+    (0.244094488188976377952755905512, 0, 0, 0, 0, 0, 0, 0)
+    + (0.733846688281611857341361741547, 0, 0, 0.220588235294117647058823529412e-1)
+)
 # an annulus step is accepted when its error estimate is at most
-# ANNULUS_TOL * (ds / DEFAULT_DS)**4, the accuracy of fixed RK4 steps of ds
-ANNULUS_TOL = 1e-11
+# ANNULUS_TOL * (ds / DEFAULT_DS)**4; at ds = DEFAULT_DS this is the largest
+# tolerance tried (1e-12 to 3e-12 and 1e-11) whose worst all-or-none drift
+# over 42 seeds stays below 5e-10, half of verify.DRIFT_BOUND
+ANNULUS_TOL = 1.2e-12
 # the least legal ds: there the step tolerance is one rounding (2**-52) of an
 # O(1) state; below it the tolerance underflows and the steps stall at h -> 0
 DS_MIN = DEFAULT_DS * (2.0**-52 / ANNULUS_TOL) ** 0.25
 
 
-def _combine(y, h, weights, ks):
-    """y + h * sum_j weights[j] * ks[j] over the four components; y None adds nothing."""
-    out = []
-    for c in range(4):
-        acc = None
-        for w, k in zip(weights, ks):
-            if w != 0.0:
-                acc = w * k[c] if acc is None else acc + w * k[c]
-        out.append(h * acc if y is None else y[c] + h * acc)
-    return out
+def _dop853(warp, chart, t, th, vt, vth, h):
+    """One DOP853 step of `_rhs` on the scalar or the array warp kernel.
 
-
-def _dp5(warp, chart, t, th, vt, vth, h):
-    """One Dormand-Prince 5(4) step of `_rhs` on the scalar or the array warp kernel.
-
-    Returns the fifth-order state (t, theta, vt, vtheta) after h and the
-    RMS over its four components of the embedded error estimate.
+    Twelve stages, none shared with the next step: the error estimate needs
+    only k1 ... k12.  Returns the eighth-order state (t, theta, vt, vtheta)
+    after h and the combined error estimate of DOP853,
+    |e5|^2 / sqrt(4 (|e5|^2 + 0.01 |e3|^2)) with e5 and e3 the fifth- and
+    third-order error vectors over the four components; it scales as h^8.
     """
+    # the stages, stacked: (12, 4) on floats, (12, 4, n) on arrays; each
+    # stage sum is one contraction over them (np.dot on the (12, 4n) view,
+    # as tensordot costs 5x its time)
+    ks = np.empty((12, 4, *np.shape(t)))
+    flat = ks.reshape(12, -1)
     y = (t, th, vt, vth)
-    ks = [_rhs(warp, chart, t, th, vt, vth)]
-    for row in _DP_A:
-        point = _combine(y, h, row, ks)
-        ks.append(_rhs(warp, chart, *point))
-    err = _combine(None, h, _DP_E, ks)
-    return (*point, ((err[0] ** 2 + err[1] ** 2 + err[2] ** 2 + err[3] ** 2) / 4.0) ** 0.5)
+    if isinstance(t, np.ndarray):
+        y, zero = np.array(y), 0.0
+
+        def advance(base, weights):
+            return base + h * np.dot(weights, flat[: len(weights)]).reshape(4, -1)
+
+    else:
+        # back to Python floats: 0-d numpy arithmetic costs a scalar step 3x
+        zero = (0.0,) * 4
+
+        def advance(base, weights):
+            sums = np.dot(weights, flat[: len(weights)]).tolist()
+            return [b + h * x for b, x in zip(base, sums)]
+
+    ks[0] = _rhs(warp, chart, *y)
+    for i, row in enumerate(_A, 1):
+        ks[i] = _rhs(warp, chart, *advance(y, row))
+    e5 = advance(zero, _E5)
+    e3 = advance(zero, _E3)
+    e5sq = e5[0] ** 2 + e5[1] ** 2 + e5[2] ** 2 + e5[3] ** 2
+    e3sq = e3[0] ** 2 + e3[1] ** 2 + e3[2] ** 2 + e3[3] ** 2
+    # + 1e-300: a step with both estimates exactly zero errs by zero
+    return (*advance(y, _B), e5sq / ((4.0 * (e5sq + 0.01 * e3sq)) ** 0.5 + 1e-300))
 
 
 def _start(metric, init: GeodesicState, ds: float, s_max: float):
@@ -177,8 +305,7 @@ def _start(metric, init: GeodesicState, ds: float, s_max: float):
     with |theta| < ANGLE_BOUND, |s| < ANGLE_BOUND and unit speed to 1e-9.  A state
     with |vtheta| < RADIAL_TOL is snapped to exactly radial.  Any other
     state must lie off the center and needs ds < min(t0, 1 - t1).  ds sets
-    the accuracy of the annulus steps, not their length (`_annulus_control`):
-    at the default it matches fixed fourth-order steps of length ds.
+    the accuracy of the annulus steps, not their length (`_annulus_control`).
     """
     if not ds >= DS_MIN:
         raise ValueError(f"ds must be at least DS_MIN = {DS_MIN:.3g}, got {ds!r}")
@@ -269,12 +396,13 @@ def _bad_step(chart, t, s, nt, err):
     narrower flat zone long, so only a runaway step gets there: past the
     rim, to a negative or non-finite radius, or through an overflow."""
     where = f"step from t={float(t)!r} on chart {chart} at s={float(s)!r}"
+    if not math.isfinite(nt):
+        return FloatingPointError(f"{where} reached the non-finite radius {float(nt)!r}")
     if nt >= 1.0:
         return FloatingPointError(f"non-radial {where} jumped the plateau to radius {float(nt)!r}")
-    if nt >= 0.0:
-        return FloatingPointError(f"{where} has the non-finite error estimate {float(err)!r}")
-    what = "negative" if math.isfinite(nt) else "non-finite"
-    return FloatingPointError(f"{where} reached the {what} radius {float(nt)!r}")
+    if nt < 0.0:
+        return FloatingPointError(f"{where} reached the negative radius {float(nt)!r}")
+    return FloatingPointError(f"{where} has the non-finite error estimate {float(err)!r}")
 
 
 def _plateau(metric, chart, t, th, vt, vth, s, s_end):
@@ -325,16 +453,15 @@ def integrate(
     moving inward, moves along its straight chord to exactly t0 (`_chord`);
     only radial chords pass through a center (the angle jumps to the
     antipode, the radial velocity flips).  Only a non-radial state of the
-    annulus [t0, t1) takes a Dormand-Prince 5(4) step (`_dp5`).  ds sets the
-    accuracy of these steps, not their length: each step is accepted when
-    its error estimate is at most ANNULUS_TOL * (ds / DEFAULT_DS)**4, which
-    at the default matches fixed fourth-order steps of length ds, and the
-    step size h follows h * clamp(0.9 (err/tol)^(-1/5), 0.2, 5), at most half
-    the narrower flat zone (`_annulus_control`).  A rejected step is retried
-    at once with the smaller h.  A step is not cut at t0 or t1: the metric
-    is smooth across both, so a step that ends in a flat zone hands its
-    state to the chord or the plateau segment.  A step that ends outside
-    [0, 1) or with an error estimate that is not a number raises
+    annulus [t0, t1) takes a DOP853 step (`_dop853`).  ds sets the accuracy
+    of these steps, not their length: each step is accepted when its
+    combined error estimate is at most ANNULUS_TOL * (ds / DEFAULT_DS)**4,
+    and the step size h follows h * clamp(0.9 (err/tol)^(-1/8), 0.2, 5), at
+    most half the narrower flat zone (`_annulus_control`).  A rejected step
+    is retried at once with the smaller h.  A step is not cut at t0 or t1:
+    the metric is smooth across both, so a step that ends in a flat zone
+    hands its state to the chord or the plateau segment.  A step that ends
+    outside [0, 1) or with an error estimate that is not a number raises
     FloatingPointError (`_bad_step`).  Each chord, plateau segment and
     accepted step appends one state, so a plateau visit records its rim
     crossing and its return to t1.
@@ -343,6 +470,7 @@ def integrate(
     t0, t1 = metric.t0, metric.t1
     tol, h_max = _annulus_control(metric, ds)
     h = min(ds, h_max)
+    warp = metric.warp_with_partials
     traj = Trajectory(states=[GeodesicState(chart, t, th, vt, vth, s)])
     while s < s_end - 1e-15:
         crossing = None
@@ -354,11 +482,15 @@ def integrate(
                 traj.center_passages.append(passage)
         else:
             step = min(h, s_end - s)
-            nt, nth, nvt, nvth, err = _dp5(metric.warp_with_partials, chart, t, th, vt, vth, step)
+            # the stage sums run through numpy: there, as in Python float
+            # arithmetic, an overflow turns into inf or nan quietly, and
+            # _bad_step names the step
+            with np.errstate(over="ignore", invalid="ignore"):
+                nt, nth, nvt, nvth, err = _dop853(warp, chart, t, th, vt, vth, step)
             if not (0.0 <= nt < 1.0 and err < math.inf):
                 raise _bad_step(chart, t, s, nt, err)
             # err + 1e-300: a zero error estimate grows h by the full factor 5
-            h = min(h_max, step * max(0.2, min(5.0, 0.9 * (tol / (err + 1e-300)) ** 0.2)))
+            h = min(h_max, step * max(0.2, min(5.0, 0.9 * (tol / (err + 1e-300)) ** 0.125)))
             if not err <= tol:
                 continue
             t, th, vt, vth, s = nt, nth, nvt, nvth, s + step
@@ -389,7 +521,7 @@ def integrate_ensemble(
 ) -> EnsembleResult:
     """Integrate many independent non-radial geodesics in lockstep.
 
-    The same start rule, chord, plateau segment and Dormand-Prince step as
+    The same start rule, chord, plateau segment and DOP853 step as
     `integrate`, with the steps taken on arrays: in each round a member
     inside the flat disk takes its chord, a member on the plateau its
     straight segment, and the active members of the annulus [t0, t1) one
@@ -434,12 +566,13 @@ def integrate_ensemble(
         if annulus.size:
             k = annulus
             step = np.minimum(h[k], s_end[k] - s[k])
-            nt, nth, nvt, nvth, err = _dp5(warp, chart[k], t[k], th[k], vt[k], vth[k], step)
+            nt, nth, nvt, nvth, err = _dop853(warp, chart[k], t[k], th[k], vt[k], vth[k], step)
             bad = np.flatnonzero(~((nt >= 0.0) & (nt < 1.0) & (err < math.inf)))
             if bad.size:
                 j = bad[0]
                 raise _bad_step(int(chart[k[j]]), t[k[j]], s[k[j]], nt[j], err[j])
-            h[k] = np.minimum(h_max, step * np.clip(0.9 * (tol / (err + 1e-300)) ** 0.2, 0.2, 5.0))
+            grow = np.clip(0.9 * (tol / (err + 1e-300)) ** 0.125, 0.2, 5.0)
+            h[k] = np.minimum(h_max, step * grow)
             ok = err <= tol
             k = k[ok]
             t[k], th[k], vt[k], vth[k] = nt[ok], nth[ok], nvt[ok], nvth[ok]

@@ -36,8 +36,8 @@ from .metric import SEAM_GRID_THETA, GluedMetric
 from .table import csv_text
 
 # the largest final speed_error that all_or_none_check accepts at ds = 1e-3 and
-# s_max <= 20: 3.3x the worst of its 100 default runs at seed 0 (3.0e-10), 2.4x
-# the worst over 42 seeds (4.1e-10); `drift_bound` scales it to other runs
+# s_max <= 20: 3.6x the worst of its 100 default runs at seed 0 (2.8e-10), 2.2x
+# the worst over 42 seeds (4.5e-10); `drift_bound` scales it to other runs
 DRIFT_BOUND = 1e-9
 
 
@@ -108,13 +108,14 @@ def drift_bound(ds: float, s_max: float) -> float:
     (ds / DEFAULT_DS)**5 and s_max / DEFAULT_S_MAX above them.  The drift
     of the default metric's 100 runs is set by the annulus steps, whose
     error tolerance grows as ds^4 (`geodesics.ANNULUS_TOL`), and so does
-    the drift while steps are short (4.4e-9 at ds = 2e-3, 2.0e-6 at 1e-2);
-    it levels off near 0.14 once every step is the largest one, half the
-    narrower flat zone (worst of 4 seeds: 9.3e-3 at ds = 0.05, 1.3e-1 at
-    0.12, 1.4e-1 at 0.2 and at 0.24, where the bound is 8e2).  It grows
-    with s_max about linearly (1.6e-11 at s_max = 1, 1.1e-9 at 100; 10
-    runs reach 2.3e-9 at 400), and shorter steps only lower it (4e-14 at
-    ds = 1e-4).
+    the drift while steps are short (worst over 42 seeds: 7.7e-9 at
+    ds = 2e-3, 4.3e-6 at 1e-2); it levels off near 2e-3 once every step is
+    the largest one, half the narrower flat zone (worst of 4 seeds: 1.5e-4
+    at ds = 0.05, 6.8e-4 at 0.12, 1.8e-3 at 0.2 and 2.2e-3 at 0.24, where
+    the bound is 8e2).  It grows with s_max more slowly than linearly
+    (seed 0: 7.4e-13 at s_max = 1; worst over 42 seeds: 1.1e-9 at 100 and
+    3.0e-9 at 400), and shorter steps only lower it (seed 0: 6.8e-13 at
+    ds = 2e-4).
     """
     return DRIFT_BOUND * max(1.0, ds / DEFAULT_DS) ** 5 * max(1.0, s_max / DEFAULT_S_MAX)
 

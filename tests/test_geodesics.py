@@ -36,7 +36,7 @@ from sectionlab import (
 )
 
 from sectionlab.circle import periodic_spline
-from sectionlab.geodesics import ANGLE_BOUND, DS_MIN, _dp5
+from sectionlab.geodesics import ANGLE_BOUND, DS_MIN, _bad_step, _dop853
 from sectionlab.verify import _sample_nonradial_states, drift_bound
 from oracles import flat_polar_geodesic
 from strategies import drawn_maps, spline_tables
@@ -97,41 +97,75 @@ def test_initial_state_must_be_unit_speed():
         integrate(m, GeodesicState(1, 0.5, 0.0, 1.0, 0.5), s_max=0.01)
 
 
-# --- integrator: the Dormand-Prince stepper ------------------------------------
+# --- integrator: the DOP853 stepper -----------------------------------------
 
 
-def test_dp5_step_is_the_stability_polynomial(monkeypatch):
-    # on y' = lambda y one step multiplies every component by the DP5 stability
-    # polynomial of z = lambda h; this pins the tableau
+def test_dop853_step_agrees_with_the_exponential_to_ninth_order(monkeypatch):
+    # on y' = lambda y one step multiplies every component by the stability
+    # polynomial R(z) of z = lambda h, which matches e^z through z^8: halving z
+    # divides R(z) - e^z by about 2^9
     y0 = (1.0, -2.0, 0.5, 3.0)
-    for z in (-0.5, 0.3, 0.01):
-        monkeypatch.setattr(geodesics, "_rhs", lambda _w, _c, *y: tuple(z * x for x in y))
-        step = _dp5(None, 1, *y0, 1.0)
-        poly = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24 + z**5 / 120 + z**6 / 600
-        for got, y in zip(step[:4], y0):
-            assert abs(got - poly * y) <= 4.0 * np.finfo(float).eps * abs(poly * y)
-        assert all(type(x) is float for x in step)  # floats stay Python floats
+    for z0 in (0.4, -0.4):
+        gaps = []
+        for z in (z0, z0 / 2):
+            monkeypatch.setattr(geodesics, "_rhs", lambda _w, _c, *y, z=z: tuple(z * x for x in y))
+            step = _dop853(None, 1, *y0, 1.0)
+            assert all(type(x) is float for x in step)  # floats stay Python floats
+            ratio = step[0] / y0[0]
+            for got, y in zip(step[1:4], y0[1:]):
+                assert abs(got - ratio * y) <= 4.0 * np.finfo(float).eps * abs(ratio * y)
+            gaps.append(abs(ratio - math.exp(z)))
+        assert 8.5 < math.log2(gaps[0] / gaps[1]) < 9.5
 
 
-def test_dp5_local_error_orders(monkeypatch):
-    # y' = y^2 from y = -1: the fifth-order step errs by O(h^6) against the
-    # exact -1 / (1 + h), and the embedded estimate scales as h^5
-    monkeypatch.setattr(geodesics, "_rhs", lambda _w, _c, *y: tuple(x * x for x in y))
+def test_dop853_local_error_orders(monkeypatch):
+    # a nonlinear system with an entire solution, so the error is in its
+    # asymptotic range above round-off (y' = y^2 has its pole at distance 1,
+    # where the h^10 term of the error still outweighs the h^9 one):
+    # a' = b, b' = -a, c' = a b, d' = c a from (1, 0, 0, 0).  The eighth-order
+    # step errs by O(h^9) and the combined estimate scales as h^8
+    monkeypatch.setattr(geodesics, "_rhs", lambda _w, _c, a, b, c, d: (b, -a, a * b, c * a))
+
+    def exact(h):
+        sin, cos = math.sin(h), math.cos(h)
+        return cos, -sin, (cos * cos - 1.0) / 2.0, -sin / 2.0 + (sin - sin**3 / 3.0) / 2.0
+
     errors, estimates = [], []
-    for h in (0.025, 0.0125):
-        *state, estimate = _dp5(None, 1, -1.0, -1.0, -1.0, -1.0, h)
-        errors.append(max(abs(x + 1.0 / (1.0 + h)) for x in state))
+    for h in (0.4, 0.2):
+        *state, estimate = _dop853(None, 1, 1.0, 0.0, 0.0, 0.0, h)
+        errors.append(max(abs(x - y) for x, y in zip(state, exact(h))))
         estimates.append(estimate)
-    assert 5.5 < math.log2(errors[0] / errors[1]) < 6.5
-    assert 4.5 < math.log2(estimates[0] / estimates[1]) < 5.5
+    assert errors[1] > 1e3 * np.finfo(float).eps  # far above round-off
+    assert 8.5 < math.log2(errors[0] / errors[1]) < 9.5
+    assert 7.5 < math.log2(estimates[0] / estimates[1]) < 8.5
 
 
 def test_adaptive_annulus_steps_are_few():
-    # fixed RK4 steps of ds = 1e-3 recorded 11609 states on this run
+    # fixed RK4 steps of ds = 1e-3 recorded 11609 states on this run,
+    # Dormand-Prince 5(4) steps 2055 and DOP853 steps 714
     m = default_metric()
     traj = integrate(m, unit_speed_state(m, 1, 0.5, 1.0, 1.1), ds=1e-3, s_max=20.0)
     assert traj.final.s == 20.0 and len(traj.crossings) == 12
-    assert len(traj.states) < 11609 / 3
+    assert len(traj.states) < 11609 / 12
+
+
+def test_ensemble_takes_few_lockstep_rounds():
+    # every round of the ensemble makes one _dop853 call on its annulus
+    # members; these 8 members took 665 Dormand-Prince 5(4) rounds and take
+    # 303 DOP853 rounds
+    m = default_metric()
+    inits = _sample_nonradial_states(m, 8, np.random.default_rng(5))
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _dop853(*args)
+
+    with mock.patch.object(geodesics, "_dop853", counted):
+        res = integrate_ensemble(m, inits, ds=1e-3, s_max=4.0)
+    assert res.sign_flips.sum() == 0
+    assert calls < 400
 
 
 def test_radial_run_is_exact_segments():
@@ -535,6 +569,25 @@ def test_non_finite_step_raises():
             integrate_ensemble(m, states, s_max=20.0)
 
 
+@pytest.mark.parametrize(
+    "nt, err, message",
+    [
+        (math.inf, 1e-12, "reached the non-finite radius inf"),
+        (np.float64(-math.inf), 1e-12, "reached the non-finite radius -inf"),
+        (math.nan, 1e-12, "reached the non-finite radius nan"),
+        (1.5, 1e-12, "jumped the plateau to radius 1.5"),
+        (-0.1, 1e-12, "reached the negative radius -0.1"),
+        (0.5, math.nan, "non-finite error estimate nan"),
+    ],
+    ids=["inf", "-inf", "nan", "past_rim", "negative", "nan_estimate"],
+)
+def test_bad_step_names_the_fault(nt, err, message):
+    # finiteness first: an overflowed radius is not a jump over the plateau
+    exc = _bad_step(1, 0.6, 2.0, nt, err)
+    assert isinstance(exc, FloatingPointError)
+    assert message in str(exc) and "t=0.6 on chart 1 at s=2.0" in str(exc)
+
+
 @pytest.mark.parametrize("chart", [0, 3, -1])
 def test_bad_chart_rejected(chart):
     m = default_metric()
@@ -603,7 +656,7 @@ class StepBudgetExceeded(Exception):
 def test_every_legal_ds_runs_to_the_end(fraction, start):
     # ds log-uniform over [DS_MIN, min(t0, 1 - t1)); below DS_MIN the step
     # tolerance underflows and the annulus steps stall at h -> 0 forever, so
-    # a budget of _dp5 calls (the worst of 40 runs at DS_MIN took 1096)
+    # a budget of _dop853 calls (the worst of 40 runs at DS_MIN took 134)
     # turns a future stall into a failure
     m = default_metric()
     limit = min(m.t0, 1.0 - m.t1)
@@ -615,9 +668,9 @@ def test_every_legal_ds_runs_to_the_end(fraction, start):
         calls += 1
         if calls > 20_000:
             raise StepBudgetExceeded(f"more than 20000 annulus steps at ds={ds!r}")
-        return _dp5(*args)
+        return _dop853(*args)
 
-    with mock.patch.object(geodesics, "_dp5", counted):
+    with mock.patch.object(geodesics, "_dop853", counted):
         traj = integrate(m, unit_speed_state(m, *start), ds=ds, s_max=0.5)
     assert traj.states[-1].s == pytest.approx(0.5, abs=1e-12)
 

@@ -17,10 +17,14 @@ No command takes a non-radial step in the scalar integrator, so each config
 also gets INTEGRATE_RUNS = 8 library runs: `integrate` to s = 20 from the
 starts of `verify._sample_nonradial_states(metric, 8, np.random.default_rng(0))`,
 all eight in one fresh interpreter.  A run that is not bit-identical reports
-whether its final chart, state count and crossing count agree, and the
-largest final difference in t, theta (mod 2 pi), vt, vtheta and s.  It
-counts as a difference only if that structure differs or a deviation
-exceeds INTEGRATE_TOL, the bound of test_ensemble_agrees_with_scalar.
+whether its final chart, state count and crossing count agree, and each
+tree's final error: the largest difference in t, theta (mod 2 pi), vt,
+vtheta and s from a reference run of the parent tree at ds / 4 (a 256x
+tighter step tolerance).  A stepper change moves the state count, so the
+run counts as a difference only if its final chart or crossing count
+differs from the parent's, or if the change's final error exceeds
+max(2 x the parent's, INTEGRATE_TOL), INTEGRATE_TOL being the bound of
+test_ensemble_agrees_with_scalar.
 """
 
 from __future__ import annotations
@@ -41,9 +45,12 @@ JOBS = 2
 INTEGRATE_RUNS = 8
 INTEGRATE_TOL = 1e-9
 
-# argv: the run count, then the config path if any; prints, for each library
-# run, [chart, states, crossings, t, theta, vt, vtheta, s] of its final state,
-# as json, which keeps every float exactly
+# the reference runs divide the config's ds by REFERENCE_DS_DIVISOR
+REFERENCE_DS_DIVISOR = 4.0
+
+# argv: the run count, the divisor of the config's ds, then the config path if
+# any; prints, for each library run, [chart, states, crossings, t, theta, vt,
+# vtheta, s] of its final state, as json, which keeps every float exactly
 INTEGRATE_SCRIPT = """
 import json, sys
 import numpy as np
@@ -51,11 +58,11 @@ from sectionlab.config import load_config
 from sectionlab.geodesics import integrate
 from sectionlab.verify import _sample_nonradial_states
 
-cfg = load_config(sys.argv[2] if len(sys.argv) > 2 else None)
+cfg = load_config(sys.argv[3] if len(sys.argv) > 3 else None)
 metric = cfg.build_metric()
 runs = []
 for init in _sample_nonradial_states(metric, int(sys.argv[1]), np.random.default_rng(0)):
-    traj = integrate(metric, init, ds=cfg.ds, s_max=20.0)
+    traj = integrate(metric, init, ds=cfg.ds / float(sys.argv[2]), s_max=20.0)
     f = traj.final
     runs.append([f.chart, len(traj.states), len(traj.crossings), f.t, f.theta, f.vt, f.vtheta, f.s])
 print(json.dumps(runs))
@@ -141,9 +148,9 @@ def _differences(a: dict, b: dict) -> list[str]:
     return diffs
 
 
-def _integrate_runs(src: Path, config: Path | None, cwd: Path) -> list | str:
-    """The final records of the library runs, or the last line of their error."""
-    argv = [sys.executable, "-c", INTEGRATE_SCRIPT, str(INTEGRATE_RUNS)]
+def _integrate_runs(src: Path, config: Path | None, cwd: Path, divisor: float = 1.0) -> list | str:
+    """The final records of the library runs at ds / divisor, or the last line of their error."""
+    argv = [sys.executable, "-c", INTEGRATE_SCRIPT, str(INTEGRATE_RUNS), repr(divisor)]
     if config is not None:
         argv.append(str(config))
     proc = subprocess.run(argv, capture_output=True, text=True, env=_env(src), cwd=cwd)
@@ -152,31 +159,44 @@ def _integrate_runs(src: Path, config: Path | None, cwd: Path) -> list | str:
     return json.loads(proc.stdout)
 
 
-def _record_differences(a: list, b: list) -> tuple[bool, str]:
-    """Whether two final records differ beyond INTEGRATE_TOL, and how they compare."""
-    structure = ", ".join(
-        f"{name} {x} -> {y}" for name, x, y in zip(("chart", "states", "crossings"), a, b) if x != y
-    )
-    dev = [abs(x - y) for x, y in zip(a[3:], b[3:])]
+def _final_error(run: list, ref: list) -> float:
+    """The largest final difference of a run from its reference, theta taken mod 2 pi."""
+    dev = [abs(x - y) for x, y in zip(run[3:], ref[3:])]
     dev[1] = min(dev[1] % math.tau, math.tau - dev[1] % math.tau)
-    worst = ", ".join(f"{name} {d:.1e}" for name, d in zip(("t", "theta", "vt", "vtheta", "s"), dev))
-    text = f"structure {'differs: ' + structure if structure else 'agrees'}; largest |diff| {worst}"
-    return bool(structure) or max(dev) > INTEGRATE_TOL, text
+    return max(dev)
 
 
-def _report_integrate(name: str, parent: list | str, change: list | str) -> int:
+def _record_differences(a: list, b: list, ref: list) -> tuple[bool, str]:
+    """Whether the change's record b differs from the parent's record a, and how.
+
+    Only the final chart and crossing count are structure; the state count
+    is reported but follows the stepper.  Deviations are judged by each
+    record's final error against the reference record ref.
+    """
+    changed = [(name, x, y) for name, x, y in zip(("chart", "states", "crossings"), a, b) if x != y]
+    structure = ", ".join(f"{name} {x} -> {y}" for name, x, y in changed)
+    err_a, err_b = _final_error(a, ref), _final_error(b, ref)
+    text = (
+        f"{structure or 'same final chart, state count and crossing count'}; "
+        f"final error against the reference {err_a:.1e} -> {err_b:.1e}"
+    )
+    structure_differs = any(name != "states" for name, *_ in changed)
+    return structure_differs or err_b > max(2.0 * err_a, INTEGRATE_TOL), text
+
+
+def _report_integrate(name: str, parent: list | str, change: list | str, ref: list | str) -> int:
     """Print one config's library runs; the number that differ."""
-    sides = (("parent", parent), ("change", change))
+    sides = (("parent", parent), ("change", change), ("reference", ref))
     errors = [f"\n      {side}: {r}" for side, r in sides if isinstance(r, str)]
     if errors:
         print(f"DIFF  {name}: integrate runs" + "".join(errors))
         return INTEGRATE_RUNS
     n_diff = 0
-    for i, (a, b) in enumerate(zip(parent, change)):
+    for i, (a, b, r) in enumerate(zip(parent, change, ref)):
         if a == b:
             print(f"same  {name}: integrate run {i}")
             continue
-        differs, text = _record_differences(a, b)
+        differs, text = _record_differences(a, b, r)
         n_diff += differs
         print(f"{'DIFF' if differs else 'near'}  {name}: integrate run {i}\n      {text}")
     return n_diff
@@ -211,7 +231,13 @@ def main(argv=None) -> int:
                 for _, config, command, outs in runs
             ]
             library = {
-                name: {side: pool.submit(_integrate_runs, src, config, tmp) for side, src in sources.items()}
+                name: {
+                    "parent": pool.submit(_integrate_runs, sources["parent"], config, tmp),
+                    "change": pool.submit(_integrate_runs, sources["change"], config, tmp),
+                    "reference": pool.submit(
+                        _integrate_runs, sources["parent"], config, tmp, REFERENCE_DS_DIVISOR
+                    ),
+                }
                 for name, config in configs.items()
             }
             n_diff = 0
@@ -220,7 +246,7 @@ def main(argv=None) -> int:
                 n_diff += bool(diffs)
                 print(f"{'DIFF' if diffs else 'same'}  {label}" + "".join(f"\n      {d}" for d in diffs))
             n_lib_diff = sum(
-                _report_integrate(name, futures["parent"].result(), futures["change"].result())
+                _report_integrate(name, *(f.result() for f in futures.values()))
                 for name, futures in library.items()
             )
     print(f"{len(runs)} CLI runs, {n_diff} with differences")
