@@ -99,7 +99,10 @@ def antipode(theta):
 _PEAK = 4.0  # 1 / (q at u = 1/2); exp(4 - 1/q) has maximum 1
 # below q = 1e-3 the profile underflows to exactly 0.0 in double precision;
 # off (0, 1), infinities included, q = u(1 - u) <= 0, so the floor alone
-# zeroes every kernel there
+# zeroes every scalar kernel there.  The array kernels clamp u to
+# [1e-3, 1 - 1e-3] instead of masking: there q < 1e-3, so exp(4 - 1/q) is
+# already 0.0, and 1 - 2u stays finite; + 0.0 turns the zeros of the
+# derivatives positive, as the scalar kernels return them
 _Q_FLOOR = 1e-3
 
 
@@ -111,10 +114,8 @@ def _bump01(u: float) -> float:
 
 
 def _bump01_vec(u: np.ndarray) -> np.ndarray:
-    q = u * (1.0 - u)
-    inside = q >= _Q_FLOOR
-    qs = np.where(inside, q, 1.0)
-    return np.where(inside, np.exp(_PEAK - 1.0 / qs), 0.0)
+    u = np.minimum(np.maximum(u, _Q_FLOOR), 1.0 - _Q_FLOOR)
+    return np.exp(_PEAK - 1.0 / (u * (1.0 - u)))
 
 
 def _bump01_d1(u: float) -> float:
@@ -126,10 +127,9 @@ def _bump01_d1(u: float) -> float:
 
 
 def _bump01_d1_vec(u: np.ndarray) -> np.ndarray:
+    u = np.minimum(np.maximum(u, _Q_FLOOR), 1.0 - _Q_FLOOR)
     q = u * (1.0 - u)
-    inside = q >= _Q_FLOOR
-    qs = np.where(inside, q, 1.0)
-    return np.where(inside, np.exp(_PEAK - 1.0 / qs) * (1.0 - 2.0 * u) / (qs * qs), 0.0)
+    return np.exp(_PEAK - 1.0 / q) * (1.0 - 2.0 * u) / (q * q) + 0.0
 
 
 def _bump01_d1d2(u: float) -> tuple[float, float]:
@@ -143,14 +143,11 @@ def _bump01_d1d2(u: float) -> tuple[float, float]:
 
 
 def _bump01_d1d2_vec(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    u = np.minimum(np.maximum(u, _Q_FLOOR), 1.0 - _Q_FLOOR)
     q = u * (1.0 - u)
-    inside = q >= _Q_FLOOR
-    qs = np.where(inside, q, 1.0)
     qp = 1.0 - 2.0 * u
-    e = np.exp(_PEAK - 1.0 / qs)
-    d1 = np.where(inside, e * qp / (qs * qs), 0.0)
-    d2 = np.where(inside, e * ((qp / (qs * qs)) ** 2 - 2.0 * (qs + qp * qp) / qs**3), 0.0)
-    return d1, d2
+    e = np.exp(_PEAK - 1.0 / q)
+    return e * qp / (q * q) + 0.0, e * ((qp / (q * q)) ** 2 - 2.0 * (q + qp * qp) / q**3) + 0.0
 
 
 # ----------------------------------------------------------------------------

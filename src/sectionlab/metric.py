@@ -75,19 +75,14 @@ def _step01(u: float) -> tuple[float, float]:
 
 
 def _step01_vec(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    u = np.asarray(u, dtype=float)
-    inside = (u > 0.0) & (u < 1.0)
-    us = np.where(inside, u, 0.5)
-    a = np.exp(-1.0 / us)
-    b = np.exp(-1.0 / (1.0 - us))
+    # clamped, not masked: exp(-1/u) already underflows to 0.0 at u = 1e-3,
+    # so off [1e-3, 1 - 1e-3] the step is exactly 0 or 1 with slope 0
+    u = np.minimum(np.maximum(u, 1e-3), 1.0 - 1e-3)
+    a = np.exp(-1.0 / u)
+    b = np.exp(-1.0 / (1.0 - u))
     denom = a + b
-    s = np.where(inside, a / denom, np.where(u >= 1.0, 1.0, 0.0))
-    ds = np.where(
-        inside,
-        a * b * (1.0 / (us * us) + 1.0 / ((1.0 - us) * (1.0 - us))) / (denom * denom),
-        0.0,
-    )
-    return s, ds
+    ds = a * b * (1.0 / (u * u) + 1.0 / ((1.0 - u) * (1.0 - u))) / (denom * denom)
+    return a / denom, ds
 
 
 class _PlateauLift(CircleDiffeo):
@@ -125,9 +120,10 @@ class GluedMetric:
         [t1, 1] is the radially constant plateau.
     psi2 : None | float | callable
         Plateau profile of chart 2: a constant, stored as the number itself
-        (None means 1.0), or a `circle.periodic_spline` evaluator, whose
-        nu = 1 and nu = -1 give the derivative and the primitive.  psi_1 is
-        always derived from the compatibility rule.
+        in `psi2_const` (None means 1.0), or a `circle.periodic_spline`
+        evaluator, whose nu = 1 and nu = -1 give the derivative and the
+        primitive, and then `psi2_const` is None.  psi_1 is always derived
+        from the compatibility rule.
     psi1_scale : float
         Deliberate compatibility breaker for negative controls, positive and
         finite; the default 1.0 keeps the gluing exact.
@@ -150,9 +146,9 @@ class GluedMetric:
         self.t1 = float(t1)
         self.psi1_scale = float(psi1_scale)
         if psi2 is None or isinstance(psi2, (int, float)):
-            self._psi2_const = 1.0 if psi2 is None else psi2
+            self.psi2_const = 1.0 if psi2 is None else psi2
         else:
-            self._psi2_const = None
+            self.psi2_const = None
             self._psi2 = psi2
 
         grid = np.linspace(0.0, TWO_PI, _PSI_GRID, endpoint=False)
@@ -163,8 +159,8 @@ class GluedMetric:
         psi1_min = float(np.min(psi1_vals))
         if not psi1_min > 0.0:
             raise ValueError(f"derived psi1 must be positive; min on grid is {psi1_min:.6g}")
-        if self._psi2_const is not None:
-            self._plateau_lift, self._psi2_mean = IdentityDiffeo(), self._psi2_const
+        if self.psi2_const is not None:
+            self._plateau_lift, self._psi2_mean = IdentityDiffeo(), self.psi2_const
         else:
             self._plateau_lift = _PlateauLift(psi2)
             self._psi2_mean = self._plateau_lift.mean
@@ -181,7 +177,7 @@ class GluedMetric:
 
     def _psi_pair(self, chart: int, theta):
         """(psi, psi') on a chart; chart 1 applies psi_1 = (psi_2 o F) * F'."""
-        c = self._psi2_const
+        c = self.psi2_const
         if chart == 2:
             if c is not None:
                 return c, 0.0
@@ -256,6 +252,12 @@ class GluedMetric:
         phi_t = (1.0 - s) + ds * (psi - t)
         phi_theta = s * psi_p
         return phi, phi_t, phi_theta
+
+    def revolution_warp(self, t: np.ndarray) -> np.ndarray:
+        """phi_2 at the radii t, an array, for a constant psi_2 = c, where chart 2
+        is a surface of revolution: (1 - s(t)) t + s(t) c."""
+        s, _ = _step01_vec((t - self.t0) / (self.t1 - self.t0))
+        return (1.0 - s) * t + s * self.psi2_const
 
     def christoffel(self, chart: int, t: float, theta: float) -> tuple[float, float, float]:
         """(Gamma^t_thth, Gamma^th_tth, Gamma^th_thth); all other symbols vanish.

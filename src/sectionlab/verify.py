@@ -131,22 +131,23 @@ def all_or_none_check(
 
     Integrates n_geodesics random non-radial unit-speed states (coordinate
     angular velocity at least 0.1 in magnitude) to s_max and counts sign
-    changes of vtheta after every chord, plateau segment, step and chart
-    transition; zero flips is the coordinate-level all-or-none statement.
-    The residual is the flip count.
+    changes of vtheta after every chord, plateau segment, transit, step and
+    chart transition; zero flips is the coordinate-level all-or-none
+    statement.  The residual is the flip count.
 
     The law holds exactly for every metric of the family, so the flip count
     measures the integrator, not the metric: vtheta' is linear and
     homogeneous in vtheta (see the geodesic equation in `geodesics`), so by
     uniqueness a vtheta that vanishes once vanishes throughout; the rim
-    multiplies vtheta by F' > 0; the flat-disk chord keeps t^2 vtheta; and
-    the plateau keeps vsigma = psi vtheta.  The same homogeneity keeps the
-    sign under a wrong right-hand side, so the check also needs the worst
-    speed_error over the final states to stay within `drift_bound(ds,
-    s_max)`.  That bound also catches a metric defect: a seam that is not an
-    isometry breaks unit speed at every crossing onto chart 1 (by about 2e-2
-    at psi1_scale = 1.01), so such a metric fails this check as well as
-    gluing_compatibility.
+    multiplies vtheta by F' > 0; the flat-disk chord keeps t^2 vtheta; the
+    plateau keeps vsigma = psi vtheta; and the chart-2 transit of a constant
+    psi_2 keeps L = phi^2 vtheta, hence the sign of vtheta, and the speed.
+    The same homogeneity keeps the sign under a wrong right-hand side, so
+    the check also needs the worst speed_error over the final states to
+    stay within `drift_bound(ds, s_max)`.  That bound also catches a metric
+    defect: a seam that is not an isometry breaks unit speed at every
+    crossing onto chart 1 (by about 2e-2 at psi1_scale = 1.01), so such a
+    metric fails this check as well as gluing_compatibility.
     """
     if n_geodesics < 1:
         raise ValueError(f"n_geodesics must be at least 1, got {n_geodesics!r}")

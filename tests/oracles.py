@@ -7,8 +7,10 @@ oracle is plane geometry.  Tests compare package output against these.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
+from scipy.integrate import quad_vec
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
@@ -81,6 +83,57 @@ def flat_polar_geodesic(t0, theta0, vt0, vtheta0, s):
     vt = (x * vx + y * vy) / t
     vtheta = (x * vy - y * vx) / (t * t)
     return t, theta, vt, vtheta
+
+
+def revolution_transit(t0, t1, c, L):
+    """(arclength, angle change) of a unit-speed geodesic of a surface of
+    revolution dt^2 + phi(t)^2 dtheta^2 across the annulus t0 <= t <= t1.
+
+    phi = (1 - s) t + s c, with s = e^(-1/u) / (e^(-1/u) + e^(-1/(1 - u)))
+    on u = (t - t0) / (t1 - t0), so phi = t below t0 and c above t1, and
+    c >= t1 makes phi increase.  L = phi^2 dtheta/ds is the Clairaut
+    constant, so ds = phi dt / sqrt(phi^2 - L^2) and dtheta = L ds / phi^2.
+    Where phi(t*) = |L| the geodesic turns.  If |L| > t0, t* lies in the
+    annulus and the visit, from t1 back to t1, is twice the integral over
+    [t*, t1].  Otherwise t* = |L| lies in the flat disk and the visit,
+    between t0 and t1, is the integral over [t*, t1] less that over
+    [t*, t0], which the flat metric gives in closed form: sqrt(t0^2 - L^2)
+    and sign(L) acos(|L| / t0).  Each integral is taken in x with
+    t = t* + (t1 - t*) x^2, which makes the integrand smooth; phi, t* (by
+    bisection) and the integrands are evaluated in 40-digit decimal
+    arithmetic, which keeps phi - |L| exact near t*, and scipy's quad_vec
+    integrates both at once.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        d0, d1, dc, a = Decimal(t0), Decimal(t1), Decimal(c), Decimal(abs(L))
+
+        def phi(x):
+            u = (x - d0) / (d1 - d0)
+            if u <= 0:
+                return x
+            if u >= 1:
+                return dc
+            e0, e1 = (-1 / u).exp(), (-1 / (1 - u)).exp()
+            return x + e0 / (e0 + e1) * (dc - x)
+
+        lo, hi = Decimal(0), d1
+        for _ in range(140):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if phi(mid) < a else (lo, mid)
+        span = d1 - lo
+
+        def integrand(x):
+            x = Decimal(x)
+            p = phi(lo + span * x * x)
+            root = (p * p - a * a).sqrt()
+            return float(2 * span * x) * np.array([float(p / root), L * float(1 / (p * root))])
+
+        # [0, 1e-15] adds about 1e-15 times a bounded integrand
+        length, angle = quad_vec(integrand, 1e-15, 1.0, epsabs=1e-15, epsrel=1e-14)[0]
+    if abs(L) > t0:
+        return 2.0 * length, 2.0 * angle
+    return length - math.sqrt(t0 * t0 - L * L), angle - math.copysign(math.acos(abs(L) / t0), L)
 
 
 def lcm_brute(a: int, b: int, bound: int = 10**6) -> int:

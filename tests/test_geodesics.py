@@ -36,9 +36,18 @@ from sectionlab import (
 )
 
 from sectionlab.circle import periodic_spline
-from sectionlab.geodesics import ANGLE_BOUND, DS_MIN, _bad_step, _dop853
+from sectionlab.geodesics import (
+    ANGLE_BOUND,
+    DS_MIN,
+    GRAZING,
+    TANGENT,
+    _bad_step,
+    _dop853,
+    _gauss_legendre,
+    _transit,
+)
 from sectionlab.verify import _sample_nonradial_states, drift_bound
-from oracles import flat_polar_geodesic
+from oracles import flat_polar_geodesic, revolution_transit
 from strategies import drawn_maps, spline_tables
 from test_circle import all_families
 
@@ -142,17 +151,20 @@ def test_dop853_local_error_orders(monkeypatch):
 
 def test_adaptive_annulus_steps_are_few():
     # fixed RK4 steps of ds = 1e-3 recorded 11609 states on this run,
-    # Dormand-Prince 5(4) steps 2055 and DOP853 steps 714
+    # Dormand-Prince 5(4) steps 2055, DOP853 steps 714, and DOP853 steps
+    # with exact chart-2 transits 367
     m = default_metric()
     traj = integrate(m, unit_speed_state(m, 1, 0.5, 1.0, 1.1), ds=1e-3, s_max=20.0)
     assert traj.final.s == 20.0 and len(traj.crossings) == 12
-    assert len(traj.states) < 11609 / 12
+    assert len(traj.states) < 400
 
 
 def test_ensemble_takes_few_lockstep_rounds():
     # every round of the ensemble makes one _dop853 call on its annulus
-    # members; these 8 members took 665 Dormand-Prince 5(4) rounds and take
-    # 303 DOP853 rounds
+    # members; these 8 members took 665 Dormand-Prince 5(4) rounds, 303
+    # DOP853 rounds, and take 301 with exact chart-2 transits: the slowest
+    # member starts inside the chart-2 annulus and ends inside its next
+    # chart-2 visit, and both visits keep their steps
     m = default_metric()
     inits = _sample_nonradial_states(m, 8, np.random.default_rng(5))
     calls = 0
@@ -165,7 +177,7 @@ def test_ensemble_takes_few_lockstep_rounds():
     with mock.patch.object(geodesics, "_dop853", counted):
         res = integrate_ensemble(m, inits, ds=1e-3, s_max=4.0)
     assert res.sign_flips.sum() == 0
-    assert calls < 400
+    assert calls < 310
 
 
 def test_radial_run_is_exact_segments():
@@ -677,11 +689,13 @@ def test_every_legal_ds_runs_to_the_end(fraction, start):
 
 @pytest.mark.parametrize(
     "m",
-    [default_metric(), GluedMetric(RotationDiffeo(1.1), psi2=1.2)],
+    [GluedMetric(semicircle_bump(0.3), psi2=0.6), GluedMetric(RotationDiffeo(1.1), psi2=1.2)],
     ids=["chart2_visits", "rotation_whole_run"],
 )
 def test_clairaut_oracle_fails_under_a_wrong_christoffel_term(monkeypatch, m):
-    # the negative control of all_or_none_check, here in the scalar driver
+    # the negative control of all_or_none_check, here in the scalar driver;
+    # psi2 = 0.6 < t1 keeps chart 2 a surface of revolution whose visits
+    # are stepped, as the transit needs psi2 >= t1
     def skewed_rhs(warp, chart, t, th, vt, vth):
         phi, phi_t, phi_th = warp(chart, t, th)
         dvt = phi * phi_t * vth * vth
@@ -723,6 +737,131 @@ def test_drawn_psi2_tables_glue_and_keep_the_flat_zone_invariants(build, table, 
             vsigma = psi[a.chart](a.theta) * a.vtheta
             assert psi[b.chart](b.theta) * b.vtheta == pytest.approx(vsigma, rel=1e-12)
     assert chords >= 1 and plateaus >= 1
+
+
+# --- the chart-2 transit --------------------------------------------------------
+
+
+def _quad_transit(m, chart, t, th, vt, vth, s):
+    """(arclength, angle change) of a chart-2 annulus visit, by the oracle."""
+    return revolution_transit(m.t0, m.t1, m.psi2_const, m.warp(2, t, 0.0) ** 2 * vth)
+
+
+def _transit_states(m):
+    """Chart-2 entry states, the sign of L alternating: through from t0 and
+    from t1, |L|/t0 up to 0.99985, and turning ones from t1, |L| between t0
+    and 0.99 psi2."""
+    t0, t1, c = m.t0, m.t1, m.psi2_const
+    sign = 1.0
+    for kind, ratios in (
+        ("t0", (0.05, 0.7, 0.99, 0.999, 0.99985)),
+        ("through", (0.5, 0.999, 0.99985)),
+        ("turn", (1.001, 1.5, 0.9 * c / t0, 0.99 * c / t0)),
+    ):
+        for ratio in ratios:
+            a, sign = ratio * t0, -sign
+            phi, vt = (t0, 1.0) if kind == "t0" else (c, -1.0)
+            yield (2, t0 if kind == "t0" else t1, 1.0, vt * math.sqrt(1.0 - (a / phi) ** 2),
+                   sign * a / phi**2, 3.0)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [default_metric(), GluedMetric(RotationDiffeo(1.1), t0=0.1, t1=0.9, psi2=0.9)],
+    ids=["default", "zones_0.1_0.9_psi2_eq_t1"],
+)
+def test_transit_matches_quad(m):
+    # through transits, turning points and |L|/t0 up to 0.99985 against the
+    # decimal quad_vec oracle, and each exit at unit speed with L kept
+    for state in _transit_states(m):
+        chart, t_out, th_out, vt_out, vth_out, s_out = _transit(m, *state, 100.0)
+        length, dth = _quad_transit(m, *state)
+        # the worst, 6.5e-13, is at |L| = 0.99 psi2 on psi2 = t1, where phi_2
+        # flattens towards t1
+        assert abs(s_out - state[5] - length) < 1e-12
+        assert abs(th_out - state[2] - dth) < 1e-12
+        phi_out = m.warp(2, t_out, 0.0)
+        assert chart == 2 and t_out in (m.t0, m.t1) and (vt_out > 0.0) == (t_out == m.t1)
+        assert vt_out**2 + (phi_out * vth_out) ** 2 == pytest.approx(1.0, abs=4e-16)
+        L = m.warp(2, state[1], 0.0) ** 2 * state[4]
+        assert phi_out**2 * vth_out == pytest.approx(L, rel=1e-15)
+        # at the speed 1.01, as after a seam that is not an isometry, the
+        # same path takes 1 / 1.01 of the time and keeps the speed
+        fast = _transit(m, *state[:3], 1.01 * state[3], 1.01 * state[4], state[5], 100.0)
+        assert fast[1] == t_out and fast[2] == pytest.approx(th_out, abs=1e-14)
+        assert 1.01 * (fast[5] - state[5]) == pytest.approx(s_out - state[5], rel=1e-14)
+        assert fast[3:5] == pytest.approx((1.01 * vt_out, 1.01 * vth_out), rel=1e-14)
+
+
+def test_transit_oracle_fails_without_the_jacobian(monkeypatch):
+    # the negative control: weights without the 2 x of t = lo + (t1 - lo) x^2
+    m = default_metric()
+    for name in ("_THROUGH", "_TURN"):
+        x2, w = getattr(geodesics, name)
+        monkeypatch.setattr(geodesics, name, (x2, w / (2.0 * np.sqrt(x2))))
+    worst = 0.0
+    for state in _transit_states(m):
+        length, _ = _quad_transit(m, *state)
+        worst = max(worst, abs(_transit(m, *state, 100.0)[5] - state[5] - length))
+    assert worst > 1e-2
+
+
+def test_gauss_legendre_nodes_match_numpy():
+    x, w = _gauss_legendre(128)
+    nodes, weights = np.polynomial.legendre.leggauss(128)
+    assert np.max(np.abs(x - nodes)) < 1e-15
+    assert np.max(np.abs(w - weights)) < 1e-14
+
+
+def test_transit_falls_back_to_steps():
+    # the transit declines, and the visit keeps its DOP853 steps, for a
+    # grazing |L| in [GRAZING t0, t0], a nearly tangent |L| >= TANGENT psi2
+    # at t1, a run that ends inside the visit, a state that does not enter
+    # at t0 or t1, chart 1, a psi2 below t1 and a tabulated psi2
+    m = default_metric()
+    t0, t1 = m.t0, m.t1
+    graze = GRAZING * t0 * (1.0 + 1e-5)
+    tangent = TANGENT * (1.0 + 1e-4)
+    declined = [
+        (m, (2, t0, 1.0, math.sqrt(1.0 - (graze / t0) ** 2), graze / t0**2, 0.0), 10.0),
+        (m, (2, t1, 1.0, -math.sqrt(1.0 - graze**2), graze, 0.0), 10.0),
+        (m, (2, t1, 1.0, -math.sqrt(1.0 - tangent**2), tangent, 0.0), 10.0),
+        (m, (2, t0, 1.0, 0.8, 0.6 / t0, 0.0), 0.1),
+        (m, (2, 0.5, 1.0, 0.8, 0.6 / m.warp(2, 0.5, 0.0), 0.0), 10.0),
+        (m, (1, t1, 1.0, -0.8, 0.6 / m.psi1(1.0), 0.0), 10.0),
+        (GluedMetric(semicircle_bump(0.3), psi2=0.6), (2, t1, 1.0, -0.8, 0.6 / 0.6, 0.0), 10.0),
+        (psi2_table_metric(), (2, t1, 1.0, -0.8, 0.6 / psi2_table_metric().psi2(1.0), 0.0), 10.0),
+    ]
+    for metric, state, s_end in declined:
+        assert _transit(metric, *state, s_end) is None, state
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return _dop853(*args)
+
+        with mock.patch.object(geodesics, "_dop853", counted):
+            traj = integrate(metric, GeodesicState(*state), s_max=min(s_end, 0.2))
+        assert calls > 0 and traj.states[1].t not in (t0, t1)
+    # the same entry as the run-end case, with room, is one move to t1
+    assert _transit(m, 2, t0, 1.0, 0.8, 0.6 / t0, 0.0, 10.0)[1] == t1
+
+
+def test_chart2_visits_are_one_state_each():
+    # on the default metric each chart-2 annulus visit but the last, which
+    # the end of the run cuts, is one recorded state at t0 or t1 that keeps
+    # L = phi^2 vtheta to rounding
+    m = default_metric()
+    traj = integrate(m, unit_speed_state(m, 1, 0.5, 1.0, 1.1), s_max=20.0)
+    visits = 0
+    for a, b in zip(traj.states, traj.states[1:-1]):
+        if a.chart == 2 and (a.t == m.t0 and a.vt > 0.0 or a.t == m.t1 and a.vt < 0.0):
+            visits += 1
+            assert b.chart == 2 and b.t in (m.t0, m.t1) and b.s > a.s
+            la, lb = (m.warp(2, x.t, 0.0) ** 2 * x.vtheta for x in (a, b))
+            assert lb == pytest.approx(la, rel=1e-15)
+    assert visits >= 5
 
 
 # --- exact tracer ----------------------------------------------------------------

@@ -9,9 +9,10 @@ It reports every difference in the output files, in stdout (lines starting
 `wrote ` are left out, as they name the output directory) and in the exit
 code, and exits 0 when all runs agree and 1 otherwise.
 
-The matrix is four configs (the defaults, a 24-knot spline map, the
-tabulated-psi2 config of tests/test_cli.py, and a rotation by 1.1 with a
-3-knot psi2 table) times nine commands.  The verify runs dominate its time.
+The matrix is five configs (the defaults, a 24-knot spline map, the
+tabulated-psi2 config of tests/test_cli.py, a rotation by 1.1 with a 3-knot
+psi2 table, and the default map with the zones t0 = 0.1, t1 = 0.9) times
+nine commands.  The verify runs dominate its time.
 
 No command takes a non-radial step in the scalar integrator, so each config
 also gets INTEGRATE_RUNS = 8 library runs: `integrate` to s = 20 from the
@@ -98,6 +99,12 @@ psi2_thetas = 0.0, 2.0, 4.0
 psi2_values = 1.0, 1.2, 0.9
 """
 
+ZONES_CFG = """
+[metric]
+t0 = 0.1
+t1 = 0.9
+"""
+
 COMMANDS = (
     ["scan-periods"],
     ["trace", "0.0"],
@@ -118,6 +125,7 @@ def _configs() -> dict:
         "spline24": _spline_cfg(),
         "psi2": _psi2_cfg(),
         "rotation-psi2": ROTATION_PSI2_CFG,
+        "zones": ZONES_CFG,
     }
 
 
