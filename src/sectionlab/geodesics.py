@@ -260,6 +260,9 @@ ANNULUS_TOL = 1.2e-12
 DS_MIN = DEFAULT_DS * (2.0**-52 / ANNULUS_TOL) ** 0.25
 
 
+# an overflow in the stages or the stage sums turns into inf or nan quietly,
+# as in Python float arithmetic, and the drivers name the step (`_bad_step`)
+@np.errstate(over="ignore", invalid="ignore")
 def _dop853(warp, chart, t, th, vt, vth, h):
     """One DOP853 step of `_rhs` on the scalar or the array warp kernel.
 
@@ -529,6 +532,28 @@ def _transit(metric, chart, t, th, vt, vth, s, s_end):
     return 2, t1, th, v * math.sqrt((c - a) * (c + a)) / c, v * L / (c * c), s + length
 
 
+def _exact_move(metric, chart, t, th, vt, vth, s, s_end):
+    """The move rule of both drivers: one exact move of a state, or None.
+
+    In this order: a plateau state (t > t1, or t == t1 moving outward), or a
+    radial one moving outward from the annulus, takes its straight segment
+    (`_plateau`); a state inside the flat disk (t < t0), at exactly t0
+    moving inward, or any other radial state takes its straight chord
+    (`_chord`); any other state takes its transit (`_transit`) where one
+    applies.  Returns (state, event, transit): the new state, the move's
+    RimCrossing or CenterEvent or None, and whether the move was a transit.
+    None means the state takes a DOP853 step.  A non-radial state moves
+    exactly only from t <= t0 or t >= t1.
+    """
+    t0, t1 = metric.t0, metric.t1
+    if t > t1 or (t == t1 and vt >= 0.0) or (vth == 0.0 and vt > 0.0 and t >= t0):
+        return (*_plateau(metric, chart, t, th, vt, vth, s, s_end), False)
+    if t < t0 or (t == t0 and vt < 0.0) or vth == 0.0:
+        return (*_chord(t0, chart, t, th, vt, vth, s, s_end), False)
+    moved = _transit(metric, chart, t, th, vt, vth, s, s_end)
+    return None if moved is None else (moved, None, True)
+
+
 def integrate(
     metric: GluedMetric,
     init: GeodesicState,
@@ -539,55 +564,39 @@ def integrate(
 
     The start rule is `_start`'s: a unit-speed state inside its disk, snapped
     to radial when |vtheta| < RADIAL_TOL, and ds < min(t0, 1 - t1) unless
-    radial.  A state on the plateau (t > t1, or t == t1 moving outward), or
-    a radial one moving outward from the annulus, moves along its straight
-    line to the rim, where it crosses the seam, or to exactly t1
-    (`_plateau`).  A state inside the flat disk (t < t0), or a radial one
-    moving inward, moves along its straight chord to exactly t0 (`_chord`);
-    only radial chords pass through a center (the angle jumps to the
-    antipode, the radial velocity flips); so does a state at exactly t0
-    moving inward.  With a constant psi_2 >= t1, a chart-2 annulus visit
-    entering at exactly t0 or t1 is one exact move where `_transit` applies,
-    after which h grows by the factor 5, as after a step of zero error
-    estimate.  Any other non-radial state of the
-    annulus [t0, t1) takes a DOP853 step (`_dop853`).  ds sets the accuracy
-    of these steps, not their length: each step is accepted when its
-    combined error estimate is at most ANNULUS_TOL * (ds / DEFAULT_DS)**4,
-    and the step size h follows h * clamp(0.9 (err/tol)^(-1/8), 0.2, 5), at
-    most half the narrower flat zone (`_annulus_control`).  A rejected step
-    is retried at once with the smaller h.  A step is not cut at t0 or t1:
-    the metric is smooth across both, so a step that ends in a flat zone
-    hands its state to the chord or the plateau segment.  A step that ends
-    outside [0, 1) or with an error estimate that is not a number raises
-    FloatingPointError (`_bad_step`).  Each chord, plateau segment, transit
-    and accepted step appends one state, so a plateau visit records its rim
-    crossing and its return to t1, and a transit its exit at t0 or t1.
+    radial.  Each state takes the exact move of `_exact_move` (chord, plateau
+    segment or transit), and otherwise a DOP853 step (`_dop853`); after a
+    transit h grows by the factor 5, as after a step of zero error estimate.
+    ds sets the accuracy of the steps, not their length: a step is accepted
+    when its error estimate is at most ANNULUS_TOL * (ds / DEFAULT_DS)**4,
+    and h follows h * clamp(0.9 (err/tol)^(-1/8), 0.2, 5), at most half the
+    narrower flat zone (`_annulus_control`).  A rejected step is retried at
+    once with the smaller h.  Steps are not cut at t0 or t1: the metric is
+    smooth across both, so a step that ends in a flat zone hands its state
+    to the next exact move.  A step that ends outside [0, 1) or with an
+    error estimate that is not a number raises FloatingPointError
+    (`_bad_step`).  Each exact move and accepted step appends one state, so
+    a plateau visit records its rim crossing and its return to t1.
     """
     chart, t, th, vt, vth, s, s_end = _start(metric, init, ds, s_max)
-    t0, t1 = metric.t0, metric.t1
     tol, h_max = _annulus_control(metric, ds)
     h = min(ds, h_max)
     warp = metric.warp_with_partials
     traj = Trajectory(states=[GeodesicState(chart, t, th, vt, vth, s)])
     while s < s_end - 1e-15:
-        crossing = None
-        if t > t1 or (t == t1 and vt >= 0.0) or (vth == 0.0 and vt > 0.0 and t >= t0):
-            (chart, t, th, vt, vth, s), crossing = _plateau(metric, chart, t, th, vt, vth, s, s_end)
-        elif t < t0 or (t == t0 and vt < 0.0) or vth == 0.0:
-            (chart, t, th, vt, vth, s), passage = _chord(t0, chart, t, th, vt, vth, s, s_end)
-            if passage is not None:
-                traj.center_passages.append(passage)
-        elif (t == t0 or t == t1) and (moved := _transit(metric, chart, t, th, vt, vth, s, s_end)):
-            chart, t, th, vt, vth, s = moved
-            # an exact move: h grows as after a step whose estimate is zero
-            h = min(h_max, 5.0 * h)
+        move = _exact_move(metric, chart, t, th, vt, vth, s, s_end)
+        if move is not None:
+            (chart, t, th, vt, vth, s), event, transit = move
+            if transit:
+                # h grows as after a step whose estimate is zero
+                h = min(h_max, 5.0 * h)
+            elif isinstance(event, RimCrossing):
+                traj.crossings.append(event)
+            elif event is not None:
+                traj.center_passages.append(event)
         else:
             step = min(h, s_end - s)
-            # the stage sums run through numpy: there, as in Python float
-            # arithmetic, an overflow turns into inf or nan quietly, and
-            # _bad_step names the step
-            with np.errstate(over="ignore", invalid="ignore"):
-                nt, nth, nvt, nvth, err = _dop853(warp, chart, t, th, vt, vth, step)
+            nt, nth, nvt, nvth, err = _dop853(warp, chart, t, th, vt, vth, step)
             if not (0.0 <= nt < 1.0 and err < math.inf):
                 raise _bad_step(chart, t, s, nt, err)
             # err + 1e-300: a zero error estimate grows h by the full factor 5
@@ -595,8 +604,6 @@ def integrate(
             if not err <= tol:
                 continue
             t, th, vt, vth, s = nt, nth, nvt, nvth, s + step
-        if crossing is not None:
-            traj.crossings.append(crossing)
         traj.states.append(GeodesicState(chart, t, th, vt, vth, s))
     return traj
 
@@ -622,15 +629,12 @@ def integrate_ensemble(
 ) -> EnsembleResult:
     """Integrate many independent non-radial geodesics in lockstep.
 
-    The same start rule, chord, plateau segment and DOP853 step as
+    The same start rule, move rule (`_exact_move`) and DOP853 step as
     `integrate`, with the steps taken on arrays: in each round a member
-    inside the flat disk takes its chord, a member on the plateau its
-    straight segment, a chart-2 member that enters the annulus at exactly
-    t0 or t1 its transit (`_transit`) where one applies, and the other
-    active members of the annulus [t0, t1) one trial step each, of their
-    own step size.  So a transit takes one round, not one per step.  A
-    rejected member retries with its smaller step in the next round.
-    Members desynchronize in s.
+    takes its exact move where one applies, and the other active members
+    one trial step each, of their own step size.  So a transit takes one
+    round, not one per step.  A rejected member retries with its smaller
+    step in the next round.  Members desynchronize in s.
     Members that are radial after the start rule raise ValueError;
     integrate those with `integrate`.  A trial step that ends outside [0, 1)
     or with an error estimate that is not a number raises
@@ -656,23 +660,17 @@ def integrate_ensemble(
 
     active = s < s_end - 1e-15
     while np.any(active):
-        inside = (t < t0) | ((t == t0) & (vt < 0.0))
-        plateau = (t > t1) | ((t == t1) & (vt >= 0.0))
-        annulus = active & ~inside & ~plateau
-        edge = annulus & (chart == 2) & ((t == t0) | (t == t1))
-        for i in np.flatnonzero(active & (inside | plateau | edge)):
-            state = (int(chart[i]), t[i], th[i], vt[i], vth[i], s[i])
-            if inside[i]:
-                (chart[i], t[i], th[i], vt[i], vth[i], s[i]), _ = _chord(t0, *state, s_end[i])
-            elif plateau[i]:
-                new, crossing = _plateau(metric, *state, s_end[i])
-                chart[i], t[i], th[i], vt[i], vth[i], s[i] = new
-                crossings[i] += crossing is not None
-            elif moved := _transit(metric, *state, s_end[i]):
-                chart[i], t[i], th[i], vt[i], vth[i], s[i] = moved
-                annulus[i] = False
-                h[i] = min(h_max, 5.0 * h[i])
-        k = np.flatnonzero(annulus)
+        stepped = active.copy()
+        # every exact move of a non-radial state starts at t <= t0 or t >= t1
+        for i in np.flatnonzero(active & ((t <= t0) | (t >= t1))):
+            move = _exact_move(metric, int(chart[i]), t[i], th[i], vt[i], vth[i], s[i], s_end[i])
+            if move is not None:
+                (chart[i], t[i], th[i], vt[i], vth[i], s[i]), event, transit = move
+                stepped[i] = False
+                crossings[i] += isinstance(event, RimCrossing)
+                if transit:
+                    h[i] = min(h_max, 5.0 * h[i])
+        k = np.flatnonzero(stepped)
         if k.size:
             step = np.minimum(h[k], s_end[k] - s[k])
             nt, nth, nvt, nvth, err = _dop853(warp, chart[k], t[k], th[k], vt[k], vth[k], step)

@@ -43,12 +43,13 @@ from sectionlab.geodesics import (
     TANGENT,
     _bad_step,
     _dop853,
+    _exact_move,
     _gauss_legendre,
     _transit,
 )
 from sectionlab.verify import _sample_nonradial_states, drift_bound
 from oracles import flat_polar_geodesic, revolution_transit
-from strategies import drawn_maps, spline_tables
+from strategies import drawn_maps, edge_starts, spline_tables
 from test_circle import all_families
 
 RNG = np.random.default_rng(4242)
@@ -576,9 +577,8 @@ def test_non_finite_step_raises():
     for init in states:
         with pytest.raises(FloatingPointError, match="non-finite radius nan"):
             integrate(m, init, s_max=20.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(FloatingPointError, match="non-finite radius nan"):
-            integrate_ensemble(m, states, s_max=20.0)
+    with pytest.raises(FloatingPointError, match="non-finite radius nan"):
+        integrate_ensemble(m, states, s_max=20.0)
 
 
 @pytest.mark.parametrize(
@@ -737,6 +737,92 @@ def test_drawn_psi2_tables_glue_and_keep_the_flat_zone_invariants(build, table, 
             vsigma = psi[a.chart](a.theta) * a.vtheta
             assert psi[b.chart](b.theta) * b.vtheta == pytest.approx(vsigma, rel=1e-12)
     assert chords >= 1 and plateaus >= 1
+
+
+# --- the move rule --------------------------------------------------------------
+
+# (psi2, chart, radius, motion, the move _exact_move takes; None: a DOP853 step)
+MOVE_RULE = [
+    (1.0, 1, "t0", "in", "chord"),
+    (1.0, 1, "t0", "out", None),
+    (1.0, 1, "t0", "along", None),
+    (1.0, 1, "t1", "in", None),
+    (1.0, 1, "t1", "out", "plateau"),
+    (1.0, 1, "t1", "along", "plateau"),
+    (1.0, 2, "t0", "in", "chord"),
+    (1.0, 2, "t0", "out", "transit"),
+    (1.0, 2, "t0", "along", None),
+    (1.0, 2, "t1", "in", "transit"),
+    (1.0, 2, "t1", "out", "plateau"),
+    (1.0, 2, "t1", "along", "plateau"),
+    (1.0, 2, "mid", "in", None),
+    (1.0, 2, "mid", "out", None),
+    (0.6, 1, "t0", "out", None),
+    (0.6, 1, "t1", "in", None),
+    (0.6, 2, "t0", "in", "chord"),
+    (0.6, 2, "t0", "out", None),
+    (0.6, 2, "t1", "in", None),
+    (0.6, 2, "t1", "out", "plateau"),
+    # radial states move exactly everywhere: outward on the plateau
+    # segment, inward on the chord
+    (1.0, 1, "t0", "radial in", "chord"),
+    (1.0, 1, "t0", "radial out", "plateau"),
+    (1.0, 1, "t1", "radial in", "chord"),
+    (1.0, 1, "t1", "radial out", "plateau"),
+    (1.0, 2, "t0", "radial in", "chord"),
+    (1.0, 2, "t0", "radial out", "plateau"),
+    (1.0, 2, "t1", "radial in", "chord"),
+    (1.0, 2, "t1", "radial out", "plateau"),
+    (1.0, 2, "mid", "radial in", "chord"),
+    (1.0, 2, "mid", "radial out", "plateau"),
+    (0.6, 2, "t0", "radial out", "plateau"),
+    (0.6, 2, "t1", "radial in", "chord"),
+]
+
+
+@pytest.mark.parametrize("psi2, chart, radius, motion, expected", MOVE_RULE)
+def test_move_rule_at_the_ties(psi2, chart, radius, motion, expected):
+    # which move a state at exactly t0 or t1 takes, in each direction, on
+    # both charts, with psi2 >= t1 (transits on chart 2) and below t1
+    m = GluedMetric(semicircle_bump(0.3), psi2=psi2)
+    t = {"t0": m.t0, "t1": m.t1, "mid": 0.5 * (m.t0 + m.t1)}[radius]
+    if motion.startswith("radial"):
+        state = (chart, t, 1.0, 1.0 if motion.endswith("out") else -1.0, 0.0, 0.0)
+    else:
+        vt = {"in": -0.8, "out": 0.8, "along": 0.0}[motion]
+        state = (chart, t, 1.0, vt, math.sqrt(1.0 - vt * vt) / m.warp(chart, t, 1.0), 0.0)
+    with (
+        mock.patch.object(geodesics, "_chord", wraps=geodesics._chord) as chord,
+        mock.patch.object(geodesics, "_plateau", wraps=geodesics._plateau) as plateau,
+    ):
+        move = _exact_move(m, *state, 100.0)
+    taken = [name for name, mocked in (("chord", chord), ("plateau", plateau)) if mocked.called]
+    if move is not None and move[2]:
+        taken.append("transit")
+    assert taken == ([] if expected is None else [expected])
+    assert (move is None) == (expected is None)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(
+    st.one_of(rotation_maps, drawn_maps),
+    st.floats(0.3, 1.5),
+    st.sampled_from([(0.25, 0.75), (0.1, 0.9)]),
+    edge_starts(),
+)
+def test_nonradial_exact_moves_start_in_a_flat_zone(build, c, zones, start):
+    # the premise of integrate_ensemble's pre-filter, which hands
+    # _exact_move only the members at t <= t0 or t >= t1; a radial state
+    # would break it, as it moves exactly from mid-annulus
+    try:
+        m = GluedMetric(build(), *zones, psi2=c)
+    except ValueError:  # MonotonicityViolation included
+        return
+    chart, t, theta, direction = start(m)
+    state = unit_speed_state(m, chart, t, theta, direction)
+    assert state.vtheta != 0.0
+    if _exact_move(m, chart, t, theta, state.vt, state.vtheta, 0.0, 10.0) is not None:
+        assert t <= m.t0 or t >= m.t1
 
 
 # --- the chart-2 transit --------------------------------------------------------

@@ -126,8 +126,7 @@ def test_all_or_none_reports_an_aborted_run():
     # psi1 near the float limit overflows the plateau warp (see
     # test_non_finite_step_raises): a solver failure is a FAIL row, not a crash
     m = GluedMetric(semicircle_bump(0.3), psi1_scale=1e308)
-    with np.errstate(over="ignore", invalid="ignore"):
-        res = all_or_none_check(m, n_geodesics=10, s_max=20.0, seed=0)
+    res = all_or_none_check(m, n_geodesics=10, s_max=20.0, seed=0)
     assert not res.passed
     assert res.residual == math.inf
     assert "integration aborted" in res.detail

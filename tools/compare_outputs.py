@@ -15,9 +15,9 @@ psi2 table, and the default map with the zones t0 = 0.1, t1 = 0.9) times
 nine commands.  The verify runs dominate its time.
 
 No command takes a non-radial step in the scalar integrator, so each config
-also gets INTEGRATE_RUNS = 8 library runs: `integrate` to s = 20 from the
-starts of `verify._sample_nonradial_states(metric, 8, np.random.default_rng(0))`,
-all eight in one fresh interpreter.  A run that is not bit-identical reports
+also gets INTEGRATE_RUNS = 40 library runs: `integrate` to s = 20 from the
+starts of `verify._sample_nonradial_states(metric, 40, np.random.default_rng(0))`,
+all forty in one fresh interpreter.  A run that is not bit-identical reports
 whether its final chart, state count and crossing count agree, and each
 tree's final error: the largest difference in t, theta (mod 2 pi), vt,
 vtheta and s from a reference run of the parent tree at ds / 4 (a 256x
@@ -25,7 +25,15 @@ tighter step tolerance).  A stepper change moves the state count, so the
 run counts as a difference only if its final chart or crossing count
 differs from the parent's, or if the change's final error exceeds
 max(2 x the parent's, INTEGRATE_TOL), INTEGRATE_TOL being the bound of
-test_ensemble_agrees_with_scalar.
+test_ensemble_agrees_with_scalar.  One run's error moves by chance with its
+step sequence, so each config also prints the median final error of its
+runs for both trees, beside the per-run rule.
+
+`verify` reports the ensemble only through a drift summary, so each config
+also gets one ensemble run: `integrate_ensemble` on the ENSEMBLE_MEMBERS =
+100 seed-0 states of `verify`, to the config's s_max, as `verify` runs it.
+It is `same` only when the final states, crossing counts, sign-flip counts
+and least |vtheta| of every member are bit-identical.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ import ast
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -43,7 +52,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 JOBS = 2
-INTEGRATE_RUNS = 8
+INTEGRATE_RUNS = 40
+ENSEMBLE_MEMBERS = 100
 INTEGRATE_TOL = 1e-9
 
 # the reference runs divide the config's ds by REFERENCE_DS_DIVISOR
@@ -68,6 +78,25 @@ for init in _sample_nonradial_states(metric, int(sys.argv[1]), np.random.default
     runs.append([f.chart, len(traj.states), len(traj.crossings), f.t, f.theta, f.vt, f.vtheta, f.s])
 print(json.dumps(runs))
 """
+
+# argv: the member count, then the config path if any; prints the final
+# states [chart, t, theta, vt, vtheta, s], the crossing counts, the sign-flip
+# counts and the least |vtheta| of the verify ensemble, as json
+ENSEMBLE_SCRIPT = """
+import json, sys
+import numpy as np
+from sectionlab.config import load_config
+from sectionlab.geodesics import integrate_ensemble
+from sectionlab.verify import _sample_nonradial_states
+
+cfg = load_config(sys.argv[2] if len(sys.argv) > 2 else None)
+metric = cfg.build_metric()
+states = _sample_nonradial_states(metric, int(sys.argv[1]), np.random.default_rng(0))
+r = integrate_ensemble(metric, states, ds=cfg.ds, s_max=cfg.s_max)
+finals = [[f.chart, f.t, f.theta, f.vt, f.vtheta, f.s] for f in r.final_states]
+print(json.dumps([finals, r.crossings.tolist(), r.sign_flips.tolist(), r.min_abs_vtheta.tolist()]))
+"""
+ENSEMBLE_FIELDS = ("final states", "crossings", "sign_flips", "min_abs_vtheta")
 
 
 def _psi2_cfg() -> str:
@@ -156,15 +185,25 @@ def _differences(a: dict, b: dict) -> list[str]:
     return diffs
 
 
-def _integrate_runs(src: Path, config: Path | None, cwd: Path, divisor: float = 1.0) -> list | str:
-    """The final records of the library runs at ds / divisor, or the last line of their error."""
-    argv = [sys.executable, "-c", INTEGRATE_SCRIPT, str(INTEGRATE_RUNS), repr(divisor)]
+def _library_runs(src: Path, config: Path | None, cwd: Path, script: str, *args: str) -> list | str:
+    """The json printed by a library script run with args, or the last line of its error."""
+    argv = [sys.executable, "-c", script, *args]
     if config is not None:
         argv.append(str(config))
     proc = subprocess.run(argv, capture_output=True, text=True, env=_env(src), cwd=cwd)
     if proc.returncode != 0:
         return (proc.stderr.strip().splitlines() or [f"exit code {proc.returncode}"])[-1]
     return json.loads(proc.stdout)
+
+
+def _integrate_runs(src: Path, config: Path | None, cwd: Path, divisor: float = 1.0) -> list | str:
+    """The final records of the integrate runs at ds / divisor, or the last line of their error."""
+    return _library_runs(src, config, cwd, INTEGRATE_SCRIPT, str(INTEGRATE_RUNS), repr(divisor))
+
+
+def _ensemble_run(src: Path, config: Path | None, cwd: Path) -> list | str:
+    """The monitors of the verify ensemble, or the last line of its error."""
+    return _library_runs(src, config, cwd, ENSEMBLE_SCRIPT, str(ENSEMBLE_MEMBERS))
 
 
 def _final_error(run: list, ref: list) -> float:
@@ -207,7 +246,24 @@ def _report_integrate(name: str, parent: list | str, change: list | str, ref: li
         differs, text = _record_differences(a, b, r)
         n_diff += differs
         print(f"{'DIFF' if differs else 'near'}  {name}: integrate run {i}\n      {text}")
+    err_a, err_b = (statistics.median(map(_final_error, runs, ref)) for runs in (parent, change))
+    print(f"      {name}: median final error against the reference {err_a:.1e} -> {err_b:.1e}")
     return n_diff
+
+
+def _report_ensemble(name: str, parent: list | str, change: list | str) -> int:
+    """Print one config's ensemble run; 1 if it differs, else 0."""
+    errors = [f"\n      {side}: {r}" for side, r in (("parent", parent), ("change", change)) if isinstance(r, str)]
+    if errors:
+        print(f"DIFF  {name}: ensemble run" + "".join(errors))
+        return 1
+    diffs = [
+        f"{field}: {sum(x != y for x, y in zip(a, b))} of {len(a)} members differ"
+        for field, a, b in zip(ENSEMBLE_FIELDS, parent, change)
+        if a != b
+    ]
+    print(f"{'DIFF' if diffs else 'same'}  {name}: ensemble run" + "".join(f"\n      {d}" for d in diffs))
+    return 1 if diffs else 0
 
 
 def main(argv=None) -> int:
@@ -248,6 +304,10 @@ def main(argv=None) -> int:
                 }
                 for name, config in configs.items()
             }
+            ensemble = {
+                name: {side: pool.submit(_ensemble_run, src, config, tmp) for side, src in sources.items()}
+                for name, config in configs.items()
+            }
             n_diff = 0
             for (label, *_), futures in zip(runs, results):
                 diffs = _differences(futures["parent"].result(), futures["change"].result())
@@ -257,9 +317,14 @@ def main(argv=None) -> int:
                 _report_integrate(name, *(f.result() for f in futures.values()))
                 for name, futures in library.items()
             )
+            n_ens_diff = sum(
+                _report_ensemble(name, *(f.result() for f in futures.values()))
+                for name, futures in ensemble.items()
+            )
     print(f"{len(runs)} CLI runs, {n_diff} with differences")
     print(f"{INTEGRATE_RUNS * len(library)} integrate runs, {n_lib_diff} with differences")
-    return 1 if n_diff or n_lib_diff else 0
+    print(f"{len(ensemble)} ensemble runs, {n_ens_diff} with differences")
+    return 1 if n_diff or n_lib_diff or n_ens_diff else 0
 
 
 if __name__ == "__main__":
