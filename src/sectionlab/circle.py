@@ -43,7 +43,7 @@ def normalize(theta):
     Idempotent: normalize(normalize(x)) == normalize(x).  Accepts floats or
     arrays.
     """
-    r = np.mod(theta, TWO_PI) if isinstance(theta, np.ndarray) else theta % TWO_PI
+    r = theta % TWO_PI
     # float rounding can land x % 2pi exactly on 2pi for tiny negative x
     if isinstance(r, np.ndarray):
         return np.where(r >= TWO_PI, 0.0, r)
@@ -59,10 +59,9 @@ def _finite(y):
 
 def circle_distance(a, b):
     """Distance on the circle, in [0, pi]."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        d = np.mod(np.abs(np.asarray(a, dtype=float) - b), TWO_PI)
-        return np.minimum(d, TWO_PI - d)
     d = abs(a - b) % TWO_PI
+    if isinstance(d, np.ndarray):
+        return np.minimum(d, TWO_PI - d)
     return min(d, TWO_PI - d)
 
 
@@ -156,7 +155,8 @@ def _bump01_d1d2_vec(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class CircleDiffeo:
     """Base class: an orientation-preserving diffeomorphism of the circle.
 
-    Subclasses provide the lift, its derivative and `derivative_pair`; the
+    Subclasses provide the lift, its derivative `lift_derivative` (F' > 0,
+    the same for every representative of an angle) and `derivative_pair`; the
     base class supplies evaluation, the generic monotone inverse, and
     construction-time checks.  Instances are immutable after construction
     and safe for concurrent reads.
@@ -177,12 +177,9 @@ class CircleDiffeo:
         """Evaluate the map; returns the canonical representative."""
         return normalize(self.lift(normalize(theta)))
 
-    def derivative(self, theta):
-        """F'(theta) > 0; the same value for every representative of theta."""
-        return self.lift_derivative(normalize(theta))
-
     def derivative_pair(self, theta):
-        """(F'(theta), F''(theta)); F' is bit-equal to `derivative(theta)`."""
+        """(F'(theta), F''(theta)); F' is bit-equal to `lift_derivative(theta)`
+        for theta in [0, 2*pi)."""
         raise NotImplementedError
 
     def inverse(self, y):
@@ -355,10 +352,13 @@ class BumpDiffeo(CircleDiffeo):
         self.support_lo = float(support_lo)
         self.support_hi = float(support_hi)
         self._width = self.support_hi - self.support_lo
+        if not self._width**2 > 0.0:  # F'' divides by it
+            raise ValueError(f"support ({support_lo}, {support_hi}) is too narrow: width**2 is 0")
         self._check_invariants(arc=(self.support_lo, self.support_hi))
 
     def _u(self, x):
-        return (normalize(x) - self.support_lo) / self._width
+        # where x % 2pi rounds to 2pi, u >= 1 is off the arc, as u <= 0 at 0
+        return (x % TWO_PI - self.support_lo) / self._width
 
     def lift(self, x):
         if isinstance(x, np.ndarray):

@@ -214,33 +214,34 @@ def classify_scan(
     d = _displacement(T, thetas)
     closes = d < tol
     fragile = ~closes & (d < FRAGILE_FACTOR * tol)
-    none = Period.not_found(k_max)
+    periods = (Period.not_found(k_max), Period.finite(1))
     samples = [
-        SampleResult(float(theta), Period.finite(1) if c else none, bool(flag))
-        for theta, c, flag in zip(thetas, closes, fragile)
+        SampleResult(theta, periods[c], flag)
+        for theta, c, flag in zip(thetas.tolist(), closes.tolist(), fragile.tolist())
     ]
-    report = PeriodReport(samples=samples, n_samples=n_samples, k_max=k_max, tol=tol)
-    if n_samples >= 2:
-        report.boundaries = _locate_boundaries(T, samples, step, tol)
-    return report
+    labels = [str(p) for p in periods]
+    boundaries = [
+        ClassBoundary(lo, hi, labels[c], labels[not c])
+        for lo, hi, c in _locate_boundaries(T, thetas, closes, step, tol)
+    ]
+    return PeriodReport(samples, n_samples, k_max, tol, boundaries)
 
 
-def _locate_boundaries(T, samples, step, tol):
-    """Bisect every class change between neighbours, all brackets per T call."""
-    n = len(samples)
-    pairs = [(a, samples[(i + 1) % n]) for i, a in enumerate(samples)]
-    pairs = [(a, b) for a, b in pairs if a.period != b.period]
-    if not pairs:
+def _locate_boundaries(T, thetas, closes, step, tol):
+    """Brackets (lo, hi, closes at lo) around every change of class.
+
+    A bracket starts at each sample whose `closes` differs from the next
+    sample's, the last sample's next being the first, and is bisected
+    _BISECT_ROUNDS times, all brackets in one array T call per round.
+    """
+    i = np.flatnonzero(closes != np.roll(closes, -1))
+    if i.size == 0:
         return []
-    lo = np.array([a.theta for a, _ in pairs])
+    lo, closes_lo = thetas[i], closes[i]
     hi = lo + step
-    closes_lo = np.array([a.period.is_finite for a, _ in pairs])
     for _ in range(_BISECT_ROUNDS):
         mid = 0.5 * (lo + hi)
         same = (_displacement(T, mid) < tol) == closes_lo
         lo = np.where(same, mid, lo)
         hi = np.where(same, hi, mid)
-    return [
-        ClassBoundary(float(x_lo), float(x_hi), str(a.period), str(b.period))
-        for x_lo, x_hi, (a, b) in zip(lo, hi, pairs)
-    ]
+    return list(zip(lo.tolist(), hi.tolist(), closes_lo.tolist()))

@@ -389,10 +389,10 @@ def _seam(f, chart, th, vt, vth, s):
     if chart == 1:
         th1 = normalize(th)
         th2 = f(th1)
-        return (2, 1.0, th2, -vt, vth * f.derivative(th1), s), RimCrossing(s, 1, th1, th2)
+        return (2, 1.0, th2, -vt, vth * f.lift_derivative(th1), s), RimCrossing(s, 1, th1, th2)
     th2 = normalize(th)
     th1 = f.inverse(th2)
-    return (1, 1.0, th1, -vt, vth / f.derivative(th1), s), RimCrossing(s, 2, th1, th2)
+    return (1, 1.0, th1, -vt, vth / f.lift_derivative(th1), s), RimCrossing(s, 2, th1, th2)
 
 
 def _bad_step(chart, t, s, nt, err):
@@ -853,6 +853,9 @@ def section_verdict(trace: SectionTrace) -> SectionVerdict:
     radial coordinate is arclength (g_tt = 1), so its length is exactly 4k.
     Injectivity fails exactly when some center is passed along two distinct
     lines; re-traversal of the same line (period-1 closure) does not count.
+    The witness is found in one pass over the passages, which come in leg
+    order: the first passage at least tol off the line of an earlier
+    passage through its center, paired with the earliest such passage.
     """
     tol = trace.tol
     k = len(trace.orbit) - 1
@@ -860,26 +863,16 @@ def section_verdict(trace: SectionTrace) -> SectionVerdict:
     period = Period.finite(k) if closed else Period.not_found(trace.k_max)
     length = float(4 * k) if closed else math.inf
 
-    witness = None
-    for chart in (1, 2):
-        group = [p for p in trace.center_passages if p.chart == chart]
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                sep = line_distance(group[i].direction, group[j].direction)
-                if sep >= tol:
-                    cand = InjectivityWitness(
-                        chart=chart,
-                        leg_a=group[i].leg_index,
-                        leg_b=group[j].leg_index,
-                        line_a=group[i].line,
-                        line_b=group[j].line,
-                        separation=sep,
-                    )
-                    if witness is None or cand.leg_b < witness.leg_b:
-                        witness = cand
-                    break
-            if witness is not None:
-                break
+    passages = trace.center_passages
+    pairs = ((a, b) for j, b in enumerate(passages) for a in passages[:j] if a.chart == b.chart)
+    witness = next(
+        (
+            InjectivityWitness(a.chart, a.leg_index, b.leg_index, a.line, b.line, sep)
+            for a, b in pairs
+            if (sep := line_distance(a.direction, b.direction)) >= tol
+        ),
+        None,
+    )
     return SectionVerdict(
         closed=closed,
         period=period,

@@ -286,5 +286,5 @@ class GluedMetric:
         """
         thetas = np.linspace(0.0, TWO_PI, SEAM_GRID_THETA, endpoint=False)
         lhs = self.warp(1, 1.0, thetas)
-        rhs = self.warp(2, 1.0, self.f(thetas)) * self.f.derivative(thetas)
+        rhs = self.warp(2, 1.0, self.f(thetas)) * self.f.lift_derivative(thetas)
         return float(np.max(np.abs(lhs - rhs)))

@@ -61,6 +61,25 @@ def period_oracle(lift, theta, k_max=64, tol=1e-9):
     return None
 
 
+def witness_oracle(passages, tol):
+    """(chart, leg_a, leg_b) of the injectivity witness by brute force, or None.
+
+    Over all pairs of passages through one center whose lines (directions
+    taken mod pi) lie at least tol apart, the pair with the smallest leg_b,
+    then the smallest leg_a.
+    """
+    pairs = []
+    for a in passages:
+        for b in passages:
+            d = abs(a.direction - b.direction) % math.pi
+            if a.chart == b.chart and a.leg_index < b.leg_index and min(d, math.pi - d) >= tol:
+                pairs.append((b.leg_index, a.leg_index, a.chart))
+    if not pairs:
+        return None
+    leg_b, leg_a, chart = min(pairs)
+    return chart, leg_a, leg_b
+
+
 def central_diff(fn, x, h=1e-6):
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 

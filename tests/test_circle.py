@@ -229,14 +229,14 @@ def test_inverse_lift_budget(amplitude, array_budget):
 
 
 def test_derivative_trivial_families():
-    assert IdentityDiffeo().derivative(0.3) == 1.0
-    assert RotationDiffeo(2.0).derivative(5.1) == 1.0
+    assert IdentityDiffeo().lift_derivative(0.3) == 1.0
+    assert RotationDiffeo(2.0).lift_derivative(5.1) == 1.0
 
 
 def test_bump_derivative_at_midpoint_is_one():
     # the profile peak is flat, so F' = 1 + a * 0 there
     f = semicircle_bump(0.3)
-    assert f.derivative(1.5 * math.pi) == pytest.approx(1.0, abs=1e-15)
+    assert f.lift_derivative(1.5 * math.pi) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("f", all_families(), ids=lambda f: f.kind)
@@ -245,7 +245,7 @@ def test_derivative_matches_finite_differences(f):
     worst = 0.0
     for theta in thetas:
         fd = central_diff(f.lift, float(theta), h=1e-6)
-        worst = max(worst, abs(fd - f.derivative(float(theta))))
+        worst = max(worst, abs(fd - f.lift_derivative(float(theta))))
     assert worst < 1e-6
 
 
@@ -264,10 +264,10 @@ def test_derivative_pair_consistent():
     for f in all_families():
         d1, d2 = f.derivative_pair(xs)
         assert d1.shape == d2.shape == xs.shape
-        # F' is the same expression as `derivative`: bit-identical, scalar and array
-        assert np.array_equal(d1, f.derivative(xs)), f.kind
+        # F' is the same expression as `lift_derivative`: bit-identical, scalar and array
+        assert np.array_equal(d1, f.lift_derivative(xs)), f.kind
         pairs = [f.derivative_pair(float(x)) for x in xs]
-        assert [p[0] for p in pairs] == [f.derivative(float(x)) for x in xs], f.kind
+        assert [p[0] for p in pairs] == [f.lift_derivative(float(x)) for x in xs], f.kind
         assert np.allclose([p[1] for p in pairs], d2, rtol=1e-13, atol=1e-14), f.kind
 
 
@@ -381,6 +381,13 @@ def test_bump_bad_support_rejected():
         BumpDiffeo(0.1, 3.0, 2.0)
     with pytest.raises(ValueError):
         BumpDiffeo(0.1, -0.5, 1.0)
+
+
+def test_bump_support_too_narrow_for_its_second_derivative_rejected():
+    # width**2 underflows to 0 below about 1.6e-162, where F'' would divide by it
+    with pytest.raises(ValueError, match=r"support \(0\.0, 1e-200\) is too narrow"):
+        BumpDiffeo(0.0, 0.0, 1e-200)
+    BumpDiffeo(0.0, 0.0, 1e-150).derivative_pair(5e-151)
 
 
 def test_spline_tracks_its_data():

@@ -364,6 +364,13 @@ def test_bad_amplitude_exit_2(tmp_path, capsys):
     assert "amplitude" in capsys.readouterr().err
 
 
+def test_too_narrow_bump_exit_2(tmp_path, capsys):
+    text = "[diffeo]\nkind = bump\namplitude = 0.0\nsupport_lo = 0.0\nsupport_hi = 1e-200\n"
+    rc = main(["--config", write(tmp_path, text), "--out", str(tmp_path / "o"), "scan-periods"])
+    assert rc == 2
+    assert "config error: diffeo: support" in capsys.readouterr().err
+
+
 def test_bad_zone_bounds_exit_2(tmp_path, capsys):
     cfg = write(tmp_path, "[metric]\nt0 = 0.8\nt1 = 0.3\n")
     rc = main(["--config", cfg, "--out", str(tmp_path / "o"), "verify"])

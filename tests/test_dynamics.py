@@ -306,6 +306,10 @@ def test_scan_one_call_per_step_and_bracket_round():
     report = classify_scan(T)
     assert len(report.boundaries) == 4
     assert T.sizes == [360] + [4] * 12
+    # without a class change no bisection round runs
+    T = CountingTransition(RotationDiffeo(1.0))
+    assert classify_scan(T).boundaries == []
+    assert T.sizes == [360]
 
 
 def test_scan_requires_transition_map():

@@ -48,7 +48,7 @@ from sectionlab.geodesics import (
     _transit,
 )
 from sectionlab.verify import _sample_nonradial_states, drift_bound
-from oracles import flat_polar_geodesic, revolution_transit
+from oracles import flat_polar_geodesic, revolution_transit, witness_oracle
 from strategies import drawn_maps, edge_starts, spline_tables
 from test_circle import all_families
 
@@ -1019,6 +1019,37 @@ def test_verdict_none_start_non_injective_with_witness():
     w = v.witness
     assert w is not None and w.separation >= trace.tol
     assert w.chart in (1, 2) and w.leg_a < w.leg_b
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(drawn_maps, st.floats(0.0, TWO_PI), st.integers(3, 102))
+def test_witness_is_the_earliest_pair(build, theta0, max_legs):
+    # the witness is the pair of passages through one center, on lines at
+    # least tol apart, with the smallest leg_b and then the smallest leg_a
+    try:
+        f = build()
+    except ValueError:  # MonotonicityViolation included
+        return
+    trace = trace_section(f, theta0, max_legs=max_legs)
+    v = section_verdict(trace)
+    expected = witness_oracle(trace.center_passages, trace.tol)
+    assert v.injective == (expected is None)
+    if expected is not None:
+        w = v.witness
+        assert (w.chart, w.leg_a, w.leg_b) == expected
+        assert w.separation >= trace.tol
+
+
+def test_witness_pairs_the_earliest_partner():
+    # the third chart-2 passage is 1e-8 off both earlier ones, which lie
+    # within tol of each other: the witness pairs it with the first
+    passages = [
+        geodesics.TracePassage(2, leg, direction)
+        for leg, direction in ((1, 1.0), (3, 1.0 + 5e-10), (5, 1.0 + 1e-8), (7, 1.0 + 2e-8))
+    ]
+    trace = replace(trace_section(IdentityDiffeo(), 1.0, max_legs=3), center_passages=passages)
+    w = section_verdict(trace).witness
+    assert (w.chart, w.leg_a, w.leg_b) == witness_oracle(passages, trace.tol) == (2, 1, 5)
 
 
 def test_verdict_lines_pairwise_distinct_for_none_start():

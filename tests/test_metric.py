@@ -69,9 +69,9 @@ def test_warp_plateau_chart1_equals_rim_jacobian():
     f = semicircle_bump(0.3)
     m = GluedMetric(f)
     t = (1.0 + 0.75) / 2.0
-    assert m.warp(1, t, 1.5 * math.pi) == f.derivative(1.5 * math.pi)
+    assert m.warp(1, t, 1.5 * math.pi) == f.lift_derivative(1.5 * math.pi)
     theta = 4.0  # generic point inside the bump arc
-    assert m.warp(1, t, theta) == f.derivative(theta)
+    assert m.warp(1, t, theta) == f.lift_derivative(theta)
 
 
 def test_warp_radially_constant_on_plateau():
@@ -242,7 +242,7 @@ def _seam_defect_on_64_radii(m):
     """The seam defect as a brute-force maximum over 64 plateau radii of
     [t1, 1], the chart-2 side at the collar coordinate 2 - t."""
     thetas = np.linspace(0.0, TWO_PI, 720, endpoint=False)
-    fprime, images = m.f.derivative(thetas), m.f(thetas)
+    fprime, images = m.f.lift_derivative(thetas), m.f(thetas)
     worst = 0.0
     for t in np.linspace(m.t1, 1.0, 64):
         lhs = m.warp(1, np.full_like(thetas, t), thetas)
@@ -275,7 +275,7 @@ def test_cross_rim_radial_flatness():
     m = default_metric()
     h = 1e-3
     for theta in RNG.uniform(0, TWO_PI, 50):
-        fp = m.f.derivative(float(theta))
+        fp = m.f.lift_derivative(float(theta))
         img = m.f(float(theta))
         inner = m.warp(1, 1.0 - h, float(theta))
         at = m.warp(1, 1.0, float(theta))

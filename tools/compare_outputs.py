@@ -34,12 +34,17 @@ also gets one ensemble run: `integrate_ensemble` on the ENSEMBLE_MEMBERS =
 100 seed-0 states of `verify`, to the config's s_max, as `verify` runs it.
 It is `same` only when the final states, crossing counts, sign-flip counts
 and least |vtheta| of every member are bit-identical.
+
+Last, it prints each tree's code lines per module of src/sectionlab and
+their total: the lines that hold a token other than a comment, docstrings
+(found with ast) left out.  The count does not change the exit status.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import io
 import json
 import math
 import os
@@ -47,6 +52,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import tokenize
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -97,6 +103,11 @@ finals = [[f.chart, f.t, f.theta, f.vt, f.vtheta, f.s] for f in r.final_states]
 print(json.dumps([finals, r.crossings.tolist(), r.sign_flips.tolist(), r.min_abs_vtheta.tolist()]))
 """
 ENSEMBLE_FIELDS = ("final states", "crossings", "sign_flips", "min_abs_vtheta")
+
+# token types that hold no code
+NON_CODE = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER
+}
 
 
 def _psi2_cfg() -> str:
@@ -266,6 +277,34 @@ def _report_ensemble(name: str, parent: list | str, change: list | str) -> int:
     return 1 if diffs else 0
 
 
+def _code_lines(path: Path) -> int:
+    """Lines of a module that hold code: docstrings, comments and blank lines left out."""
+    text = path.read_text(encoding="utf-8")
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            if ast.get_docstring(node, clean=False) is not None:
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in NON_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def _report_code_lines(sources: dict) -> None:
+    """Print each tree's code lines per module of sectionlab, and their total."""
+    counts = {
+        side: {p.name: _code_lines(p) for p in (src / "sectionlab").glob("*.py")}
+        for side, src in sources.items()
+    }
+    parent, change = counts["parent"], counts["change"]
+    print("code lines of sectionlab (docstrings, comments and blank lines left out):")
+    for name in sorted(parent.keys() | change.keys()):
+        print(f"      {name}: {parent.get(name, 0)} -> {change.get(name, 0)}")
+    print(f"      total: {sum(parent.values())} -> {sum(change.values())}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path)
@@ -321,6 +360,7 @@ def main(argv=None) -> int:
                 _report_ensemble(name, *(f.result() for f in futures.values()))
                 for name, futures in ensemble.items()
             )
+    _report_code_lines(sources)
     print(f"{len(runs)} CLI runs, {n_diff} with differences")
     print(f"{INTEGRATE_RUNS * len(library)} integrate runs, {n_lib_diff} with differences")
     print(f"{len(ensemble)} ensemble runs, {n_ens_diff} with differences")
