@@ -182,6 +182,13 @@ class CircleDiffeo:
         for theta in [0, 2*pi)."""
         raise NotImplementedError
 
+    def identity_arcs(self) -> tuple[tuple[float, float], ...]:
+        """The closed arcs where F' is exactly 1.0 and F'' exactly 0.0, as
+        (start, length) pairs: theta lies in one when
+        (theta - start) % 2pi <= length, and a length of inf is the whole
+        circle.  None are known by default."""
+        return ()
+
     def inverse(self, y):
         """Solve f(x) = y on the circle.
 
@@ -307,6 +314,9 @@ class RotationDiffeo(CircleDiffeo):
         one = self.lift_derivative(theta)
         return one, 0.0 * one
 
+    def identity_arcs(self):
+        return ((0.0, math.inf),)
+
     def inverse(self, y):
         # exact: no root finding needed
         return normalize(_finite(y) - self.angle)
@@ -374,6 +384,12 @@ class BumpDiffeo(CircleDiffeo):
         u = self._u(theta)
         d1, d2 = _bump01_d1d2_vec(u) if isinstance(u, np.ndarray) else _bump01_d1d2(u)
         return 1.0 + (self.amplitude / self._width) * d1, (self.amplitude / self._width**2) * d2
+
+    def identity_arcs(self):
+        # the closed complement [hi, lo + 2pi] of the support; the underflow
+        # margins inside the support, where the kernels return 0.0 too, are
+        # not reported
+        return ((normalize(self.support_hi), TWO_PI - self._width),)
 
     def __repr__(self):
         return (
@@ -471,8 +487,8 @@ class SplineDiffeo(CircleDiffeo):
         return 1.0 + self._dev(x, 1)
 
     def derivative_pair(self, theta):
-        x = normalize(theta)
-        return 1.0 + self._dev(x, 1), self._dev(x, 2)
+        # one wrap, the spline's own, as in lift_derivative
+        return 1.0 + self._dev(theta, 1), self._dev(theta, 2)
 
     def __repr__(self):
         return f"SplineDiffeo(n_knots={self.knots.size})"

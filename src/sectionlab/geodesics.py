@@ -17,12 +17,17 @@ records the passage.  On the plateau [t1, 1] the metric is dt^2 + dsigma^2 in th
 coordinate sigma = int psi dtheta (`GluedMetric.plateau_angle`), so a
 geodesic there is a straight line in (t, sigma), taken in one step to the
 rim, to t1 or to the end of the run; at the rim it crosses the seam.
-With a constant psi_2 >= t1 chart 2 is a surface of revolution, where
-L = phi^2 vtheta is kept (Clairaut), so a chart-2 annulus visit that enters
-at exactly t0 or t1 is a quadrature, taken in one move to t0 or t1
+With a constant psi_2 chart 2 is a surface of revolution, and so is chart 1
+on the arcs where the rim map is a rotation (`GluedMetric.identity_arcs`);
+there L = phi^2 vtheta is kept (Clairaut), so for a plateau value >= t1 an
+annulus visit that enters at exactly t0 or t1, and on chart 1 stays in its
+arc, is a quadrature, taken in one move to t0 or t1 on its own chart
 (`_transit`).  Radial lines are straight in every metric of the family, so
 a radial state never takes a numerical step.  Annulus steps are at most
-half the narrower flat zone long, so none jumps a flat zone.
+half the narrower flat zone long, so none jumps a flat zone, and their
+size follows Gustafsson's PI controller.  `integrate` walks one state
+(`_walk`); `integrate_ensemble` steps many in lockstep on arrays and hands
+its last LOCKSTEP_MIN active members to the same walk.
 """
 
 from __future__ import annotations
@@ -32,9 +37,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .circle import CircleDiffeo, antipode, circle_distance, line_distance, normalize
+from .circle import TWO_PI, CircleDiffeo, antipode, circle_distance, line_distance, normalize
 from .dynamics import DEFAULT_K_MAX, DEFAULT_TOL, Period
-from .metric import GluedMetric, check_chart
+from .metric import GluedMetric, _step01, check_chart
 from .table import csv_text
 
 DEFAULT_DS = 1e-3
@@ -251,10 +256,17 @@ _E3 = _B - np.array(
     + (0.733846688281611857341361741547, 0, 0, 0.220588235294117647058823529412e-1)
 )
 # an annulus step is accepted when its error estimate is at most
-# ANNULUS_TOL * (ds / DEFAULT_DS)**4; at ds = DEFAULT_DS this is the largest
-# tolerance tried (1e-12 to 3e-12 and 1e-11) whose worst all-or-none drift
-# over 42 seeds stays below 5e-10, half of verify.DRIFT_BOUND
-ANNULUS_TOL = 1.2e-12
+# ANNULUS_TOL * (ds / DEFAULT_DS)**4.  At ds = DEFAULT_DS this is the largest
+# tolerance tried (1.2e-12, 1.5e-12, 2e-12, 3e-12 and 4e-12) that keeps three
+# accuracy gates: the worst all-or-none drift over 42 seeds stays below
+# 5e-10, half of verify.DRIFT_BOUND (3.4e-10); the drift of the
+# spline-and-psi2 config of tests/test_cli.py is no worse than under the
+# earlier error-per-step controller at 1.2e-12 (4.8e-9 and 1.0e-8 at seeds 0
+# and 3, against 1.24e-8 and 1.88e-8; 3e-12 drifts 1.31e-8 at seed 0); and
+# the median final error of the spline configs' integrate runs in
+# tools/compare_outputs.py is no worse than under that controller (at
+# 2e-12 the psi2 config's rose from 3.7e-9 to 5.1e-9)
+ANNULUS_TOL = 1.5e-12
 # the least legal ds: there the step tolerance is one rounding (2**-52) of an
 # O(1) state; below it the tolerance underflows and the steps stall at h -> 0
 DS_MIN = DEFAULT_DS * (2.0**-52 / ANNULUS_TOL) ** 0.25
@@ -306,12 +318,14 @@ def _dop853(warp, chart, t, th, vt, vth, h):
 def _start(metric, init: GeodesicState, ds: float, s_max: float):
     """Checked start of a run: (chart, t, theta, vt, vtheta, s, s_end).
 
-    The accuracy parameter ds must be at least DS_MIN, the span positive and
-    finite, and the state on chart 1 or 2, inside the disk (0 <= t < 1),
-    with |theta| < ANGLE_BOUND, |s| < ANGLE_BOUND and unit speed to 1e-9.  A state
-    with |vtheta| < RADIAL_TOL is snapped to exactly radial.  Any other
-    state must lie off the center and needs ds < min(t0, 1 - t1).  ds sets
-    the accuracy of the annulus steps, not their length (`_annulus_control`).
+    The accuracy parameter ds must be at least DS_MIN (about 1.10e-4, where
+    the step tolerance of `_annulus_control` is one rounding), the span
+    positive and finite, and the state on chart 1 or 2, inside the disk
+    (0 <= t < 1), with |theta| < ANGLE_BOUND, |s| < ANGLE_BOUND and unit
+    speed to 1e-9.  A state with |vtheta| < RADIAL_TOL is snapped to
+    exactly radial.  Any other state must lie off the center and needs
+    ds < min(t0, 1 - t1).  ds sets the accuracy of the annulus steps, not
+    their length, which the PI controller of `_walk` chooses.
     """
     if not ds >= DS_MIN:
         raise ValueError(f"ds must be at least DS_MIN = {DS_MIN:.3g}, got {ds!r}")
@@ -474,13 +488,17 @@ GRAZING = 1.0 - 1e-4
 TANGENT = 1.0 - 1e-3
 
 
-def _turning_point(metric, a):
-    """The radius t* in (t0, t1) where phi_2(t*) = a, for t0 < a < psi_2:
-    Newton's method, bisecting the bracket [t0, t1] whenever it leaves it."""
-    lo, hi = metric.t0, metric.t1
+def _turning_point(metric, a, c):
+    """The radius t* in (t0, t1) where phi(t*) = a on the surface of
+    revolution with the plateau value c, for t0 < a < c: Newton's method,
+    bisecting the bracket [t0, t1] whenever it leaves it.  phi and phi_t
+    take `warp_with_partials`' arithmetic with psi = c."""
+    t0, t1 = lo, hi = metric.t0, metric.t1
     t = 0.5 * (lo + hi)
     for _ in range(100):
-        p, p_t, _ = metric.warp_with_partials(2, t, 0.0)
+        s, ds = _step01((t - t0) / (t1 - t0))
+        p = (1.0 - s) * t + s * c
+        p_t = (1.0 - s) + ds / (t1 - t0) * (c - t)
         if p == a:
             return t
         lo, hi = (lo, t) if p > a else (t, hi)
@@ -494,21 +512,36 @@ def _turning_point(metric, a):
 
 
 def _transit(metric, chart, t, th, vt, vth, s, s_end):
-    """Carry a chart-2 annulus visit in one move, or return None.
+    """Carry an annulus visit on a surface of revolution in one move, or return None.
 
-    With a constant psi_2 = c >= t1, chart 2 is a surface of revolution with
-    phi_2 increasing on [t0, t1], so L = phi^2 vtheta / v (v the speed) is
-    kept (Clairaut): a visit entering at exactly t0 (outward) or t1 (inward)
+    With a constant psi_2 = c, chart 2 is a surface of revolution with the
+    plateau value c, and so is chart 1 on an identity arc of f
+    (`GluedMetric.identity_arcs`, where F' = 1 and F'' = 0 exactly), with
+    the plateau value psi1_scale c.  For a plateau value c >= t1, phi
+    increases on [t0, t1], so L = phi^2 vtheta / v (v the speed) is kept
+    (Clairaut): a visit entering at exactly t0 (outward) or t1 (inward)
     takes dsigma = dt / sqrt(1 - L^2/phi^2) and dtheta = L dsigma / phi^2,
     sigma = v s, through the annulus or to the one turning point
-    phi_2(t*) = |L| and back, by a Gauss-Legendre rule after
+    phi(t*) = |L| and back, by a Gauss-Legendre rule after
     t = lo + (t1 - lo) x^2 (lo = t* or t0), which removes the square root at
-    t*.  It leaves at exactly t0 or t1 with vt = +-v sqrt(1 - L^2/phi^2) and
-    vtheta = v L / phi^2.  None, for the steps to take the visit: any other
-    state, |L| in [GRAZING t0, t0], |L| >= TANGENT c, or an end after s_end.
+    t*.  It leaves at exactly t0 or t1, on its own chart, with
+    vt = +-v sqrt(1 - L^2/phi^2) and vtheta = v L / phi^2.  On chart 1 the
+    entry angle must lie in an identity arc, checked before the quadrature,
+    and the swept angles in the same arc, checked after it: theta is
+    monotone along the visit, so its two ends decide.  None, for the steps
+    to take the visit: any other state, |L| in [GRAZING t0, t0],
+    |L| >= TANGENT c, an end after s_end, or a chart-1 sweep that leaves
+    its arc.
     """
     t0, t1, c = metric.t0, metric.t1, metric.psi2_const
-    if chart != 2 or c is None or c < t1 or not (t == t0 and vt > 0.0 or t == t1 and vt < 0.0):
+    if c is None or not (t == t0 and vt > 0.0 or t == t1 and vt < 0.0):
+        return None
+    if chart == 1:
+        c = metric.psi1_scale * c
+        arc = next(((a, n) for a, n in metric.identity_arcs if (th - a) % TWO_PI <= n), None)
+        if arc is None:
+            return None
+    if c < t1:
         return None
     phi = t0 if t == t0 else c
     # the speed: 1 up to the drift, unless a seam that is not an isometry broke it
@@ -518,18 +551,21 @@ def _transit(metric, chart, t, th, vt, vth, s, s_end):
     if GRAZING * t0 <= a <= t0 or a >= TANGENT * c:
         return None
     turns = t == t1 and a > t0
-    lo = _turning_point(metric, a) if turns else t0
+    lo = _turning_point(metric, a, c) if turns else t0
     x2, w = _TURN if turns else _THROUGH
     w = w * (t1 - lo)
-    p = metric.revolution_warp(lo + (t1 - lo) * x2)
+    p = metric.revolution_warp(lo + (t1 - lo) * x2, c)
     root = np.sqrt((p - a) * (p + a))
     length = float(np.dot(w, p / root)) / v
     if not s + length <= s_end:
         return None
-    th += L * float(np.dot(w, 1.0 / (p * root)))
+    dth = L * float(np.dot(w, 1.0 / (p * root)))
+    if chart == 1 and not (min(th, th + dth) - arc[0]) % TWO_PI + abs(dth) <= arc[1]:
+        return None
+    th += dth
     if t == t1 and not turns:
-        return 2, t0, th, -v * math.sqrt((t0 - a) * (t0 + a)) / t0, v * L / (t0 * t0), s + length
-    return 2, t1, th, v * math.sqrt((c - a) * (c + a)) / c, v * L / (c * c), s + length
+        return chart, t0, th, -v * math.sqrt((t0 - a) * (t0 + a)) / t0, v * L / (t0 * t0), s + length
+    return chart, t1, th, v * math.sqrt((c - a) * (c + a)) / c, v * L / (c * c), s + length
 
 
 def _exact_move(metric, chart, t, th, vt, vth, s, s_end):
@@ -554,6 +590,49 @@ def _exact_move(metric, chart, t, th, vt, vth, s, s_end):
     return None if moved is None else (moved, None, True)
 
 
+def _walk(metric, state, s_end, tol, h_max, h, r_prev=1e-4, rejected=False):
+    """The scalar driver's loop: walk a state to s_end, yielding (state, event)
+    after every exact move and accepted step.
+
+    state is (chart, t, theta, vt, vtheta, s) in Python floats; event is the
+    move's RimCrossing or CenterEvent, or None.  Each state takes the exact
+    move of `_exact_move` (chord, plateau segment or transit), and otherwise
+    a DOP853 step (`_dop853`) of at most h, accepted when its error estimate
+    is at most tol and retried at once with the smaller h when not.  After
+    each trial step Gustafsson's PI controller sets the next h (r the error
+    ratio err/tol of the trial, r_prev the last accepted one, floored at
+    1e-4; `rejected` tells whether the last trial was rejected, after which
+    h does not grow), at most h_max; after a transit h grows by the factor
+    5, as after a step of zero error estimate.  A step that ends outside
+    [0, 1) or with an error estimate that is not a number raises
+    FloatingPointError (`_bad_step`).
+    """
+    chart, t, th, vt, vth, s = state
+    warp = metric.warp_with_partials
+    while s < s_end - 1e-15:
+        move = _exact_move(metric, chart, t, th, vt, vth, s, s_end)
+        if move is not None:
+            (chart, t, th, vt, vth, s), event, transit = move
+            if transit:
+                h = min(h_max, 5.0 * h)
+        else:
+            step = min(h, s_end - s)
+            nt, nth, nvt, nvth, err = _dop853(warp, chart, t, th, vt, vth, step)
+            if not (0.0 <= nt < 1.0 and err < math.inf):
+                raise _bad_step(chart, t, s, nt, err)
+            # the PI controller, beta = 0.04: h * clamp(0.9 r^-(1/8 - 0.75 beta)
+            # r_prev^beta, 0.2, 5), no growth right after a rejection; + 1e-300:
+            # a zero error estimate grows h by the full factor 5
+            r = (err + 1e-300) / tol
+            h = min(h_max, step * max(0.2, min(1.0 if rejected else 5.0, 0.9 * r**-0.095 * r_prev**0.04)))
+            rejected = not err <= tol
+            if rejected:
+                continue
+            r_prev = max(r, 1e-4)
+            t, th, vt, vth, s, event = nt, nth, nvt, nvth, s + step, None
+        yield (chart, t, th, vt, vth, s), event
+
+
 def integrate(
     metric: GluedMetric,
     init: GeodesicState,
@@ -564,47 +643,29 @@ def integrate(
 
     The start rule is `_start`'s: a unit-speed state inside its disk, snapped
     to radial when |vtheta| < RADIAL_TOL, and ds < min(t0, 1 - t1) unless
-    radial.  Each state takes the exact move of `_exact_move` (chord, plateau
-    segment or transit), and otherwise a DOP853 step (`_dop853`); after a
-    transit h grows by the factor 5, as after a step of zero error estimate.
-    ds sets the accuracy of the steps, not their length: a step is accepted
-    when its error estimate is at most ANNULUS_TOL * (ds / DEFAULT_DS)**4,
-    and h follows h * clamp(0.9 (err/tol)^(-1/8), 0.2, 5), at most half the
-    narrower flat zone (`_annulus_control`).  A rejected step is retried at
-    once with the smaller h.  Steps are not cut at t0 or t1: the metric is
-    smooth across both, so a step that ends in a flat zone hands its state
-    to the next exact move.  A step that ends outside [0, 1) or with an
-    error estimate that is not a number raises FloatingPointError
-    (`_bad_step`).  Each exact move and accepted step appends one state, so
-    a plateau visit records its rim crossing and its return to t1.
+    radial.  The run is one `_walk` from h = min(ds, h_max): exact moves
+    (chord, plateau segment or transit, `_exact_move`) and otherwise DOP853
+    steps.  ds sets the accuracy of the steps, not their length: a step is
+    accepted when its error estimate is at most
+    ANNULUS_TOL * (ds / DEFAULT_DS)**4, and Gustafsson's PI controller sets
+    h, at most half the narrower flat zone (`_annulus_control`).  A rejected
+    step is retried at once with the smaller h.  Steps are not cut at t0 or
+    t1: the metric is smooth across both, so a step that ends in a flat zone
+    hands its state to the next exact move.  A step that ends outside [0, 1)
+    or with an error estimate that is not a number raises
+    FloatingPointError (`_bad_step`).  Each exact move and accepted step
+    appends one state, so a plateau visit records its rim crossing and its
+    return to t1.
     """
     chart, t, th, vt, vth, s, s_end = _start(metric, init, ds, s_max)
     tol, h_max = _annulus_control(metric, ds)
-    h = min(ds, h_max)
-    warp = metric.warp_with_partials
     traj = Trajectory(states=[GeodesicState(chart, t, th, vt, vth, s)])
-    while s < s_end - 1e-15:
-        move = _exact_move(metric, chart, t, th, vt, vth, s, s_end)
-        if move is not None:
-            (chart, t, th, vt, vth, s), event, transit = move
-            if transit:
-                # h grows as after a step whose estimate is zero
-                h = min(h_max, 5.0 * h)
-            elif isinstance(event, RimCrossing):
-                traj.crossings.append(event)
-            elif event is not None:
-                traj.center_passages.append(event)
-        else:
-            step = min(h, s_end - s)
-            nt, nth, nvt, nvth, err = _dop853(warp, chart, t, th, vt, vth, step)
-            if not (0.0 <= nt < 1.0 and err < math.inf):
-                raise _bad_step(chart, t, s, nt, err)
-            # err + 1e-300: a zero error estimate grows h by the full factor 5
-            h = min(h_max, step * max(0.2, min(5.0, 0.9 * (tol / (err + 1e-300)) ** 0.125)))
-            if not err <= tol:
-                continue
-            t, th, vt, vth, s = nt, nth, nvt, nvth, s + step
-        traj.states.append(GeodesicState(chart, t, th, vt, vth, s))
+    for state, event in _walk(metric, (chart, t, th, vt, vth, s), s_end, tol, h_max, min(ds, h_max)):
+        traj.states.append(GeodesicState(*state))
+        if isinstance(event, RimCrossing):
+            traj.crossings.append(event)
+        elif event is not None:
+            traj.center_passages.append(event)
     return traj
 
 
@@ -621,6 +682,12 @@ class EnsembleResult:
     center_passages: np.ndarray
 
 
+# a lockstep round costs about as much as LOCKSTEP_MIN scalar trial steps
+# (see the README), so the ensemble's last LOCKSTEP_MIN active members, or
+# all of a smaller ensemble, finish on the scalar walk
+LOCKSTEP_MIN = 16
+
+
 def integrate_ensemble(
     metric: GluedMetric,
     inits: list[GeodesicState],
@@ -629,17 +696,22 @@ def integrate_ensemble(
 ) -> EnsembleResult:
     """Integrate many independent non-radial geodesics in lockstep.
 
-    The same start rule, move rule (`_exact_move`) and DOP853 step as
-    `integrate`, with the steps taken on arrays: in each round a member
-    takes its exact move where one applies, and the other active members
-    one trial step each, of their own step size.  So a transit takes one
-    round, not one per step.  A rejected member retries with its smaller
-    step in the next round.  Members desynchronize in s.
-    Members that are radial after the start rule raise ValueError;
-    integrate those with `integrate`.  A trial step that ends outside [0, 1)
-    or with an error estimate that is not a number raises
-    FloatingPointError (`_bad_step`).  Full paths are not stored;
-    per-trajectory monitors are accumulated online, once per round.
+    The same start rule, move rule (`_exact_move`), DOP853 step and PI
+    controller as `integrate`, with the steps taken on arrays: in each round
+    a member takes its exact move where one applies, and the other active
+    members one trial step each, of their own step size and with their own
+    controller state.  So a transit takes one round, not one per step.  A
+    rejected member retries with its smaller step in the next round.
+    Members desynchronize in s.  Once at most LOCKSTEP_MIN members are
+    active, each of them finishes alone on `integrate`'s scalar walk
+    (`_walk`) with its step size and controller state, so an ensemble of
+    at most LOCKSTEP_MIN members gives each member the result of
+    `integrate` bit for bit.  Members that are radial after the start rule
+    raise ValueError; integrate those with `integrate`.  A trial step that
+    ends outside [0, 1) or with an error estimate that is not a number
+    raises FloatingPointError (`_bad_step`).  Full paths are not stored;
+    per-trajectory monitors are accumulated online, once per round and once
+    per state of a walk.
     """
     n = len(inits)
     starts = [_start(metric, st, ds, s_max) for st in inits]
@@ -651,6 +723,8 @@ def integrate_ensemble(
     t0, t1 = metric.t0, metric.t1
     tol, h_max = _annulus_control(metric, ds)
     h = np.full(n, min(ds, h_max))
+    r_prev = np.full(n, 1e-4)
+    rejected = np.zeros(n, dtype=bool)
     warp = metric.warp_with_partials_vec
 
     sign = np.sign(vth)
@@ -659,11 +733,13 @@ def integrate_ensemble(
     crossings = np.zeros(n, dtype=int)
 
     active = s < s_end - 1e-15
-    while np.any(active):
+    while np.count_nonzero(active) > LOCKSTEP_MIN:
         stepped = active.copy()
-        # every exact move of a non-radial state starts at t <= t0 or t >= t1
-        for i in np.flatnonzero(active & ((t <= t0) | (t >= t1))):
-            move = _exact_move(metric, int(chart[i]), t[i], th[i], vt[i], vth[i], s[i], s_end[i])
+        # every exact move of a non-radial state starts at t <= t0 or t >= t1;
+        # the moves get Python floats, whose arithmetic is faster than numpy's
+        for i in np.flatnonzero(active & ((t <= t0) | (t >= t1))).tolist():
+            state = (t.item(i), th.item(i), vt.item(i), vth.item(i), s.item(i), s_end.item(i))
+            move = _exact_move(metric, int(chart[i]), *state)
             if move is not None:
                 (chart[i], t[i], th[i], vt[i], vth[i], s[i]), event, transit = move
                 stepped[i] = False
@@ -678,9 +754,13 @@ def integrate_ensemble(
             if bad.size:
                 j = bad[0]
                 raise _bad_step(int(chart[k[j]]), t[k[j]], s[k[j]], nt[j], err[j])
-            grow = np.clip(0.9 * (tol / (err + 1e-300)) ** 0.125, 0.2, 5.0)
-            h[k] = np.minimum(h_max, step * grow)
+            # `_walk`'s PI controller, on arrays
+            r = (err + 1e-300) / tol
+            grow = 0.9 * r**-0.095 * r_prev[k] ** 0.04
+            h[k] = np.minimum(h_max, step * np.clip(grow, 0.2, np.where(rejected[k], 1.0, 5.0)))
             ok = err <= tol
+            rejected[k] = ~ok
+            r_prev[k[ok]] = np.maximum(r[ok], 1e-4)
             k = k[ok]
             t[k], th[k], vt[k], vth[k] = nt[ok], nth[ok], nvt[ok], nvth[ok]
             s[k] += step[ok]
@@ -691,6 +771,18 @@ def integrate_ensemble(
         np.minimum(min_abs, np.abs(vth), out=min_abs)
 
         active = s < s_end - 1e-15
+
+    for i in np.flatnonzero(active).tolist():
+        state = (int(chart[i]), t.item(i), th.item(i), vt.item(i), vth.item(i), s.item(i))
+        last, least = sign.item(i), min_abs.item(i)
+        control = (tol, h_max, h.item(i), r_prev.item(i), bool(rejected[i]))
+        for state, event in _walk(metric, state, s_end.item(i), *control):
+            crossings[i] += isinstance(event, RimCrossing)
+            now = (state[4] > 0.0) - (state[4] < 0.0)
+            flips[i] += now != last
+            last, least = now, min(least, abs(state[4]))
+        chart[i], t[i], th[i], vt[i], vth[i], s[i] = state
+        min_abs[i] = least
 
     finals = [
         GeodesicState(int(chart[i]), float(t[i]), float(th[i]), float(vt[i]), float(vth[i]), float(s[i]))

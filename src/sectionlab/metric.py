@@ -145,6 +145,8 @@ class GluedMetric:
         self.t0 = float(t0)
         self.t1 = float(t1)
         self.psi1_scale = float(psi1_scale)
+        # where F' = 1 and F'' = 0 exactly, psi_1 = psi1_scale psi_2 o F
+        self.identity_arcs = f.identity_arcs()
         if psi2 is None or isinstance(psi2, (int, float)):
             self.psi2_const = 1.0 if psi2 is None else psi2
         else:
@@ -253,11 +255,13 @@ class GluedMetric:
         phi_theta = s * psi_p
         return phi, phi_t, phi_theta
 
-    def revolution_warp(self, t: np.ndarray) -> np.ndarray:
-        """phi_2 at the radii t, an array, for a constant psi_2 = c, where chart 2
-        is a surface of revolution: (1 - s(t)) t + s(t) c."""
+    def revolution_warp(self, t: np.ndarray, c: float) -> np.ndarray:
+        """phi at the radii t, an array, where a chart is a surface of
+        revolution with the plateau value c: (1 - s(t)) t + s(t) c.  That is
+        chart 2 for a constant psi_2 = c, and chart 1 on an identity arc of f
+        (`identity_arcs`), with c = psi1_scale psi_2."""
         s, _ = _step01_vec((t - self.t0) / (self.t1 - self.t0))
-        return (1.0 - s) * t + s * self.psi2_const
+        return (1.0 - s) * t + s * c
 
     def christoffel(self, chart: int, t: float, theta: float) -> tuple[float, float, float]:
         """(Gamma^t_thth, Gamma^th_tth, Gamma^th_thth); all other symbols vanish.

@@ -36,8 +36,8 @@ from .metric import SEAM_GRID_THETA, GluedMetric
 from .table import csv_text
 
 # the largest final speed_error that all_or_none_check accepts at ds = 1e-3 and
-# s_max <= 20: 3.6x the worst of its 100 default runs at seed 0 (2.8e-10), 2.2x
-# the worst over 42 seeds (4.5e-10); `drift_bound` scales it to other runs
+# s_max <= 20: 6.1x the worst of its 100 default runs at seed 0 (1.6e-10), 3.0x
+# the worst over 42 seeds (3.4e-10); `drift_bound` scales it to other runs
 DRIFT_BOUND = 1e-9
 
 
@@ -108,13 +108,13 @@ def drift_bound(ds: float, s_max: float) -> float:
     (ds / DEFAULT_DS)**5 and s_max / DEFAULT_S_MAX above them.  The drift
     of the default metric's 100 runs is set by the annulus steps, whose
     error tolerance grows as ds^4 (`geodesics.ANNULUS_TOL`), and so does
-    the drift while steps are short (worst over 42 seeds: 7.7e-9 at
-    ds = 2e-3, 4.3e-6 at 1e-2); it levels off near 2e-3 once every step is
-    the largest one, half the narrower flat zone (worst of 4 seeds: 1.5e-4
-    at ds = 0.05, 6.8e-4 at 0.12, 1.8e-3 at 0.2 and 2.2e-3 at 0.24, where
+    the drift while steps are short (worst over 42 seeds: 2.1e-9 at
+    ds = 2e-3, 2.5e-6 at 1e-2); it levels off near 1e-3 once every step is
+    the largest one, half the narrower flat zone (worst of 4 seeds: 5.6e-5
+    at ds = 0.05, 2.7e-4 at 0.12, 7.0e-4 at 0.2 and 1.3e-3 at 0.24, where
     the bound is 8e2).  It grows with s_max more slowly than linearly
-    (seed 0: 7.4e-13 at s_max = 1; worst over 42 seeds: 1.1e-9 at 100 and
-    3.0e-9 at 400), and shorter steps only lower it (seed 0: 6.8e-13 at
+    (seed 0: 1.1e-12 at s_max = 1; worst over 42 seeds: 6.3e-10 at 100 and
+    1.9e-9 at 400), and shorter steps only lower it (seed 0: 1.5e-12 at
     ds = 2e-4).
     """
     return DRIFT_BOUND * max(1.0, ds / DEFAULT_DS) ** 5 * max(1.0, s_max / DEFAULT_S_MAX)
@@ -140,8 +140,9 @@ def all_or_none_check(
     homogeneous in vtheta (see the geodesic equation in `geodesics`), so by
     uniqueness a vtheta that vanishes once vanishes throughout; the rim
     multiplies vtheta by F' > 0; the flat-disk chord keeps t^2 vtheta; the
-    plateau keeps vsigma = psi vtheta; and the chart-2 transit of a constant
-    psi_2 keeps L = phi^2 vtheta, hence the sign of vtheta, and the speed.
+    plateau keeps vsigma = psi vtheta; and the transits of both charts (chart
+    2 with a constant psi_2, chart 1 on the map's identity arcs) keep
+    L = phi^2 vtheta, hence the sign of vtheta, and the speed.
     The same homogeneity keeps the sign under a wrong right-hand side, so
     the check also needs the worst speed_error over the final states to
     stay within `drift_bound(ds, s_max)`.  That bound also catches a metric

@@ -271,6 +271,48 @@ def test_derivative_pair_consistent():
         assert np.allclose([p[1] for p in pairs], d2, rtol=1e-13, atol=1e-14), f.kind
 
 
+def test_spline_derivative_pair_wraps_once():
+    # F' of derivative_pair is lift_derivative's bit for bit off [0, 2 pi)
+    # too, with a first knot that is not 0: both wrap once, the spline's way
+    knots = np.linspace(0.3, 6.0, 9)
+    f = SplineDiffeo(knots, knots + 0.1 * np.sin(knots))
+    xs = RNG.uniform(-20.0, 20.0, 20000)
+    assert np.array_equal(f.derivative_pair(xs)[0], f.lift_derivative(xs))
+    scalars = [float(x) for x in xs[:2000]]
+    assert [f.derivative_pair(x)[0] for x in scalars] == [f.lift_derivative(x) for x in scalars]
+
+
+@pytest.mark.parametrize(
+    "f",
+    [semicircle_bump(0.3), BumpDiffeo(-0.2, 0.5, 2.0), BumpDiffeo(0.4, 0.0, TWO_PI)],
+    ids=["default", "arc_0.5_2", "whole_circle_support"],
+)
+def test_bump_identity_arc_is_the_closed_complement_of_its_support(f):
+    # F' is exactly 1.0 and F'' exactly 0.0 on the arc, its two ends
+    # included, and not inside the support
+    (start, length), = f.identity_arcs()
+    assert 0.0 <= start < TWO_PI and length == pytest.approx(TWO_PI - (f.support_hi - f.support_lo))
+    inside = start + np.linspace(0.0, length, 1001)
+    for x in [start, start + length, *inside, *(inside - 3 * TWO_PI)]:
+        assert f.derivative_pair(float(x)) == (1.0, 0.0), x
+    d1, d2 = f.derivative_pair(inside)
+    assert np.all(d1 == 1.0) and np.all(d2 == 0.0)
+    quarter = f.support_lo + 0.25 * (f.support_hi - f.support_lo)
+    assert f.derivative_pair(quarter)[0] != 1.0
+    assert (quarter - start) % TWO_PI > length
+
+
+def test_identity_arcs_of_rotations_and_splines():
+    # a rotation, the identity included, is its own identity arc: the whole
+    # circle; a spline reports none
+    xs = RNG.uniform(-20.0, 20.0, 200)
+    for f in (IdentityDiffeo(), RotationDiffeo(1.1)):
+        assert f.identity_arcs() == ((0.0, math.inf),)
+        assert all(f.derivative_pair(float(x)) == (1.0, 0.0) for x in xs)
+    knots, values = make_sinusoid_spline_data()
+    assert SplineDiffeo(knots, values).identity_arcs() == ()
+
+
 def test_bump_kernels_vanish_off_the_open_unit_interval():
     # off (0, 1) q = u(1 - u) <= 0, so the q floor alone zeroes every kernel
     edges = [-math.inf, -1.0, -0.0, 0.0, 1.0, 2.0, math.inf]

@@ -152,33 +152,50 @@ def test_dop853_local_error_orders(monkeypatch):
 
 def test_adaptive_annulus_steps_are_few():
     # fixed RK4 steps of ds = 1e-3 recorded 11609 states on this run,
-    # Dormand-Prince 5(4) steps 2055, DOP853 steps 714, and DOP853 steps
-    # with exact chart-2 transits 367
+    # Dormand-Prince 5(4) steps 2055, DOP853 steps 714, DOP853 steps with
+    # exact chart-2 transits 367, and with PI control, ANNULUS_TOL = 1.5e-12
+    # and chart-1 transits 273
     m = default_metric()
     traj = integrate(m, unit_speed_state(m, 1, 0.5, 1.0, 1.1), ds=1e-3, s_max=20.0)
     assert traj.final.s == 20.0 and len(traj.crossings) == 12
-    assert len(traj.states) < 400
+    assert len(traj.states) < 300
 
 
 def test_ensemble_takes_few_lockstep_rounds():
-    # every round of the ensemble makes one _dop853 call on its annulus
-    # members; these 8 members took 665 Dormand-Prince 5(4) rounds, 303
-    # DOP853 rounds, and take 301 with exact chart-2 transits: the slowest
-    # member starts inside the chart-2 annulus and ends inside its next
-    # chart-2 visit, and both visits keep their steps
+    # every lockstep round makes one _dop853 call on arrays; the 100 seed-0
+    # verify states took 1444 DOP853 rounds, 834 with exact chart-2
+    # transits, and take 506 with PI control, ANNULUS_TOL = 1.5e-12, chart-1
+    # transits and the scalar finish of the last LOCKSTEP_MIN members
     m = default_metric()
-    inits = _sample_nonradial_states(m, 8, np.random.default_rng(5))
-    calls = 0
+    inits = _sample_nonradial_states(m, 100, np.random.default_rng(0))
+    rounds = 0
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return _dop853(*args)
+    def counted(warp, chart, *args):
+        nonlocal rounds
+        rounds += isinstance(chart, np.ndarray)
+        return _dop853(warp, chart, *args)
 
     with mock.patch.object(geodesics, "_dop853", counted):
-        res = integrate_ensemble(m, inits, ds=1e-3, s_max=4.0)
+        res = integrate_ensemble(m, inits, ds=1e-3, s_max=20.0)
     assert res.sign_flips.sum() == 0
-    assert calls < 310
+    assert rounds < 530
+
+
+def test_small_ensemble_is_the_scalar_driver():
+    # at most LOCKSTEP_MIN members run on integrate's walk from the start,
+    # so each member's final state, crossings and sign flips are
+    # integrate's, bit for bit
+    m = default_metric()
+    inits = _sample_nonradial_states(m, 8, np.random.default_rng(5))
+    assert len(inits) <= geodesics.LOCKSTEP_MIN
+    res = integrate_ensemble(m, inits, ds=1e-3, s_max=20.0)
+    for i, init in enumerate(inits):
+        traj = integrate(m, init, ds=1e-3, s_max=20.0)
+        signs = np.sign([st.vtheta for st in traj.states])
+        assert res.final_states[i] == traj.final
+        assert res.crossings[i] == len(traj.crossings)
+        assert res.sign_flips[i] == np.count_nonzero(signs[1:] != signs[:-1]) == 0
+        assert res.min_abs_vtheta[i] == min(abs(st.vtheta) for st in traj.states)
 
 
 def test_radial_run_is_exact_segments():
@@ -668,8 +685,8 @@ class StepBudgetExceeded(Exception):
 def test_every_legal_ds_runs_to_the_end(fraction, start):
     # ds log-uniform over [DS_MIN, min(t0, 1 - t1)); below DS_MIN the step
     # tolerance underflows and the annulus steps stall at h -> 0 forever, so
-    # a budget of _dop853 calls (the worst of 40 runs at DS_MIN took 134)
-    # turns a future stall into a failure
+    # a budget of _dop853 calls (the worst of 40 runs at DS_MIN ~ 1.10e-4
+    # took 140) turns a future stall into a failure
     m = default_metric()
     limit = min(m.t0, 1.0 - m.t1)
     ds = min(DS_MIN * (limit / DS_MIN) ** fraction, math.nextafter(limit, 0.0))
@@ -744,9 +761,9 @@ def test_drawn_psi2_tables_glue_and_keep_the_flat_zone_invariants(build, table, 
 # (psi2, chart, radius, motion, the move _exact_move takes; None: a DOP853 step)
 MOVE_RULE = [
     (1.0, 1, "t0", "in", "chord"),
-    (1.0, 1, "t0", "out", None),
+    (1.0, 1, "t0", "out", "transit"),
     (1.0, 1, "t0", "along", None),
-    (1.0, 1, "t1", "in", None),
+    (1.0, 1, "t1", "in", "transit"),
     (1.0, 1, "t1", "out", "plateau"),
     (1.0, 1, "t1", "along", "plateau"),
     (1.0, 2, "t0", "in", "chord"),
@@ -780,17 +797,18 @@ MOVE_RULE = [
 ]
 
 
-@pytest.mark.parametrize("psi2, chart, radius, motion, expected", MOVE_RULE)
-def test_move_rule_at_the_ties(psi2, chart, radius, motion, expected):
-    # which move a state at exactly t0 or t1 takes, in each direction, on
-    # both charts, with psi2 >= t1 (transits on chart 2) and below t1
+def _move_taken(psi2, chart, radius, motion, theta):
+    """The moves _exact_move makes for a state of the default map with this
+    psi2, on the chart at the radius (t0, t1 or mid-annulus) and angle, in
+    the motion (in, out, along the circle, or radial in or out); also
+    whether it returned None."""
     m = GluedMetric(semicircle_bump(0.3), psi2=psi2)
     t = {"t0": m.t0, "t1": m.t1, "mid": 0.5 * (m.t0 + m.t1)}[radius]
     if motion.startswith("radial"):
-        state = (chart, t, 1.0, 1.0 if motion.endswith("out") else -1.0, 0.0, 0.0)
+        state = (chart, t, theta, 1.0 if motion.endswith("out") else -1.0, 0.0, 0.0)
     else:
         vt = {"in": -0.8, "out": 0.8, "along": 0.0}[motion]
-        state = (chart, t, 1.0, vt, math.sqrt(1.0 - vt * vt) / m.warp(chart, t, 1.0), 0.0)
+        state = (chart, t, theta, vt, math.sqrt(1.0 - vt * vt) / m.warp(chart, t, theta), 0.0)
     with (
         mock.patch.object(geodesics, "_chord", wraps=geodesics._chord) as chord,
         mock.patch.object(geodesics, "_plateau", wraps=geodesics._plateau) as plateau,
@@ -799,8 +817,24 @@ def test_move_rule_at_the_ties(psi2, chart, radius, motion, expected):
     taken = [name for name, mocked in (("chord", chord), ("plateau", plateau)) if mocked.called]
     if move is not None and move[2]:
         taken.append("transit")
+    return taken, move is None
+
+
+@pytest.mark.parametrize("psi2, chart, radius, motion, expected", MOVE_RULE)
+def test_move_rule_at_the_ties(psi2, chart, radius, motion, expected):
+    # which move a state at exactly t0 or t1 takes, in each direction, on
+    # both charts, with psi2 >= t1 (transits on chart 2, and on chart 1 at
+    # theta = 1.0, in the bump's identity arc [0, pi]) and below t1
+    taken, declined = _move_taken(psi2, chart, radius, motion, 1.0)
     assert taken == ([] if expected is None else [expected])
-    assert (move is None) == (expected is None)
+    assert declined == (expected is None)
+
+
+@pytest.mark.parametrize("radius, motion", [("t0", "out"), ("t1", "in")])
+def test_move_rule_in_the_support(radius, motion):
+    # the chart-1 entries that transit at theta = 1.0 take steps at 4.0,
+    # inside the bump's support (pi, 2 pi)
+    assert _move_taken(1.0, 1, radius, motion, 4.0) == ([], True)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
@@ -829,15 +863,19 @@ def test_nonradial_exact_moves_start_in_a_flat_zone(build, c, zones, start):
 
 
 def _quad_transit(m, chart, t, th, vt, vth, s):
-    """(arclength, angle change) of a chart-2 annulus visit, by the oracle."""
-    return revolution_transit(m.t0, m.t1, m.psi2_const, m.warp(2, t, 0.0) ** 2 * vth)
+    """(arclength, angle change) of an annulus visit on a surface of
+    revolution, by the oracle: chart 2, or chart 1 on an identity arc,
+    whose plateau value is psi_1 = psi1_scale psi_2 there."""
+    c = m.psi1(th) if chart == 1 else m.psi2_const
+    return revolution_transit(m.t0, m.t1, c, m.warp(chart, t, th) ** 2 * vth)
 
 
-def _transit_states(m):
-    """Chart-2 entry states, the sign of L alternating: through from t0 and
-    from t1, |L|/t0 up to 0.99985, and turning ones from t1, |L| between t0
-    and 0.99 psi2."""
-    t0, t1, c = m.t0, m.t1, m.psi2_const
+def _transit_states(m, chart=2, theta=1.0):
+    """Entry states at the angle theta, the sign of L alternating: through
+    from t0 and from t1, |L|/t0 up to 0.99985, and turning ones from t1, |L|
+    between t0 and 0.99 of the plateau value."""
+    t0, t1 = m.t0, m.t1
+    c = m.psi1(theta) if chart == 1 else m.psi2_const
     sign = 1.0
     for kind, ratios in (
         ("t0", (0.05, 0.7, 0.99, 0.999, 0.99985)),
@@ -847,7 +885,7 @@ def _transit_states(m):
         for ratio in ratios:
             a, sign = ratio * t0, -sign
             phi, vt = (t0, 1.0) if kind == "t0" else (c, -1.0)
-            yield (2, t0 if kind == "t0" else t1, 1.0, vt * math.sqrt(1.0 - (a / phi) ** 2),
+            yield (chart, t0 if kind == "t0" else t1, theta, vt * math.sqrt(1.0 - (a / phi) ** 2),
                    sign * a / phi**2, 3.0)
 
 
@@ -879,6 +917,74 @@ def test_transit_matches_quad(m):
         assert fast[3:5] == pytest.approx((1.01 * vt_out, 1.01 * vth_out), rel=1e-14)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1.01], ids=["exact_seam", "tampered_seam"])
+def test_chart1_transit_matches_quad_on_the_identity_arc(scale):
+    # on the bump's identity arc [0, pi] chart 1 is the surface of revolution
+    # of the plateau value psi1_scale psi2: each visit whose swept angles
+    # stay in the arc (by the oracle) is one move on chart 1 that matches
+    # the oracle at that value; each other visit declines
+    m = GluedMetric(semicircle_bump(0.3), psi2=0.9, psi1_scale=scale)
+    assert m.psi1(1.2) == scale * 0.9
+    taken = 0
+    for state in _transit_states(m, chart=1, theta=1.2):
+        length, dth = _quad_transit(m, *state)
+        moved = _transit(m, *state, 100.0)
+        if not 1e-9 < state[2] + dth < math.pi - 1e-9:
+            assert moved is None
+            continue
+        taken += 1
+        chart, t_out, th_out, vt_out, vth_out, s_out = moved
+        assert chart == 1 and t_out in (m.t0, m.t1) and (vt_out > 0.0) == (t_out == m.t1)
+        assert abs(s_out - state[5] - length) < 1e-12
+        assert abs(th_out - state[2] - dth) < 1e-12
+        L = m.warp(1, state[1], state[2]) ** 2 * state[4]
+        assert m.warp(1, t_out, th_out) ** 2 * vth_out == pytest.approx(L, rel=1e-15)
+    assert taken >= 8
+
+
+def test_chart1_transit_declines_a_sweep_that_leaves_the_arc():
+    # the negative control: a visit that enters the arc [0, pi] at t1 just
+    # below pi with L > 0 sweeps into the support; the transit declines
+    # after its quadrature, and the visit keeps its DOP853 steps
+    m = default_metric()
+    (start, length), = m.identity_arcs
+    state = (1, m.t1, math.pi - 0.01, -0.8, 0.6 / m.psi1(math.pi - 0.01), 0.0)
+    assert (state[2] - start) % TWO_PI <= length
+    assert state[2] + _quad_transit(m, *state)[1] > math.pi
+    assert _transit(m, *state, 10.0) is None
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return _dop853(*args)
+
+    with mock.patch.object(geodesics, "_dop853", counted):
+        traj = integrate(m, GeodesicState(*state), s_max=0.2)
+    assert calls > 0 and traj.states[1].t not in (m.t0, m.t1) and traj.states[1].chart == 1
+    # the same entry a little earlier, whose sweep stays in the arc, is one move
+    assert _transit(m, *state[:2], 1.0, *state[3:], 10.0)[:2] == (1, m.t1)
+
+
+def test_chart1_transits_stay_on_chart_1():
+    # only the rim changes the chart: on the default metric, whose chart-1
+    # visits to the identity arc transit, every chart change of a run is a
+    # rim crossing at t = 1, and the crossing counts are the same as with
+    # chart-1 transits withheld
+    m = default_metric()
+    inits = _sample_nonradial_states(m, 8, np.random.default_rng(5))
+    transits = 0
+    for init in inits:
+        traj = integrate(m, init, s_max=20.0)
+        for a, b in zip(traj.states, traj.states[1:]):
+            if a.chart != b.chart:
+                assert b.t == 1.0
+            transits += a.chart == b.chart == 1 and a.t in (m.t0, m.t1) and b.t in (m.t0, m.t1)
+        with mock.patch.object(m, "identity_arcs", ()):
+            assert len(integrate(m, init, s_max=20.0).crossings) == len(traj.crossings)
+    assert transits >= 5
+
+
 def test_transit_oracle_fails_without_the_jacobian(monkeypatch):
     # the negative control: weights without the 2 x of t = lo + (t1 - lo) x^2
     m = default_metric()
@@ -903,7 +1009,8 @@ def test_transit_falls_back_to_steps():
     # the transit declines, and the visit keeps its DOP853 steps, for a
     # grazing |L| in [GRAZING t0, t0], a nearly tangent |L| >= TANGENT psi2
     # at t1, a run that ends inside the visit, a state that does not enter
-    # at t0 or t1, chart 1, a psi2 below t1 and a tabulated psi2
+    # at t0 or t1, chart 1 off the map's identity arcs, a psi2 below t1 and
+    # a tabulated psi2
     m = default_metric()
     t0, t1 = m.t0, m.t1
     graze = GRAZING * t0 * (1.0 + 1e-5)
@@ -914,7 +1021,7 @@ def test_transit_falls_back_to_steps():
         (m, (2, t1, 1.0, -math.sqrt(1.0 - tangent**2), tangent, 0.0), 10.0),
         (m, (2, t0, 1.0, 0.8, 0.6 / t0, 0.0), 0.1),
         (m, (2, 0.5, 1.0, 0.8, 0.6 / m.warp(2, 0.5, 0.0), 0.0), 10.0),
-        (m, (1, t1, 1.0, -0.8, 0.6 / m.psi1(1.0), 0.0), 10.0),
+        (m, (1, t1, 4.0, -0.8, 0.6 / m.psi1(4.0), 0.0), 10.0),
         (GluedMetric(semicircle_bump(0.3), psi2=0.6), (2, t1, 1.0, -0.8, 0.6 / 0.6, 0.0), 10.0),
         (psi2_table_metric(), (2, t1, 1.0, -0.8, 0.6 / psi2_table_metric().psi2(1.0), 0.0), 10.0),
     ]
