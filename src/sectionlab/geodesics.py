@@ -25,13 +25,17 @@ arc, is a quadrature, taken in one move to t0 or t1 on its own chart
 (`_transit`).  Radial lines are straight in every metric of the family, so
 a radial state never takes a numerical step.  Annulus steps are at most
 half the narrower flat zone long, so none jumps a flat zone, and their
-size follows Gustafsson's PI controller.  `integrate` walks one state
-(`_walk`); `integrate_ensemble` steps many in lockstep on arrays and hands
-its last LOCKSTEP_MIN active members to the same walk.
+size follows Gustafsson's PI controller.  One generator, `_walk`, takes a
+state's exact moves, runs its controller and yields the DOP853 trial steps
+it needs; `integrate` answers one walk's trials on the scalar warp kernel,
+and `integrate_ensemble` answers the pending trials of many walks in one
+call on the array kernel per round, on the scalar kernel once at most
+LOCKSTEP_MIN walks remain.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -569,7 +573,7 @@ def _transit(metric, chart, t, th, vt, vth, s, s_end):
 
 
 def _exact_move(metric, chart, t, th, vt, vth, s, s_end):
-    """The move rule of both drivers: one exact move of a state, or None.
+    """The move rule of `_walk`: one exact move of a state, or None.
 
     In this order: a plateau state (t > t1, or t == t1 moving outward), or a
     radial one moving outward from the annulus, takes its straight segment
@@ -579,9 +583,12 @@ def _exact_move(metric, chart, t, th, vt, vth, s, s_end):
     applies.  Returns (state, event, transit): the new state, the move's
     RimCrossing or CenterEvent or None, and whether the move was a transit.
     None means the state takes a DOP853 step.  A non-radial state moves
-    exactly only from t <= t0 or t >= t1.
+    exactly only from t <= t0 or t >= t1, so one strictly inside the annulus
+    gets None at once.
     """
     t0, t1 = metric.t0, metric.t1
+    if t0 < t < t1 and vth != 0.0:
+        return None
     if t > t1 or (t == t1 and vt >= 0.0) or (vth == 0.0 and vt > 0.0 and t >= t0):
         return (*_plateau(metric, chart, t, th, vt, vth, s, s_end), False)
     if t < t0 or (t == t0 and vt < 0.0) or vth == 0.0:
@@ -590,34 +597,40 @@ def _exact_move(metric, chart, t, th, vt, vth, s, s_end):
     return None if moved is None else (moved, None, True)
 
 
-def _walk(metric, state, s_end, tol, h_max, h, r_prev=1e-4, rejected=False):
-    """The scalar driver's loop: walk a state to s_end, yielding (state, event)
-    after every exact move and accepted step.
+def _walk(metric, state, s_end, tol, h_max, h, record=None):
+    """Walk a state to s_end: a generator of the DOP853 trial steps it needs.
 
-    state is (chart, t, theta, vt, vtheta, s) in Python floats; event is the
-    move's RimCrossing or CenterEvent, or None.  Each state takes the exact
-    move of `_exact_move` (chord, plateau segment or transit), and otherwise
-    a DOP853 step (`_dop853`) of at most h, accepted when its error estimate
-    is at most tol and retried at once with the smaller h when not.  After
-    each trial step Gustafsson's PI controller sets the next h (r the error
-    ratio err/tol of the trial, r_prev the last accepted one, floored at
-    1e-4; `rejected` tells whether the last trial was rejected, after which
-    h does not grow), at most h_max; after a transit h grows by the factor
-    5, as after a step of zero error estimate.  A step that ends outside
-    [0, 1) or with an error estimate that is not a number raises
-    FloatingPointError (`_bad_step`).
+    state is (chart, t, theta, vt, vtheta, s).  Each state takes the exact
+    move of `_exact_move` (chord, plateau segment or transit) where one
+    applies, and otherwise a DOP853 step of at most h: the walk yields the
+    trial (chart, t, theta, vt, vtheta, step) and is sent `_dop853`'s
+    result for it, (t, theta, vt, vtheta, err), from either warp kernel.  A
+    trial is accepted when err is at most tol, and otherwise retried with
+    the smaller h.  After each trial Gustafsson's PI controller sets the
+    next h (r the error ratio err/tol of the trial, r_prev the last accepted
+    one, floored at 1e-4; no growth right after a rejection), at most h_max;
+    after a transit h grows by the factor 5, as after a step of zero error
+    estimate.  A result that ends outside [0, 1) or with an error estimate
+    that is not a number raises FloatingPointError (`_bad_step`).  After
+    each exact move and accepted step, record(state, event) is called if
+    given, event being the move's RimCrossing or CenterEvent or None.
+    Returns the final state and the walk's monitors over every state: the
+    number of sign changes of vtheta (of its sign bit), its least |vtheta|,
+    and the number of rim crossings.
     """
     chart, t, th, vt, vth, s = state
-    warp = metric.warp_with_partials
+    r_prev, rejected = 1e-4, False
+    sign, flips, least, crossings = math.copysign(1.0, vth), 0, abs(vth), 0
     while s < s_end - 1e-15:
         move = _exact_move(metric, chart, t, th, vt, vth, s, s_end)
         if move is not None:
             (chart, t, th, vt, vth, s), event, transit = move
+            crossings += isinstance(event, RimCrossing)
             if transit:
                 h = min(h_max, 5.0 * h)
         else:
             step = min(h, s_end - s)
-            nt, nth, nvt, nvth, err = _dop853(warp, chart, t, th, vt, vth, step)
+            nt, nth, nvt, nvth, err = yield chart, t, th, vt, vth, step
             if not (0.0 <= nt < 1.0 and err < math.inf):
                 raise _bad_step(chart, t, s, nt, err)
             # the PI controller, beta = 0.04: h * clamp(0.9 r^-(1/8 - 0.75 beta)
@@ -630,7 +643,12 @@ def _walk(metric, state, s_end, tol, h_max, h, r_prev=1e-4, rejected=False):
                 continue
             r_prev = max(r, 1e-4)
             t, th, vt, vth, s, event = nt, nth, nvt, nvth, s + step, None
-        yield (chart, t, th, vt, vth, s), event
+        now = math.copysign(1.0, vth)
+        flips += now != sign
+        sign, least = now, min(least, abs(vth))
+        if record is not None:
+            record((chart, t, th, vt, vth, s), event)
+    return (chart, t, th, vt, vth, s), flips, least, crossings
 
 
 def integrate(
@@ -645,27 +663,34 @@ def integrate(
     to radial when |vtheta| < RADIAL_TOL, and ds < min(t0, 1 - t1) unless
     radial.  The run is one `_walk` from h = min(ds, h_max): exact moves
     (chord, plateau segment or transit, `_exact_move`) and otherwise DOP853
-    steps.  ds sets the accuracy of the steps, not their length: a step is
-    accepted when its error estimate is at most
-    ANNULUS_TOL * (ds / DEFAULT_DS)**4, and Gustafsson's PI controller sets
-    h, at most half the narrower flat zone (`_annulus_control`).  A rejected
-    step is retried at once with the smaller h.  Steps are not cut at t0 or
-    t1: the metric is smooth across both, so a step that ends in a flat zone
-    hands its state to the next exact move.  A step that ends outside [0, 1)
-    or with an error estimate that is not a number raises
-    FloatingPointError (`_bad_step`).  Each exact move and accepted step
-    appends one state, so a plateau visit records its rim crossing and its
-    return to t1.
+    steps, each trial step answered at once on the scalar warp kernel.  ds
+    sets the accuracy of the steps, not their length: a step is accepted
+    when its error estimate is at most ANNULUS_TOL * (ds / DEFAULT_DS)**4,
+    and Gustafsson's PI controller sets h, at most half the narrower flat
+    zone (`_annulus_control`).  A rejected step is retried at once with the
+    smaller h.  Steps are not cut at t0 or t1: the metric is smooth across
+    both, so a step that ends in a flat zone hands its state to the next
+    exact move.  A step that ends outside [0, 1) or with an error estimate
+    that is not a number raises FloatingPointError (`_bad_step`).  Each
+    exact move and accepted step appends one state, so a plateau visit
+    records its rim crossing and its return to t1.
     """
     chart, t, th, vt, vth, s, s_end = _start(metric, init, ds, s_max)
     tol, h_max = _annulus_control(metric, ds)
     traj = Trajectory(states=[GeodesicState(chart, t, th, vt, vth, s)])
-    for state, event in _walk(metric, (chart, t, th, vt, vth, s), s_end, tol, h_max, min(ds, h_max)):
+
+    def record(state, event):
         traj.states.append(GeodesicState(*state))
         if isinstance(event, RimCrossing):
             traj.crossings.append(event)
         elif event is not None:
             traj.center_passages.append(event)
+
+    walk = _walk(metric, (chart, t, th, vt, vth, s), s_end, tol, h_max, min(ds, h_max), record)
+    warp, reply = metric.warp_with_partials, None
+    with contextlib.suppress(StopIteration):
+        while True:
+            reply = _dop853(warp, *walk.send(reply))
     return traj
 
 
@@ -683,8 +708,8 @@ class EnsembleResult:
 
 
 # a lockstep round costs about as much as LOCKSTEP_MIN scalar trial steps
-# (see the README), so the ensemble's last LOCKSTEP_MIN active members, or
-# all of a smaller ensemble, finish on the scalar walk
+# (see the README), so once at most LOCKSTEP_MIN walks wait for a trial step,
+# the ensemble answers each of them on the scalar kernel
 LOCKSTEP_MIN = 16
 
 
@@ -696,104 +721,53 @@ def integrate_ensemble(
 ) -> EnsembleResult:
     """Integrate many independent non-radial geodesics in lockstep.
 
-    The same start rule, move rule (`_exact_move`), DOP853 step and PI
-    controller as `integrate`, with the steps taken on arrays: in each round
-    a member takes its exact move where one applies, and the other active
-    members one trial step each, of their own step size and with their own
-    controller state.  So a transit takes one round, not one per step.  A
-    rejected member retries with its smaller step in the next round.
-    Members desynchronize in s.  Once at most LOCKSTEP_MIN members are
-    active, each of them finishes alone on `integrate`'s scalar walk
-    (`_walk`) with its step size and controller state, so an ensemble of
-    at most LOCKSTEP_MIN members gives each member the result of
-    `integrate` bit for bit.  Members that are radial after the start rule
-    raise ValueError; integrate those with `integrate`.  A trial step that
-    ends outside [0, 1) or with an error estimate that is not a number
-    raises FloatingPointError (`_bad_step`).  Full paths are not stored;
-    per-trajectory monitors are accumulated online, once per round and once
-    per state of a walk.
+    One `_walk` per member, so each has `integrate`'s start rule, move rule,
+    DOP853 step and PI controller, with its own step size and controller
+    state.  In each round every walk that waits for a trial step gets its
+    result, all of them from one `_dop853` call on the array warp kernel;
+    a walk takes its exact moves between its trials, so a transit costs it
+    no round, and a rejected trial is retried with the smaller step in the
+    next round.  Members desynchronize in s.  Once at most LOCKSTEP_MIN
+    walks wait, their trials take the scalar kernel, so an ensemble of at
+    most LOCKSTEP_MIN members gives each member the result of `integrate`
+    bit for bit.  Members that are radial after the start rule raise
+    ValueError; integrate those with `integrate`.  A trial step that ends
+    outside [0, 1) or with an error estimate that is not a number raises
+    FloatingPointError (`_bad_step`).  Full paths are not stored; each walk
+    returns its member's final state and monitors.
     """
-    n = len(inits)
     starts = [_start(metric, st, ds, s_max) for st in inits]
     for i, start in enumerate(starts):
         if start[4] == 0.0:
             raise ValueError(f"ensemble member {i} is radial; integrate it with integrate()")
-    chart, t, th, vt, vth, s, s_end = np.array(starts, dtype=float).reshape(n, 7).T.copy()
-    chart = chart.astype(np.int8)
-    t0, t1 = metric.t0, metric.t1
     tol, h_max = _annulus_control(metric, ds)
-    h = np.full(n, min(ds, h_max))
-    r_prev = np.full(n, 1e-4)
-    rejected = np.zeros(n, dtype=bool)
-    warp = metric.warp_with_partials_vec
+    walks = [_walk(metric, start[:6], start[6], tol, h_max, min(ds, h_max)) for start in starts]
+    results = [None] * len(walks)
 
-    sign = np.sign(vth)
-    flips = np.zeros(n, dtype=int)
-    min_abs = np.abs(vth)
-    crossings = np.zeros(n, dtype=int)
+    def answer(replies):
+        """Send each walk its reply; the next trial of each walk that goes on."""
+        trials = {}
+        for i, reply in replies:
+            try:
+                trials[i] = walks[i].send(reply)
+            except StopIteration as stop:
+                results[i] = stop.value
+        return trials
 
-    active = s < s_end - 1e-15
-    while np.count_nonzero(active) > LOCKSTEP_MIN:
-        stepped = active.copy()
-        # every exact move of a non-radial state starts at t <= t0 or t >= t1;
-        # the moves get Python floats, whose arithmetic is faster than numpy's
-        for i in np.flatnonzero(active & ((t <= t0) | (t >= t1))).tolist():
-            state = (t.item(i), th.item(i), vt.item(i), vth.item(i), s.item(i), s_end.item(i))
-            move = _exact_move(metric, int(chart[i]), *state)
-            if move is not None:
-                (chart[i], t[i], th[i], vt[i], vth[i], s[i]), event, transit = move
-                stepped[i] = False
-                crossings[i] += isinstance(event, RimCrossing)
-                if transit:
-                    h[i] = min(h_max, 5.0 * h[i])
-        k = np.flatnonzero(stepped)
-        if k.size:
-            step = np.minimum(h[k], s_end[k] - s[k])
-            nt, nth, nvt, nvth, err = _dop853(warp, chart[k], t[k], th[k], vt[k], vth[k], step)
-            bad = np.flatnonzero(~((nt >= 0.0) & (nt < 1.0) & (err < math.inf)))
-            if bad.size:
-                j = bad[0]
-                raise _bad_step(int(chart[k[j]]), t[k[j]], s[k[j]], nt[j], err[j])
-            # `_walk`'s PI controller, on arrays
-            r = (err + 1e-300) / tol
-            grow = 0.9 * r**-0.095 * r_prev[k] ** 0.04
-            h[k] = np.minimum(h_max, step * np.clip(grow, 0.2, np.where(rejected[k], 1.0, 5.0)))
-            ok = err <= tol
-            rejected[k] = ~ok
-            r_prev[k[ok]] = np.maximum(r[ok], 1e-4)
-            k = k[ok]
-            t[k], th[k], vt[k], vth[k] = nt[ok], nth[ok], nvt[ok], nvth[ok]
-            s[k] += step[ok]
-
-        # one move per member and round, so this counts every sign change
-        sign, old = np.sign(vth), sign
-        flips += sign != old
-        np.minimum(min_abs, np.abs(vth), out=min_abs)
-
-        active = s < s_end - 1e-15
-
-    for i in np.flatnonzero(active).tolist():
-        state = (int(chart[i]), t.item(i), th.item(i), vt.item(i), vth.item(i), s.item(i))
-        last, least = sign.item(i), min_abs.item(i)
-        control = (tol, h_max, h.item(i), r_prev.item(i), bool(rejected[i]))
-        for state, event in _walk(metric, state, s_end.item(i), *control):
-            crossings[i] += isinstance(event, RimCrossing)
-            now = (state[4] > 0.0) - (state[4] < 0.0)
-            flips[i] += now != last
-            last, least = now, min(least, abs(state[4]))
-        chart[i], t[i], th[i], vt[i], vth[i], s[i] = state
-        min_abs[i] = least
-
-    finals = [
-        GeodesicState(int(chart[i]), float(t[i]), float(th[i]), float(vt[i]), float(vth[i]), float(s[i]))
-        for i in range(n)
-    ]
+    trials = answer((i, None) for i in range(len(walks)))
+    while trials:
+        if len(trials) > LOCKSTEP_MIN:
+            chart, *rest = np.array(list(trials.values())).T
+            replies = zip(*(x.tolist() for x in _dop853(metric.warp_with_partials_vec, chart, *rest)))
+        else:
+            replies = (_dop853(metric.warp_with_partials, *trial) for trial in trials.values())
+        trials = answer(zip(trials, replies))
     return EnsembleResult(
-        final_states=finals,
-        sign_flips=flips,
-        min_abs_vtheta=min_abs,
-        crossings=crossings,
-        center_passages=np.zeros(n, dtype=int),
+        final_states=[GeodesicState(*state) for state, *_ in results],
+        sign_flips=np.array([flips for _, flips, _, _ in results], dtype=int),
+        min_abs_vtheta=np.array([least for _, _, least, _ in results], dtype=float),
+        crossings=np.array([crossings for *_, crossings in results], dtype=int),
+        center_passages=np.zeros(len(results), dtype=int),
     )
 
 

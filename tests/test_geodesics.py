@@ -164,8 +164,10 @@ def test_adaptive_annulus_steps_are_few():
 def test_ensemble_takes_few_lockstep_rounds():
     # every lockstep round makes one _dop853 call on arrays; the 100 seed-0
     # verify states took 1444 DOP853 rounds, 834 with exact chart-2
-    # transits, and take 506 with PI control, ANNULUS_TOL = 1.5e-12, chart-1
-    # transits and the scalar finish of the last LOCKSTEP_MIN members
+    # transits, 506 with PI control, ANNULUS_TOL = 1.5e-12, chart-1 transits
+    # and the scalar finish of the last LOCKSTEP_MIN members, and take 463
+    # now that each member's walk takes its exact moves between its trial
+    # steps, so a move costs no round
     m = default_metric()
     inits = _sample_nonradial_states(m, 100, np.random.default_rng(0))
     rounds = 0
@@ -178,7 +180,7 @@ def test_ensemble_takes_few_lockstep_rounds():
     with mock.patch.object(geodesics, "_dop853", counted):
         res = integrate_ensemble(m, inits, ds=1e-3, s_max=20.0)
     assert res.sign_flips.sum() == 0
-    assert rounds < 530
+    assert rounds < 480
 
 
 def test_small_ensemble_is_the_scalar_driver():
@@ -348,13 +350,16 @@ def test_crossing_preserves_unit_speed_and_vtheta_sign():
 
 
 def test_ensemble_agrees_with_scalar():
+    # more than LOCKSTEP_MIN members, so the lockstep rounds on the array
+    # kernel run before the scalar kernel takes over
     m = default_metric()
     inits = [
         unit_speed_state(m, 1, 0.5, 1.0, 1.1),
         unit_speed_state(m, 2, 0.7, 4.0, -0.9),
         unit_speed_state(m, 1, 0.9, 2.0, 0.7),
         unit_speed_state(m, 2, 0.1, 3.0, 2.5),  # starts inside the flat disk, moving inward
-    ]
+    ] + _sample_nonradial_states(m, 40, np.random.default_rng(0))
+    assert len(inits) > geodesics.LOCKSTEP_MIN
     res = integrate_ensemble(m, inits, ds=1e-3, s_max=5.0)
     for i, (init, fin) in enumerate(zip(inits, res.final_states)):
         traj = integrate(m, init, ds=1e-3, s_max=5.0)
@@ -371,6 +376,18 @@ def test_ensemble_agrees_with_scalar():
         assert abs(fin.vtheta - ref.vtheta) < 1e-9
     assert res.sign_flips.sum() == 0
     assert res.crossings.min() >= 1
+
+
+def test_empty_ensemble():
+    res = integrate_ensemble(default_metric(), [])
+    assert res.final_states == []
+    for monitor, dtype in (
+        (res.sign_flips, int),
+        (res.min_abs_vtheta, float),
+        (res.crossings, int),
+        (res.center_passages, int),
+    ):
+        assert monitor.shape == (0,) and monitor.dtype == dtype
 
 
 @pytest.mark.parametrize("vtheta", [0.0, 1e-12])
@@ -845,9 +862,9 @@ def test_move_rule_in_the_support(radius, motion):
     edge_starts(),
 )
 def test_nonradial_exact_moves_start_in_a_flat_zone(build, c, zones, start):
-    # the premise of integrate_ensemble's pre-filter, which hands
-    # _exact_move only the members at t <= t0 or t >= t1; a radial state
-    # would break it, as it moves exactly from mid-annulus
+    # the premise of _exact_move's early None for a non-radial state with
+    # t0 < t < t1; a radial state would break it, as it moves exactly from
+    # mid-annulus
     try:
         m = GluedMetric(build(), *zones, psi2=c)
     except ValueError:  # MonotonicityViolation included
