@@ -15,7 +15,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +65,7 @@ def cmd_trace(cfg: Config, seed: int, out: Path, theta0: float, max_legs: int, n
         "searched": verdict.period.searched,
         "length": None if verdict.length == float("inf") else verdict.length,
         "injective": verdict.injective,
-        "witness": None if verdict.witness is None else asdict(verdict.witness),
+        "witness": None if verdict.witness is None else dict(vars(verdict.witness)),
     }
     doc["effective_config"] = _headers(cfg, seed)
     if numeric:

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -135,130 +135,101 @@ def _rhs(warp, chart, t, th, vt, vth):
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5, and their dop853
-# code; Prince & Dormand 1981): the rows a_ij of stages 2..12, the
-# eighth-order weights b, and the weights of the fifth- and third-order
-# error estimates, as arrays for the stage sums of `_dop853`
+# code; Prince & Dormand 1981), under dop853.f's names: the nonzero a_ij of
+# stages 2..12, the eighth-order weights b_i, the weights er_i of the
+# fifth-order error estimate, and the third-order weights bhh1, bhh2, bhh3,
+# which weigh stages 1, 9 and 12
+A21 = 5.26001519587677318785587544488e-2
+A31 = 1.97250569845378994544595329183e-2
+A32 = 5.91751709536136983633785987549e-2
+A41 = 2.95875854768068491816892993775e-2
+A43 = 8.87627564304205475450678981324e-2
+A51 = 2.41365134159266685502369798665e-1
+A53 = -8.84549479328286085344864962717e-1
+A54 = 9.24834003261792003115737966543e-1
+A61 = 3.7037037037037037037037037037e-2
+A64 = 1.70828608729473871279604482173e-1
+A65 = 1.25467687566822425016691814123e-1
+A71 = 3.7109375e-2
+A74 = 1.70252211019544039314978060272e-1
+A75 = 6.02165389804559606850219397283e-2
+A76 = -1.7578125e-2
+A81 = 3.70920001185047927108779319836e-2
+A84 = 1.70383925712239993810214054705e-1
+A85 = 1.07262030446373284651809199168e-1
+A86 = -1.53194377486244017527936158236e-2
+A87 = 8.27378916381402288758473766002e-3
+A91 = 6.24110958716075717114429577812e-1
+A94 = -3.36089262944694129406857109825
+A95 = -8.68219346841726006818189891453e-1
+A96 = 2.75920996994467083049415600797e1
+A97 = 2.01540675504778934086186788979e1
+A98 = -4.34898841810699588477366255144e1
+A101 = 4.77662536438264365890433908527e-1
+A104 = -2.48811461997166764192642586468
+A105 = -5.90290826836842996371446475743e-1
+A106 = 2.12300514481811942347288949897e1
+A107 = 1.52792336328824235832596922938e1
+A108 = -3.32882109689848629194453265587e1
+A109 = -2.03312017085086261358222928593e-2
+A111 = -9.3714243008598732571704021658e-1
+A114 = 5.18637242884406370830023853209
+A115 = 1.09143734899672957818500254654
+A116 = -8.14978701074692612513997267357
+A117 = -1.85200656599969598641566180701e1
+A118 = 2.27394870993505042818970056734e1
+A119 = 2.49360555267965238987089396762
+A1110 = -3.0467644718982195003823669022
+A121 = 2.27331014751653820792359768449
+A124 = -1.05344954667372501984066689879e1
+A125 = -2.00087205822486249909675718444
+A126 = -1.79589318631187989172765950534e1
+A127 = 2.79488845294199600508499808837e1
+A128 = -2.85899827713502369474065508674
+A129 = -8.87285693353062954433549289258
+A1210 = 1.23605671757943030647266201528e1
+A1211 = 6.43392746015763530355970484046e-1
+B1 = 5.42937341165687622380535766363e-2
+B6 = 4.45031289275240888144113950566
+B7 = 1.89151789931450038304281599044
+B8 = -5.8012039600105847814672114227
+B9 = 3.1116436695781989440891606237e-1
+B10 = -1.52160949662516078556178806805e-1
+B11 = 2.01365400804030348374776537501e-1
+B12 = 4.47106157277725905176885569043e-2
+ER1 = 0.1312004499419488073250102996e-1
+ER6 = -0.1225156446376204440720569753e1
+ER7 = -0.4957589496572501915214079952
+ER8 = 0.1664377182454986536961530415e1
+ER9 = -0.3503288487499736816886487290
+ER10 = 0.3341791187130174790297318841
+ER11 = 0.8192320648511571246570742613e-1
+ER12 = -0.2235530786388629525884427845e-1
+BHH1 = 0.244094488188976377952755905512
+BHH2 = 0.733846688281611857341361741547
+BHH3 = 0.220588235294117647058823529412e-1
+# the same tableau as arrays, for the stacked stage sums of `_dop853_array`:
+# the rows a_ij of stages 2..12, b, er, and b - bhh
 _A = tuple(
     np.array(row)
     for row in (
-        (5.26001519587677318785587544488e-2,),
-        (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
-        (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
-        (
-            2.41365134159266685502369798665e-1,
-            0.0,
-            -8.84549479328286085344864962717e-1,
-            9.24834003261792003115737966543e-1,
-        ),
-        (
-            3.7037037037037037037037037037e-2,
-            0.0,
-            0.0,
-            1.70828608729473871279604482173e-1,
-            1.25467687566822425016691814123e-1,
-        ),
-        (
-            3.7109375e-2,
-            0.0,
-            0.0,
-            1.70252211019544039314978060272e-1,
-            6.02165389804559606850219397283e-2,
-            -1.7578125e-2,
-        ),
-        (
-            3.70920001185047927108779319836e-2,
-            0.0,
-            0.0,
-            1.70383925712239993810214054705e-1,
-            1.07262030446373284651809199168e-1,
-            -1.53194377486244017527936158236e-2,
-            8.27378916381402288758473766002e-3,
-        ),
-        (
-            6.24110958716075717114429577812e-1,
-            0.0,
-            0.0,
-            -3.36089262944694129406857109825,
-            -8.68219346841726006818189891453e-1,
-            2.75920996994467083049415600797e1,
-            2.01540675504778934086186788979e1,
-            -4.34898841810699588477366255144e1,
-        ),
-        (
-            4.77662536438264365890433908527e-1,
-            0.0,
-            0.0,
-            -2.48811461997166764192642586468,
-            -5.90290826836842996371446475743e-1,
-            2.12300514481811942347288949897e1,
-            1.52792336328824235832596922938e1,
-            -3.32882109689848629194453265587e1,
-            -2.03312017085086261358222928593e-2,
-        ),
-        (
-            -9.3714243008598732571704021658e-1,
-            0.0,
-            0.0,
-            5.18637242884406370830023853209,
-            1.09143734899672957818500254654,
-            -8.14978701074692612513997267357,
-            -1.85200656599969598641566180701e1,
-            2.27394870993505042818970056734e1,
-            2.49360555267965238987089396762,
-            -3.0467644718982195003823669022,
-        ),
-        (
-            2.27331014751653820792359768449,
-            0.0,
-            0.0,
-            -1.05344954667372501984066689879e1,
-            -2.00087205822486249909675718444,
-            -1.79589318631187989172765950534e1,
-            2.79488845294199600508499808837e1,
-            -2.85899827713502369474065508674,
-            -8.87285693353062954433549289258,
-            1.23605671757943030647266201528e1,
-            6.43392746015763530355970484046e-1,
-        ),
+        (A21,),
+        (A31, A32),
+        (A41, 0.0, A43),
+        (A51, 0.0, A53, A54),
+        (A61, 0.0, 0.0, A64, A65),
+        (A71, 0.0, 0.0, A74, A75, A76),
+        (A81, 0.0, 0.0, A84, A85, A86, A87),
+        (A91, 0.0, 0.0, A94, A95, A96, A97, A98),
+        (A101, 0.0, 0.0, A104, A105, A106, A107, A108, A109),
+        (A111, 0.0, 0.0, A114, A115, A116, A117, A118, A119, A1110),
+        (A121, 0.0, 0.0, A124, A125, A126, A127, A128, A129, A1210, A1211),
     )
 )
-_B = np.array(
-    (
-        5.42937341165687622380535766363e-2,
-        0.0,
-        0.0,
-        0.0,
-        0.0,
-        4.45031289275240888144113950566,
-        1.89151789931450038304281599044,
-        -5.8012039600105847814672114227,
-        3.1116436695781989440891606237e-1,
-        -1.52160949662516078556178806805e-1,
-        2.01365400804030348374776537501e-1,
-        4.47106157277725905176885569043e-2,
-    )
-)
-_E5 = np.array(
-    (
-        0.1312004499419488073250102996e-1,
-        0.0,
-        0.0,
-        0.0,
-        0.0,
-        -0.1225156446376204440720569753e1,
-        -0.4957589496572501915214079952,
-        0.1664377182454986536961530415e1,
-        -0.3503288487499736816886487290,
-        0.3341791187130174790297318841,
-        0.8192320648511571246570742613e-1,
-        -0.2235530786388629525884427845e-1,
-    )
-)
-# b minus the third-order weights bhh1, bhh2, bhh3 at stages 1, 9 and 12
-_E3 = _B - np.array(
-    (0.244094488188976377952755905512, 0, 0, 0, 0, 0, 0, 0)
-    + (0.733846688281611857341361741547, 0, 0, 0.220588235294117647058823529412e-1)
-)
+_B = np.array((B1, 0.0, 0.0, 0.0, 0.0, B6, B7, B8, B9, B10, B11, B12))
+_E5 = np.array((ER1, 0.0, 0.0, 0.0, 0.0, ER6, ER7, ER8, ER9, ER10, ER11, ER12))
+_E3 = _B - np.array((BHH1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, BHH2, 0.0, 0.0, BHH3))
+
 # an annulus step is accepted when its error estimate is at most
 # ANNULUS_TOL * (ds / DEFAULT_DS)**4.  At ds = DEFAULT_DS this is the largest
 # tolerance tried (1.2e-12, 1.5e-12, 2e-12, 3e-12 and 4e-12) that keeps three
@@ -276,9 +247,6 @@ ANNULUS_TOL = 1.5e-12
 DS_MIN = DEFAULT_DS * (2.0**-52 / ANNULUS_TOL) ** 0.25
 
 
-# an overflow in the stages or the stage sums turns into inf or nan quietly,
-# as in Python float arithmetic, and the drivers name the step (`_bad_step`)
-@np.errstate(over="ignore", invalid="ignore")
 def _dop853(warp, chart, t, th, vt, vth, h):
     """One DOP853 step of `_rhs` on the scalar or the array warp kernel.
 
@@ -287,40 +255,197 @@ def _dop853(warp, chart, t, th, vt, vth, h):
     after h and the combined error estimate of DOP853,
     |e5|^2 / sqrt(4 (|e5|^2 + 0.01 |e3|^2)) with e5 and e3 the fifth- and
     third-order error vectors over the four components; it scales as h^8.
+    Arrays of states go to `_dop853_array`.  On Python floats the step is
+    straight-line code, as in dop853.f: one expression per stage component
+    over the named coefficients, its zero entries left out, so floats stay
+    Python floats and no numpy call is made; e3 is the eighth-order
+    increment minus the bhh terms.  ktI, kthI, kvtI and kvthI are the
+    components of k_I, the right-hand side at stage I.  The squares are
+    products, as a float ** 2 that overflows raises OverflowError where a
+    product turns into inf, which the drivers name (`_bad_step`).
     """
-    # the stages, stacked: (12, 4) on floats, (12, 4, n) on arrays; each
-    # stage sum is one contraction over them (np.dot on the (12, 4n) view,
-    # as tensordot costs 5x its time)
-    ks = np.empty((12, 4, *np.shape(t)))
-    flat = ks.reshape(12, -1)
-    y = (t, th, vt, vth)
     if isinstance(t, np.ndarray):
-        y, zero = np.array(y), 0.0
+        return _dop853_array(warp, chart, t, th, vt, vth, h)
+    kt1, kth1, kvt1, kvth1 = _rhs(warp, chart, t, th, vt, vth)
+    kt2, kth2, kvt2, kvth2 = _rhs(
+        warp,
+        chart,
+        t + h * (A21 * kt1),
+        th + h * (A21 * kth1),
+        vt + h * (A21 * kvt1),
+        vth + h * (A21 * kvth1),
+    )
+    kt3, kth3, kvt3, kvth3 = _rhs(
+        warp,
+        chart,
+        t + h * (A31 * kt1 + A32 * kt2),
+        th + h * (A31 * kth1 + A32 * kth2),
+        vt + h * (A31 * kvt1 + A32 * kvt2),
+        vth + h * (A31 * kvth1 + A32 * kvth2),
+    )
+    kt4, kth4, kvt4, kvth4 = _rhs(
+        warp,
+        chart,
+        t + h * (A41 * kt1 + A43 * kt3),
+        th + h * (A41 * kth1 + A43 * kth3),
+        vt + h * (A41 * kvt1 + A43 * kvt3),
+        vth + h * (A41 * kvth1 + A43 * kvth3),
+    )
+    kt5, kth5, kvt5, kvth5 = _rhs(
+        warp,
+        chart,
+        t + h * (A51 * kt1 + A53 * kt3 + A54 * kt4),
+        th + h * (A51 * kth1 + A53 * kth3 + A54 * kth4),
+        vt + h * (A51 * kvt1 + A53 * kvt3 + A54 * kvt4),
+        vth + h * (A51 * kvth1 + A53 * kvth3 + A54 * kvth4),
+    )
+    kt6, kth6, kvt6, kvth6 = _rhs(
+        warp,
+        chart,
+        t + h * (A61 * kt1 + A64 * kt4 + A65 * kt5),
+        th + h * (A61 * kth1 + A64 * kth4 + A65 * kth5),
+        vt + h * (A61 * kvt1 + A64 * kvt4 + A65 * kvt5),
+        vth + h * (A61 * kvth1 + A64 * kvth4 + A65 * kvth5),
+    )
+    kt7, kth7, kvt7, kvth7 = _rhs(
+        warp,
+        chart,
+        t + h * (A71 * kt1 + A74 * kt4 + A75 * kt5 + A76 * kt6),
+        th + h * (A71 * kth1 + A74 * kth4 + A75 * kth5 + A76 * kth6),
+        vt + h * (A71 * kvt1 + A74 * kvt4 + A75 * kvt5 + A76 * kvt6),
+        vth + h * (A71 * kvth1 + A74 * kvth4 + A75 * kvth5 + A76 * kvth6),
+    )
+    kt8, kth8, kvt8, kvth8 = _rhs(
+        warp,
+        chart,
+        t + h * (A81 * kt1 + A84 * kt4 + A85 * kt5 + A86 * kt6 + A87 * kt7),
+        th + h * (A81 * kth1 + A84 * kth4 + A85 * kth5 + A86 * kth6 + A87 * kth7),
+        vt + h * (A81 * kvt1 + A84 * kvt4 + A85 * kvt5 + A86 * kvt6 + A87 * kvt7),
+        vth + h * (A81 * kvth1 + A84 * kvth4 + A85 * kvth5 + A86 * kvth6 + A87 * kvth7),
+    )
+    kt9, kth9, kvt9, kvth9 = _rhs(
+        warp,
+        chart,
+        t + h * (A91 * kt1 + A94 * kt4 + A95 * kt5 + A96 * kt6 + A97 * kt7 + A98 * kt8),
+        th + h * (A91 * kth1 + A94 * kth4 + A95 * kth5 + A96 * kth6 + A97 * kth7 + A98 * kth8),
+        vt + h * (A91 * kvt1 + A94 * kvt4 + A95 * kvt5 + A96 * kvt6 + A97 * kvt7 + A98 * kvt8),
+        vth + h * (A91 * kvth1 + A94 * kvth4 + A95 * kvth5 + A96 * kvth6 + A97 * kvth7 + A98 * kvth8),
+    )
+    kt10, kth10, kvt10, kvth10 = _rhs(
+        warp,
+        chart,
+        t + h * (A101 * kt1 + A104 * kt4 + A105 * kt5 + A106 * kt6 + A107 * kt7 + A108 * kt8 + A109 * kt9),
+        th + h * (
+            A101 * kth1 + A104 * kth4 + A105 * kth5 + A106 * kth6 + A107 * kth7 + A108 * kth8 + A109 * kth9
+        ),
+        vt + h * (
+            A101 * kvt1 + A104 * kvt4 + A105 * kvt5 + A106 * kvt6 + A107 * kvt7 + A108 * kvt8 + A109 * kvt9
+        ),
+        vth + h * (
+            A101 * kvth1 + A104 * kvth4 + A105 * kvth5 + A106 * kvth6 + A107 * kvth7 + A108 * kvth8
+            + A109 * kvth9
+        ),
+    )
+    kt11, kth11, kvt11, kvth11 = _rhs(
+        warp,
+        chart,
+        t + h * (
+            A111 * kt1 + A114 * kt4 + A115 * kt5 + A116 * kt6 + A117 * kt7 + A118 * kt8 + A119 * kt9
+            + A1110 * kt10
+        ),
+        th + h * (
+            A111 * kth1 + A114 * kth4 + A115 * kth5 + A116 * kth6 + A117 * kth7 + A118 * kth8 + A119 * kth9
+            + A1110 * kth10
+        ),
+        vt + h * (
+            A111 * kvt1 + A114 * kvt4 + A115 * kvt5 + A116 * kvt6 + A117 * kvt7 + A118 * kvt8 + A119 * kvt9
+            + A1110 * kvt10
+        ),
+        vth + h * (
+            A111 * kvth1 + A114 * kvth4 + A115 * kvth5 + A116 * kvth6 + A117 * kvth7 + A118 * kvth8
+            + A119 * kvth9 + A1110 * kvth10
+        ),
+    )
+    kt12, kth12, kvt12, kvth12 = _rhs(
+        warp,
+        chart,
+        t + h * (
+            A121 * kt1 + A124 * kt4 + A125 * kt5 + A126 * kt6 + A127 * kt7 + A128 * kt8 + A129 * kt9
+            + A1210 * kt10 + A1211 * kt11
+        ),
+        th + h * (
+            A121 * kth1 + A124 * kth4 + A125 * kth5 + A126 * kth6 + A127 * kth7 + A128 * kth8 + A129 * kth9
+            + A1210 * kth10 + A1211 * kth11
+        ),
+        vt + h * (
+            A121 * kvt1 + A124 * kvt4 + A125 * kvt5 + A126 * kvt6 + A127 * kvt7 + A128 * kvt8 + A129 * kvt9
+            + A1210 * kvt10 + A1211 * kvt11
+        ),
+        vth + h * (
+            A121 * kvth1 + A124 * kvth4 + A125 * kvth5 + A126 * kvth6 + A127 * kvth7 + A128 * kvth8
+            + A129 * kvth9 + A1210 * kvth10 + A1211 * kvth11
+        ),
+    )
+    bt = B1 * kt1 + B6 * kt6 + B7 * kt7 + B8 * kt8 + B9 * kt9 + B10 * kt10 + B11 * kt11 + B12 * kt12
+    bth = B1 * kth1 + B6 * kth6 + B7 * kth7 + B8 * kth8 + B9 * kth9 + B10 * kth10 + B11 * kth11 + B12 * kth12
+    bvt = B1 * kvt1 + B6 * kvt6 + B7 * kvt7 + B8 * kvt8 + B9 * kvt9 + B10 * kvt10 + B11 * kvt11 + B12 * kvt12
+    bvth = (
+        B1 * kvth1 + B6 * kvth6 + B7 * kvth7 + B8 * kvth8 + B9 * kvth9 + B10 * kvth10 + B11 * kvth11
+        + B12 * kvth12
+    )
+    e5t = h * (
+        ER1 * kt1 + ER6 * kt6 + ER7 * kt7 + ER8 * kt8 + ER9 * kt9 + ER10 * kt10 + ER11 * kt11 + ER12 * kt12
+    )
+    e5th = h * (
+        ER1 * kth1 + ER6 * kth6 + ER7 * kth7 + ER8 * kth8 + ER9 * kth9 + ER10 * kth10 + ER11 * kth11
+        + ER12 * kth12
+    )
+    e5vt = h * (
+        ER1 * kvt1 + ER6 * kvt6 + ER7 * kvt7 + ER8 * kvt8 + ER9 * kvt9 + ER10 * kvt10 + ER11 * kvt11
+        + ER12 * kvt12
+    )
+    e5vth = h * (
+        ER1 * kvth1 + ER6 * kvth6 + ER7 * kvth7 + ER8 * kvth8 + ER9 * kvth9 + ER10 * kvth10 + ER11 * kvth11
+        + ER12 * kvth12
+    )
+    e3t = h * (bt - BHH1 * kt1 - BHH2 * kt9 - BHH3 * kt12)
+    e3th = h * (bth - BHH1 * kth1 - BHH2 * kth9 - BHH3 * kth12)
+    e3vt = h * (bvt - BHH1 * kvt1 - BHH2 * kvt9 - BHH3 * kvt12)
+    e3vth = h * (bvth - BHH1 * kvth1 - BHH2 * kvth9 - BHH3 * kvth12)
+    e5sq = e5t * e5t + e5th * e5th + e5vt * e5vt + e5vth * e5vth
+    e3sq = e3t * e3t + e3th * e3th + e3vt * e3vt + e3vth * e3vth
+    # + 1e-300: a step with both estimates exactly zero errs by zero
+    err = e5sq / ((4.0 * (e5sq + 0.01 * e3sq)) ** 0.5 + 1e-300)
+    return t + h * bt, th + h * bth, vt + h * bvt, vth + h * bvth, err
 
-        def advance(base, weights):
-            return base + h * np.dot(weights, flat[: len(weights)]).reshape(4, -1)
 
-    else:
-        # back to Python floats: 0-d numpy arithmetic costs a scalar step 3x
-        zero = (0.0,) * 4
+# an overflow in the stages or the stage sums turns into inf or nan quietly,
+# as in Python float arithmetic, and the drivers name the step (`_bad_step`)
+@np.errstate(over="ignore", invalid="ignore")
+def _dop853_array(warp, chart, t, th, vt, vth, h):
+    """`_dop853` on arrays of n states.  The stages are stacked, (12, 4, n),
+    and each stage sum is one contraction over them (np.dot on the (12, 4n)
+    view, as tensordot costs 5x its time)."""
+    ks = np.empty((12, 4, t.size))
+    flat = ks.reshape(12, -1)
+    y = np.array((t, th, vt, vth))
 
-        def advance(base, weights):
-            sums = np.dot(weights, flat[: len(weights)]).tolist()
-            return [b + h * x for b, x in zip(base, sums)]
+    def advance(base, weights):
+        return base + h * np.dot(weights, flat[: len(weights)]).reshape(4, -1)
 
     ks[0] = _rhs(warp, chart, *y)
     for i, row in enumerate(_A, 1):
         ks[i] = _rhs(warp, chart, *advance(y, row))
-    e5 = advance(zero, _E5)
-    e3 = advance(zero, _E3)
+    e5 = advance(0.0, _E5)
+    e3 = advance(0.0, _E3)
     e5sq = e5[0] ** 2 + e5[1] ** 2 + e5[2] ** 2 + e5[3] ** 2
     e3sq = e3[0] ** 2 + e3[1] ** 2 + e3[2] ** 2 + e3[3] ** 2
-    # + 1e-300: a step with both estimates exactly zero errs by zero
     return (*advance(y, _B), e5sq / ((4.0 * (e5sq + 0.01 * e3sq)) ** 0.5 + 1e-300))
 
 
 def _start(metric, init: GeodesicState, ds: float, s_max: float):
-    """Checked start of a run: (chart, t, theta, vt, vtheta, s, s_end).
+    """Checked start of a run: (chart, t, theta, vt, vtheta, s, s_end), an
+    int and Python floats whatever numpy scalars init and s_max hold.
 
     The accuracy parameter ds must be at least DS_MIN (about 1.10e-4, where
     the step tolerance of `_annulus_control` is one rounding), the span
@@ -343,7 +468,7 @@ def _start(metric, init: GeodesicState, ds: float, s_max: float):
     err = speed_error(metric, init)
     if not err <= 1e-9:
         raise ValueError(f"initial state violates unit speed by {err:.3e}")
-    vt, vth = init.vt, init.vtheta
+    vt, vth = float(init.vt), float(init.vtheta)
     limit = min(metric.t0, 1.0 - metric.t1)
     if abs(vth) < RADIAL_TOL:
         vth = 0.0
@@ -355,17 +480,21 @@ def _start(metric, init: GeodesicState, ds: float, s_max: float):
             f"a non-radial run needs ds < min(t0, 1 - t1) = {limit!r}; "
             f"got ds={float(ds)!r} with t0={metric.t0!r}, t1={metric.t1!r}"
         )
-    return init.chart, init.t, init.theta, vt, vth, init.s, init.s + s_max
+    s = float(init.s)
+    return int(init.chart), float(init.t), float(init.theta), vt, vth, s, s + float(s_max)
 
 
 def _annulus_control(metric, ds):
-    """(tol, h_max) of the annulus steps for the accuracy parameter ds.
+    """(tol, h_max, h) of the annulus steps for the accuracy parameter ds,
+    as Python floats.
 
     A step is accepted when its error estimate is at most
     tol = ANNULUS_TOL * (ds / DEFAULT_DS)**4.  Steps are at most h_max, half
     the narrower flat zone, so none jumps the inner disk or reaches the rim.
+    A run's first trial step is h = min(ds, h_max).
     """
-    return ANNULUS_TOL * (ds / DEFAULT_DS) ** 4, min(metric.t0, 1.0 - metric.t1) / 2.0
+    ds, h_max = float(ds), min(metric.t0, 1.0 - metric.t1) / 2.0
+    return ANNULUS_TOL * (ds / DEFAULT_DS) ** 4, h_max, min(ds, h_max)
 
 
 def _chord(t0, chart, t, th, vt, vth, s, s_end):
@@ -676,7 +805,7 @@ def integrate(
     records its rim crossing and its return to t1.
     """
     chart, t, th, vt, vth, s, s_end = _start(metric, init, ds, s_max)
-    tol, h_max = _annulus_control(metric, ds)
+    tol, h_max, h = _annulus_control(metric, ds)
     traj = Trajectory(states=[GeodesicState(chart, t, th, vt, vth, s)])
 
     def record(state, event):
@@ -686,7 +815,7 @@ def integrate(
         elif event is not None:
             traj.center_passages.append(event)
 
-    walk = _walk(metric, (chart, t, th, vt, vth, s), s_end, tol, h_max, min(ds, h_max), record)
+    walk = _walk(metric, (chart, t, th, vt, vth, s), s_end, tol, h_max, h, record)
     warp, reply = metric.warp_with_partials, None
     with contextlib.suppress(StopIteration):
         while True:
@@ -710,7 +839,7 @@ class EnsembleResult:
 # a lockstep round costs about as much as LOCKSTEP_MIN scalar trial steps
 # (see the README), so once at most LOCKSTEP_MIN walks wait for a trial step,
 # the ensemble answers each of them on the scalar kernel
-LOCKSTEP_MIN = 16
+LOCKSTEP_MIN = 28
 
 
 def integrate_ensemble(
@@ -740,8 +869,8 @@ def integrate_ensemble(
     for i, start in enumerate(starts):
         if start[4] == 0.0:
             raise ValueError(f"ensemble member {i} is radial; integrate it with integrate()")
-    tol, h_max = _annulus_control(metric, ds)
-    walks = [_walk(metric, start[:6], start[6], tol, h_max, min(ds, h_max)) for start in starts]
+    tol, h_max, h = _annulus_control(metric, ds)
+    walks = [_walk(metric, start[:6], start[6], tol, h_max, h) for start in starts]
     results = [None] * len(walks)
 
     def answer(replies):
@@ -822,9 +951,9 @@ class SectionTrace:
             "max_legs": self.max_legs,
             "k_max": self.k_max,
             "tol": self.tol,
-            "legs": [asdict(leg) for leg in self.legs],
-            "crossings": [asdict(c) for c in self.crossings],
-            "center_passages": [{**asdict(p), "line": p.line} for p in self.center_passages],
+            "legs": [dict(vars(leg)) for leg in self.legs],
+            "crossings": [dict(vars(c)) for c in self.crossings],
+            "center_passages": [{**vars(p), "line": p.line} for p in self.center_passages],
             "orbit": list(self.orbit),
         }
 

@@ -19,6 +19,7 @@ from sectionlab import (
     NotClosed,
     Period,
     RotationDiffeo,
+    SplineDiffeo,
     TransitionMap,
     antipode,
     circle_distance,
@@ -27,6 +28,7 @@ from sectionlab import (
     integrate,
     integrate_ensemble,
     line_distance,
+    loads_config,
     period_of,
     section_verdict,
     semicircle_bump,
@@ -51,6 +53,7 @@ from sectionlab.verify import _sample_nonradial_states, drift_bound
 from oracles import flat_polar_geodesic, revolution_transit, witness_oracle
 from strategies import drawn_maps, edge_starts, spline_tables
 from test_circle import all_families
+from test_cli import PSI2_CFG
 
 RNG = np.random.default_rng(4242)
 
@@ -107,6 +110,21 @@ def test_initial_state_must_be_unit_speed():
         integrate(m, GeodesicState(1, 0.5, 0.0, 1.0, 0.5), s_max=0.01)
 
 
+def test_numpy_scalars_run_as_python_floats():
+    # the start hands the walk an int and Python floats, so a span, ds or
+    # state of numpy scalars writes no np.float64(...) into the records and
+    # runs the float step at Python-float speed
+    m = default_metric()
+    init = unit_speed_state(m, 2, 0.7, 4.0, -0.9)
+    text = integrate(m, init, s_max=np.float64(1.0)).to_records_text()
+    assert "np.float64(" not in text
+    numpy_init = GeodesicState(np.int64(2), *map(np.float64, (init.t, init.theta, init.vt, init.vtheta)))
+    traj = integrate(m, numpy_init, ds=np.float64(1e-3), s_max=np.float64(1.0))
+    assert traj.to_records_text() == text
+    assert all(type(x) is float for st in traj.states for x in (st.t, st.theta, st.vt, st.vtheta, st.s))
+    assert all(type(st.chart) is int for st in traj.states)
+
+
 # --- integrator: the DOP853 stepper -----------------------------------------
 
 
@@ -150,6 +168,46 @@ def test_dop853_local_error_orders(monkeypatch):
     assert 7.5 < math.log2(estimates[0] / estimates[1]) < 8.5
 
 
+def spline_map_metric():
+    knots = np.linspace(0.0, TWO_PI, 24, endpoint=False)
+    return GluedMetric(SplineDiffeo(knots, knots + 0.3 * np.sin(knots) + 0.1 * np.sin(2.0 * knots + 1.0)))
+
+
+@pytest.mark.parametrize(
+    "make_metric",
+    [default_metric, spline_map_metric, lambda: loads_config(PSI2_CFG).build_metric()],
+    ids=["default", "spline_map", "psi2_cfg"],
+)
+def test_float_step_agrees_with_the_array_step(make_metric):
+    # the float step is straight-line code and the array step sums its
+    # stacked stages with np.dot, so they round apart: on 200 annulus states
+    # of both charts, with trial steps up to half of h_max, the states agree
+    # to 1e-14 of their largest component and the error estimates to 1e-15
+    m = make_metric()
+    rng = np.random.default_rng(25)
+    n = 200
+    _, h_max, _ = geodesics._annulus_control(m, 1e-3)
+    charts = rng.integers(1, 3, n)
+    states = [
+        unit_speed_state(m, int(chart), t, theta, direction)
+        for chart, t, theta, direction in zip(
+            charts,
+            rng.uniform(m.t0, m.t1, n).tolist(),
+            rng.uniform(0.0, TWO_PI, n).tolist(),
+            rng.uniform(-math.pi, math.pi, n).tolist(),
+        )
+    ]
+    steps = rng.uniform(1e-3, h_max / 2.0, n)
+    columns = np.array([(st.t, st.theta, st.vt, st.vtheta) for st in states]).T
+    *arrays, estimates = _dop853(m.warp_with_partials_vec, charts, *columns, steps)
+    for i, (st, h) in enumerate(zip(states, steps.tolist())):
+        *state, estimate = _dop853(m.warp_with_partials, st.chart, st.t, st.theta, st.vt, st.vtheta, h)
+        reference = [x[i] for x in arrays]
+        scale = max(map(abs, reference))
+        assert max(abs(x - y) for x, y in zip(state, reference)) <= 1e-14 * scale
+        assert abs(estimate - estimates[i]) <= 1e-15
+
+
 def test_adaptive_annulus_steps_are_few():
     # fixed RK4 steps of ds = 1e-3 recorded 11609 states on this run,
     # Dormand-Prince 5(4) steps 2055, DOP853 steps 714, DOP853 steps with
@@ -165,9 +223,9 @@ def test_ensemble_takes_few_lockstep_rounds():
     # every lockstep round makes one _dop853 call on arrays; the 100 seed-0
     # verify states took 1444 DOP853 rounds, 834 with exact chart-2
     # transits, 506 with PI control, ANNULUS_TOL = 1.5e-12, chart-1 transits
-    # and the scalar finish of the last LOCKSTEP_MIN members, and take 463
-    # now that each member's walk takes its exact moves between its trial
-    # steps, so a move costs no round
+    # and the scalar finish of the last LOCKSTEP_MIN members, 463 once each
+    # member's walk took its exact moves between its trial steps, so a move
+    # costs no round, and take 383 with LOCKSTEP_MIN = 28, not 16
     m = default_metric()
     inits = _sample_nonradial_states(m, 100, np.random.default_rng(0))
     rounds = 0
@@ -180,7 +238,7 @@ def test_ensemble_takes_few_lockstep_rounds():
     with mock.patch.object(geodesics, "_dop853", counted):
         res = integrate_ensemble(m, inits, ds=1e-3, s_max=20.0)
     assert res.sign_flips.sum() == 0
-    assert rounds < 480
+    assert rounds < 400
 
 
 def test_small_ensemble_is_the_scalar_driver():
@@ -358,7 +416,7 @@ def test_ensemble_agrees_with_scalar():
         unit_speed_state(m, 2, 0.7, 4.0, -0.9),
         unit_speed_state(m, 1, 0.9, 2.0, 0.7),
         unit_speed_state(m, 2, 0.1, 3.0, 2.5),  # starts inside the flat disk, moving inward
-    ] + _sample_nonradial_states(m, 40, np.random.default_rng(0))
+    ] + _sample_nonradial_states(m, 48, np.random.default_rng(0))
     assert len(inits) > geodesics.LOCKSTEP_MIN
     res = integrate_ensemble(m, inits, ds=1e-3, s_max=5.0)
     for i, (init, fin) in enumerate(zip(inits, res.final_states)):

@@ -27,7 +27,9 @@ differs from the parent's.  One run's error moves by chance with its step
 sequence, so the accuracy rule is applied to each config's median final
 error over its runs: the config counts as a difference if the change's
 median exceeds max(2 x the parent's, INTEGRATE_TOL), INTEGRATE_TOL being
-the bound of test_ensemble_agrees_with_scalar.
+the bound of test_ensemble_agrees_with_scalar.  It also prints each tree's
+states summed over the config's runs, so that a change of rounding shows
+whether its step counts moved by noise alone.
 
 `verify` reports the ensemble only through a drift summary, so each config
 also gets one ensemble run: `integrate_ensemble` on the ENSEMBLE_MEMBERS =
@@ -267,6 +269,8 @@ def _report_integrate(name: str, parent: list | str, change: list | str, ref: li
     worse = err_b > max(2.0 * err_a, INTEGRATE_TOL)
     text = f"median final error against the reference {err_a:.1e} -> {err_b:.1e}"
     print(f"{'DIFF' if worse else 'same'}  {name}: {text}")
+    states = (sum(run[1] for run in runs) for runs in (parent, change))
+    print(f"      {name}: integrate states summed over the runs {' -> '.join(map(str, states))}")
     return n_diff + worse
 
 
