@@ -15,6 +15,7 @@ the bump family is infinitely smooth).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -182,6 +183,11 @@ class CircleDiffeo:
         for theta in [0, 2*pi)."""
         raise NotImplementedError
 
+    def float_pair(self):
+        """`derivative_pair` for one Python float, bit for bit, as a function
+        with the map's constants bound; by default the method itself."""
+        return self.derivative_pair
+
     def identity_arcs(self) -> tuple[tuple[float, float], ...]:
         """The closed arcs where F' is exactly 1.0 and F'' exactly 0.0, as
         (start, length) pairs: theta lies in one when
@@ -314,6 +320,9 @@ class RotationDiffeo(CircleDiffeo):
         one = self.lift_derivative(theta)
         return one, 0.0 * one
 
+    def float_pair(self):
+        return lambda theta: (1.0, 0.0)
+
     def identity_arcs(self):
         return ((0.0, math.inf),)
 
@@ -385,6 +394,25 @@ class BumpDiffeo(CircleDiffeo):
         d1, d2 = _bump01_d1d2_vec(u) if isinstance(u, np.ndarray) else _bump01_d1d2(u)
         return 1.0 + (self.amplitude / self._width) * d1, (self.amplitude / self._width**2) * d2
 
+    def float_pair(self):
+        # _u and _bump01_d1d2 inlined, in derivative_pair's order; off the
+        # arc F'' is the zero of derivative_pair's product, -0.0 for a < 0
+        lo, width, two_pi, peak, floor, exp = self.support_lo, self._width, TWO_PI, _PEAK, _Q_FLOOR, math.exp
+        k1, k2 = self.amplitude / width, self.amplitude / width**2
+        off_arc = 1.0, k2 * 0.0
+
+        def pair(theta):
+            u = (theta % two_pi - lo) / width
+            q = u * (1.0 - u)
+            if q < floor:
+                return off_arc
+            qp = 1.0 - 2.0 * u
+            qq = q * q
+            e = exp(peak - 1.0 / q)
+            return 1.0 + k1 * (e * qp / qq), k2 * (e * ((qp / qq) ** 2 - 2.0 * (q + qp * qp) / q**3))
+
+        return pair
+
     def identity_arcs(self):
         # the closed complement [hi, lo + 2pi] of the support; the underflow
         # margins inside the support, where the kernels return 0.0 too, are
@@ -404,7 +432,8 @@ def periodic_spline(knots, values):
     Knots must be strictly increasing within [0, 2*pi); the spline closes up
     over [knots[0], knots[0] + 2*pi] and every argument is wrapped into that
     period.  Returns evaluate(x, nu=0), the nu-th derivative (nu <= 2) at x,
-    a float for a scalar x and an array of x's shape for an array x.  nu = -1
+    a float for a scalar x and an array of x's shape for an array x; a scalar
+    takes the same steps on Python floats, with the same bits.  nu = -1
     gives the antiderivative that vanishes at knots[0]: the piecewise quartic
     of each interval plus the integrals of the intervals before it, plus one
     period integral per turn, so it grows by that integral per 2*pi.
@@ -444,8 +473,25 @@ def periodic_spline(knots, values):
     period = offsets[-1]
     x0 = breaks[0]
     last = n - 1
+    # the same tables as lists, for a Python float: % is np.mod, bisect_right
+    # is searchsorted's side="right", and Horner runs in the same order
+    f_breaks, f_offsets, f_x0, f_period = breaks.tolist(), offsets.tolist(), float(x0), float(period)
+    f_tables = {nu: table.T.tolist() for nu, table in tables.items()}
 
     def evaluate(x, nu: int = 0):
+        if not isinstance(x, np.ndarray):
+            xs = f_x0 + (x - f_x0) % TWO_PI
+            i = min(bisect_right(f_breaks, xs) - 1, last)
+            t = xs - f_breaks[i]
+            coeffs = f_tables[nu][i]
+            out = coeffs[0]
+            for c in coeffs[1:]:
+                out = out * t + c
+            if nu == -1:
+                # np.round on a finite turn count; round() of nan or inf raises
+                turns = (x - xs) / TWO_PI
+                out = out + f_offsets[i] + (round(turns) if math.isfinite(turns) else turns) * f_period
+            return float(out)
         xs = x0 + np.mod(x - x0, TWO_PI)
         i = np.minimum(np.searchsorted(breaks, xs, side="right") - 1, last)
         t = xs - breaks[i]
@@ -455,7 +501,7 @@ def periodic_spline(knots, values):
             out = out * t + c
         if nu == -1:
             out = out + offsets[i] + np.round((x - xs) / TWO_PI) * period
-        return out if isinstance(x, np.ndarray) else float(out)
+        return out
 
     return evaluate
 

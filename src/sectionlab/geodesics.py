@@ -36,6 +36,7 @@ LOCKSTEP_MIN walks remain.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -839,7 +840,7 @@ class EnsembleResult:
 # a lockstep round costs about as much as LOCKSTEP_MIN scalar trial steps
 # (see the README), so once at most LOCKSTEP_MIN walks wait for a trial step,
 # the ensemble answers each of them on the scalar kernel
-LOCKSTEP_MIN = 28
+LOCKSTEP_MIN = 30
 
 
 def integrate_ensemble(
@@ -886,7 +887,8 @@ def integrate_ensemble(
     trials = answer((i, None) for i in range(len(walks)))
     while trials:
         if len(trials) > LOCKSTEP_MIN:
-            chart, *rest = np.array(list(trials.values())).T
+            n = len(trials)
+            chart, *rest = np.fromiter(itertools.chain.from_iterable(trials.values()), float, 6 * n).reshape(n, 6).T
             replies = zip(*(x.tolist() for x in _dop853(metric.warp_with_partials_vec, chart, *rest)))
         else:
             replies = (_dop853(metric.warp_with_partials, *trial) for trial in trials.values())

@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .circle import TWO_PI, CircleDiffeo, IdentityDiffeo
+from .circle import TWO_PI, CircleDiffeo, IdentityDiffeo, RotationDiffeo
 
 DEFAULT_T0 = 0.25
 DEFAULT_T1 = 0.75
@@ -166,6 +166,13 @@ class GluedMetric:
         else:
             self._plateau_lift = _PlateauLift(psi2)
             self._psi2_mean = self._plateau_lift.mean
+        # the arcs where f is the identity, for plateau_angle: a bump's
+        # identity arcs (a rotation's inverse is exact already, and a spline
+        # has none)
+        self._fixed_arcs = (
+            () if self.psi2_const is None or isinstance(f, RotationDiffeo) else self.identity_arcs
+        )
+        self._warp = self._bind_warp()
 
     # -- plateau profiles -----------------------------------------------------
 
@@ -201,13 +208,19 @@ class GluedMetric:
 
         Solves sigma(theta') = sigma(theta) + dsigma on the circle, with
         sigma_2 = m P(theta) and sigma_1 = psi1_scale m P(F(theta)): through
-        P's inverse, and on chart 1 then f's.
+        P's inverse, and on chart 1 then f's, which is skipped where f is the
+        identity, with the same bits.
         """
         p = self._plateau_lift
         if chart == 2:
             return p.inverse(p.lift(theta) + dsigma / self._psi2_mean)
         f = self.f
-        return f.inverse(p.inverse(p.lift(f(theta)) + dsigma / (self.psi1_scale * self._psi2_mean)))
+        y = p.inverse(p.lift(f(theta)) + dsigma / (self.psi1_scale * self._psi2_mean))
+        # on an arc where F(x) = x exactly, f.inverse's first Newton residual
+        # is 0.0, so it returns y itself: the move is a shift
+        if any((y - a) % TWO_PI <= n for a, n in self._fixed_arcs):
+            return y
+        return f.inverse(y)
 
     # -- warp and Christoffel symbols ------------------------------------------
 
@@ -228,16 +241,53 @@ class GluedMetric:
 
     def warp_with_partials(self, chart: int, t: float, theta: float):
         """(phi, phi_t, phi_theta) at a point; scalar hot path, bit-exactly
-        (t, 1, 0) in the Euclidean zone."""
-        s, ds = _step01((t - self.t0) / (self.t1 - self.t0))
-        ds /= self.t1 - self.t0
-        if s == 0.0:
-            return t, 1.0, 0.0
-        psi, psi_p = self._psi_pair(chart, theta)
-        phi = (1.0 - s) * t + s * psi
-        phi_t = (1.0 - s) + ds * (psi - t)
-        phi_theta = s * psi_p
-        return phi, phi_t, phi_theta
+        (t, 1, 0) in the Euclidean zone.  It runs the kernel that
+        `_bind_warp` built for this metric."""
+        return self._warp(chart, t, theta)
+
+    def _bind_warp(self):
+        """The scalar warp kernel of this metric, one closure: `_step01` and
+        `_psi_pair` inlined in their order, with t0, t1 - t0, psi1_scale,
+        psi_2 and the map's `float_pair` bound, so it gives the bits of
+        combining them: s = 0 returns (t, 1, 0), and otherwise
+        phi = (1 - s) t + s psi, phi_t = (1 - s) + s' (psi - t) and
+        phi_theta = s psi'."""
+        t0, w, scale, c, exp = self.t0, self.t1 - self.t0, self.psi1_scale, self.psi2_const, math.exp
+        f, pair, psi2 = self.f, self.f.float_pair(), None if c is not None else self._psi2
+
+        def warp(chart, t, theta):
+            u = (t - t0) / w
+            if u <= 0.0:
+                return t, 1.0, 0.0
+            if u >= 1.0:
+                s, ds = 1.0, 0.0
+            else:
+                v = 1.0 - u
+                a = exp(-1.0 / u)
+                b = exp(-1.0 / v)
+                denom = a + b
+                s = a / denom
+                if s == 0.0:
+                    return t, 1.0, 0.0
+                ds = a * b * (1.0 / (u * u) + 1.0 / (v * v)) / (denom * denom) / w
+            if chart == 1:
+                fp, fpp = pair(theta)
+                if c is not None:
+                    psi, psi_p = scale * (c * fp), scale * (c * fpp)
+                else:
+                    y = f(theta)
+                    p2 = psi2(y)
+                    psi, psi_p = scale * (p2 * fp), scale * (psi2(y, 1) * fp * fp + p2 * fpp)
+            elif chart != 2:
+                raise ValueError(f"chart must be 1 or 2, got {chart!r}")
+            elif c is not None:
+                psi, psi_p = c, 0.0
+            else:
+                psi, psi_p = psi2(theta), psi2(theta, 1)
+            r = 1.0 - s
+            return r * t + s * psi, r + ds * (psi - t), s * psi_p
+
+        return warp
 
     def warp_with_partials_vec(self, chart: np.ndarray, t: np.ndarray, theta: np.ndarray):
         """Vectorized (phi, phi_t, phi_theta) over mixed-chart batches."""

@@ -282,6 +282,22 @@ def test_spline_derivative_pair_wraps_once():
     assert [f.derivative_pair(x)[0] for x in scalars] == [f.lift_derivative(x) for x in scalars]
 
 
+def bits(values):
+    """The IEEE bit patterns of some floats, so that -0.0 differs from 0.0."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize(
+    "f", [*all_families(), BumpDiffeo(-0.2, 0.5, 2.0)], ids=lambda f: f"{f.kind}{f!r}"
+)
+def test_float_pair_is_derivative_pair_bit_for_bit(f):
+    # the bound kernel of one Python float, on and off a bump's arc (where a
+    # negative amplitude makes F'' -0.0), off [0, 2 pi) and at its ends
+    xs = [*RNG.uniform(-20.0, 20.0, 4000).tolist(), 0.0, -0.0, TWO_PI, math.pi, 0.5, 2.0]
+    pair = f.float_pair()
+    assert bits([pair(x) for x in xs]) == bits([f.derivative_pair(x) for x in xs])
+
+
 @pytest.mark.parametrize(
     "f",
     [semicircle_bump(0.3), BumpDiffeo(-0.2, 0.5, 2.0), BumpDiffeo(0.4, 0.0, TWO_PI)],
@@ -526,6 +542,26 @@ def test_periodic_spline_antiderivative_few_knots(knots, values):
 @given(spline_tables())
 def test_periodic_spline_antiderivative_matches_scipy(table):
     check_spline_antiderivative(*table)
+
+
+@pytest.mark.parametrize(
+    "knots, values",
+    [
+        (np.linspace(0.3, 6.0, 9), np.sin(np.linspace(0.3, 6.0, 9))),
+        ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 1.15, 1.1, 0.95, 0.85, 0.9]),
+        ([1.0], [0.5]),
+    ],
+    ids=["9_knots_from_0.3", "psi2_table", "1_knot"],
+)
+def test_periodic_spline_float_path_is_the_array_path(knots, values):
+    # a Python float takes %, bisect and Horner over lists; the array path
+    # takes np.mod, searchsorted and Horner over the tables: the same bits,
+    # at the knots and their turns too
+    spline = periodic_spline(knots, values)
+    k = np.asarray(knots, dtype=float)
+    xs = np.concatenate([RNG.uniform(-20.0, 20.0, 4000), k, k + TWO_PI, k - 3 * TWO_PI, [-20.0, 20.0, 0.0, -0.0]])
+    for nu in (-1, 0, 1, 2):
+        assert bits([spline(x, nu) for x in xs.tolist()]) == bits(spline(xs, nu)), nu
 
 
 def test_periodic_spline_return_types():

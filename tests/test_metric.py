@@ -9,15 +9,19 @@ from hypothesis import strategies as st
 
 from sectionlab import (
     TWO_PI,
+    BumpDiffeo,
     DegenerateAtCenter,
     GluedMetric,
     IdentityDiffeo,
     RotationDiffeo,
+    SplineDiffeo,
+    normalize,
     semicircle_bump,
 )
 from sectionlab.circle import periodic_spline
 from sectionlab.metric import _step01, _step01_vec
 
+from oracles import make_sinusoid_spline_data
 from strategies import drawn_maps, spline_tables
 
 RNG = np.random.default_rng(99)
@@ -170,6 +174,72 @@ def test_components_partials_match_finite_differences():
         fd_th = (m.warp(chart, t, theta + h) - m.warp(chart, t, theta - h)) / (2 * h)
         assert phi_t == pytest.approx(fd_t, abs=1e-6)
         assert phi_theta == pytest.approx(fd_th, abs=1e-6)
+
+
+# --- the bound scalar kernel ----------------------------------------------------
+
+
+def bits(values):
+    """The IEEE bit patterns of some floats, so that -0.0 differs from 0.0."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def composed_warp(m, chart, t, theta):
+    """The scalar warp as `_step01` and `_psi_pair` compose it."""
+    s, ds = _step01((t - m.t0) / (m.t1 - m.t0))
+    ds /= m.t1 - m.t0
+    if s == 0.0:
+        return t, 1.0, 0.0
+    psi, psi_p = m._psi_pair(chart, theta)
+    return (1.0 - s) * t + s * psi, (1.0 - s) + ds * (psi - t), s * psi_p
+
+
+KERNEL_MAPS = {
+    "bump": lambda: semicircle_bump(0.3),
+    "bump_negative": lambda: BumpDiffeo(-0.2, 0.5, 2.0),
+    "rotation": lambda: RotationDiffeo(1.1),
+    "identity": IdentityDiffeo,
+    "spline": lambda: SplineDiffeo(*make_sinusoid_spline_data()),
+}
+KERNEL_PSI2 = {
+    "one": lambda: None,
+    "constant": lambda: 1.3,
+    "table": lambda: periodic_spline([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 1.15, 1.1, 0.95, 0.85, 0.9]),
+}
+
+
+@pytest.mark.parametrize("zones", [(0.25, 0.75), (0.1, 0.9)], ids=["default_zones", "zones_0.1_0.9"])
+@pytest.mark.parametrize("scale", [1.0, 1.01])
+@pytest.mark.parametrize("psi2", KERNEL_PSI2)
+@pytest.mark.parametrize("kind", KERNEL_MAPS)
+def test_bound_warp_kernel_is_the_composed_warp_bit_for_bit(kind, psi2, scale, zones):
+    # every map kind with each psi_2 kind, and a zone width that is not a
+    # power of two: the Euclidean zone, t0 and t1 exactly and one ulp off
+    # them, the underflow edge of the step, the plateau, and t in (1, 2] as
+    # pullbacks across the rim take it
+    t0, t1 = zones
+    m = GluedMetric(KERNEL_MAPS[kind](), t0, t1, psi2=KERNEL_PSI2[psi2](), psi1_scale=scale)
+    edges = [0.0, 0.5 * t0, t0, t1, 1.0, 1.5, 2.0, t0 + 1e-3 * (t1 - t0), t0 + 2e-3 * (t1 - t0)]
+    edges += [float(np.nextafter(x, y)) for x in (t0, t1) for y in (0.0, 1.0)]
+    ts = [*edges, *RNG.uniform(t0, t1, 300).tolist(), *RNG.uniform(1.0, 2.0, 50).tolist()]
+    thetas = [*RNG.uniform(-10.0, 16.0, len(ts) - 4).tolist(), 0.0, math.pi, TWO_PI, 4.0]
+    for chart in (1, 2):
+        got = [m.warp_with_partials(chart, t, th) for t, th in zip(ts, thetas)]
+        assert bits(got) == bits([composed_warp(m, chart, t, th) for t, th in zip(ts, thetas)])
+    with pytest.raises(ValueError, match="chart must be 1 or 2"):
+        m.warp_with_partials(3, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.01])
+@pytest.mark.parametrize("kind", KERNEL_MAPS)
+def test_plateau_angle_is_the_composed_inverse_bit_for_bit(kind, scale):
+    # chart 1 with a constant psi_2 skips f's Newton inverse where the result
+    # lies on an arc that f fixes; the angle stays f.inverse's
+    m = GluedMetric(KERNEL_MAPS[kind](), psi2=1.3, psi1_scale=scale)
+    f = m.f
+    for theta, dsigma in zip(RNG.uniform(-1.0, 7.5, 2000).tolist(), RNG.uniform(-0.6, 0.6, 2000).tolist()):
+        want = f.inverse(normalize(f(theta) + dsigma / (scale * 1.3)))
+        assert bits([m.plateau_angle(1, theta, dsigma)]) == bits([want]), (theta, dsigma)
 
 
 # --- Christoffel symbols -----------------------------------------------------------
