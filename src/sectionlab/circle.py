@@ -15,7 +15,6 @@ the bump family is infinitely smooth).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 
 import numpy as np
 
@@ -183,11 +182,6 @@ class CircleDiffeo:
         for theta in [0, 2*pi)."""
         raise NotImplementedError
 
-    def float_pair(self):
-        """`derivative_pair` for one Python float, bit for bit, as a function
-        with the map's constants bound; by default the method itself."""
-        return self.derivative_pair
-
     def identity_arcs(self) -> tuple[tuple[float, float], ...]:
         """The closed arcs where F' is exactly 1.0 and F'' exactly 0.0, as
         (start, length) pairs: theta lies in one when
@@ -320,9 +314,6 @@ class RotationDiffeo(CircleDiffeo):
         one = self.lift_derivative(theta)
         return one, 0.0 * one
 
-    def float_pair(self):
-        return lambda theta: (1.0, 0.0)
-
     def identity_arcs(self):
         return ((0.0, math.inf),)
 
@@ -373,6 +364,9 @@ class BumpDiffeo(CircleDiffeo):
         self._width = self.support_hi - self.support_lo
         if not self._width**2 > 0.0:  # F'' divides by it
             raise ValueError(f"support ({support_lo}, {support_hi}) is too narrow: width**2 is 0")
+        # the factors of F' - 1 and F'' on the unit profile's derivatives
+        self._k1 = self.amplitude / self._width
+        self._k2 = self.amplitude / self._width**2
         self._check_invariants(arc=(self.support_lo, self.support_hi))
 
     def _u(self, x):
@@ -387,31 +381,23 @@ class BumpDiffeo(CircleDiffeo):
     def lift_derivative(self, x):
         u = self._u(x)
         d1 = _bump01_d1_vec(u) if isinstance(u, np.ndarray) else _bump01_d1(u)
-        return 1.0 + (self.amplitude / self._width) * d1
+        return 1.0 + self._k1 * d1
 
     def derivative_pair(self, theta):
-        u = self._u(theta)
-        d1, d2 = _bump01_d1d2_vec(u) if isinstance(u, np.ndarray) else _bump01_d1d2(u)
-        return 1.0 + (self.amplitude / self._width) * d1, (self.amplitude / self._width**2) * d2
-
-    def float_pair(self):
-        # _u and _bump01_d1d2 inlined, in derivative_pair's order; off the
-        # arc F'' is the zero of derivative_pair's product, -0.0 for a < 0
-        lo, width, two_pi, peak, floor, exp = self.support_lo, self._width, TWO_PI, _PEAK, _Q_FLOOR, math.exp
-        k1, k2 = self.amplitude / width, self.amplitude / width**2
-        off_arc = 1.0, k2 * 0.0
-
-        def pair(theta):
-            u = (theta % two_pi - lo) / width
-            q = u * (1.0 - u)
-            if q < floor:
-                return off_arc
-            qp = 1.0 - 2.0 * u
-            qq = q * q
-            e = exp(peak - 1.0 / q)
-            return 1.0 + k1 * (e * qp / qq), k2 * (e * ((qp / qq) ** 2 - 2.0 * (q + qp * qp) / q**3))
-
-        return pair
+        u = (theta % TWO_PI - self.support_lo) / self._width
+        # a Python float, the hot path, skips the slower isinstance test
+        if type(u) is not float and isinstance(u, np.ndarray):
+            d1, d2 = _bump01_d1d2_vec(u)
+            return 1.0 + self._k1 * d1, self._k2 * d2
+        # _u and _bump01_d1d2 inlined for a scalar, in their order; off the
+        # arc F'' is k2 * 0.0, which is -0.0 for a negative amplitude
+        q = u * (1.0 - u)
+        if q < _Q_FLOOR:
+            return 1.0, self._k2 * 0.0
+        qp = 1.0 - 2.0 * u
+        qq = q * q
+        e = math.exp(_PEAK - 1.0 / q)
+        return 1.0 + self._k1 * (e * qp / qq), self._k2 * (e * ((qp / qq) ** 2 - 2.0 * (q + qp * qp) / q**3))
 
     def identity_arcs(self):
         # the closed complement [hi, lo + 2pi] of the support; the underflow
@@ -432,8 +418,7 @@ def periodic_spline(knots, values):
     Knots must be strictly increasing within [0, 2*pi); the spline closes up
     over [knots[0], knots[0] + 2*pi] and every argument is wrapped into that
     period.  Returns evaluate(x, nu=0), the nu-th derivative (nu <= 2) at x,
-    a float for a scalar x and an array of x's shape for an array x; a scalar
-    takes the same steps on Python floats, with the same bits.  nu = -1
+    a float for a scalar x and an array of x's shape for an array x.  nu = -1
     gives the antiderivative that vanishes at knots[0]: the piecewise quartic
     of each interval plus the integrals of the intervals before it, plus one
     period integral per turn, so it grows by that integral per 2*pi.
@@ -473,25 +458,8 @@ def periodic_spline(knots, values):
     period = offsets[-1]
     x0 = breaks[0]
     last = n - 1
-    # the same tables as lists, for a Python float: % is np.mod, bisect_right
-    # is searchsorted's side="right", and Horner runs in the same order
-    f_breaks, f_offsets, f_x0, f_period = breaks.tolist(), offsets.tolist(), float(x0), float(period)
-    f_tables = {nu: table.T.tolist() for nu, table in tables.items()}
 
     def evaluate(x, nu: int = 0):
-        if not isinstance(x, np.ndarray):
-            xs = f_x0 + (x - f_x0) % TWO_PI
-            i = min(bisect_right(f_breaks, xs) - 1, last)
-            t = xs - f_breaks[i]
-            coeffs = f_tables[nu][i]
-            out = coeffs[0]
-            for c in coeffs[1:]:
-                out = out * t + c
-            if nu == -1:
-                # np.round on a finite turn count; round() of nan or inf raises
-                turns = (x - xs) / TWO_PI
-                out = out + f_offsets[i] + (round(turns) if math.isfinite(turns) else turns) * f_period
-            return float(out)
         xs = x0 + np.mod(x - x0, TWO_PI)
         i = np.minimum(np.searchsorted(breaks, xs, side="right") - 1, last)
         t = xs - breaks[i]
@@ -501,7 +469,7 @@ def periodic_spline(knots, values):
             out = out * t + c
         if nu == -1:
             out = out + offsets[i] + np.round((x - xs) / TWO_PI) * period
-        return out
+        return out if isinstance(x, np.ndarray) else float(out)
 
     return evaluate
 

@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -124,16 +125,18 @@ def cmd_build_metric(cfg: Config, seed: int, out: Path, n_t: int, n_theta: int) 
         if n < 1:
             raise ValueError(f"build-metric {flag} must be >= 1, got {n}")
     metric = cfg.build_metric()
-    ts = np.linspace(0.0, 1.0, n_t)
-    thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False)
-    rows = []
+    ts = np.linspace(0.0, 1.0, n_t).tolist()
+    thetas = np.linspace(0.0, TWO_PI, n_theta, endpoint=False).tolist()
+    # a float's repr is the costly part of a row, so each grid angle's is
+    # formatted once, and each radius's once per chart
+    theta_cells = [f",{theta!r}," for theta in thetas]
+    warp, rows = metric.warp_with_partials, []
     for chart in (1, 2):
         for t in ts:
-            for theta in thetas:
-                phi, phi_t, phi_theta = metric.warp_with_partials(chart, float(t), float(theta))
-                rows.append(
-                    f"{chart},{float(t)!r},{float(theta)!r},{phi!r},{phi_t!r},{phi_theta!r}"
-                )
+            head = f"{chart},{t!r}"
+            for theta, cell in zip(thetas, theta_cells):
+                phi, phi_t, phi_theta = warp(chart, t, theta)
+                rows.append(f"{head}{cell}{phi!r},{phi_t!r},{phi_theta!r}")
     columns = ("chart", "t", "theta", "phi", "phi_t", "phi_theta")
     csv_path = out / "metric_grid.csv"
     csv_path.write_text(csv_text(_headers(cfg, seed), columns, rows), encoding="utf-8")
@@ -149,6 +152,9 @@ def cmd_common_period(args) -> int:
     return EXIT_OK
 
 
+# built once per process and reused by every main() call: a parse leaves no
+# state in the parser
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sectionlab",

@@ -840,7 +840,7 @@ class EnsembleResult:
 # a lockstep round costs about as much as LOCKSTEP_MIN scalar trial steps
 # (see the README), so once at most LOCKSTEP_MIN walks wait for a trial step,
 # the ensemble answers each of them on the scalar kernel
-LOCKSTEP_MIN = 30
+LOCKSTEP_MIN = 28
 
 
 def integrate_ensemble(

@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .circle import TWO_PI, CircleDiffeo, IdentityDiffeo, RotationDiffeo
+from .circle import TWO_PI, CircleDiffeo, IdentityDiffeo
 
 DEFAULT_T0 = 0.25
 DEFAULT_T1 = 0.75
@@ -166,12 +166,6 @@ class GluedMetric:
         else:
             self._plateau_lift = _PlateauLift(psi2)
             self._psi2_mean = self._plateau_lift.mean
-        # the arcs where f is the identity, for plateau_angle: a bump's
-        # identity arcs (a rotation's inverse is exact already, and a spline
-        # has none)
-        self._fixed_arcs = (
-            () if self.psi2_const is None or isinstance(f, RotationDiffeo) else self.identity_arcs
-        )
         self._warp = self._bind_warp()
 
     # -- plateau profiles -----------------------------------------------------
@@ -208,19 +202,13 @@ class GluedMetric:
 
         Solves sigma(theta') = sigma(theta) + dsigma on the circle, with
         sigma_2 = m P(theta) and sigma_1 = psi1_scale m P(F(theta)): through
-        P's inverse, and on chart 1 then f's, which is skipped where f is the
-        identity, with the same bits.
+        P's inverse, and on chart 1 then f's.
         """
         p = self._plateau_lift
         if chart == 2:
             return p.inverse(p.lift(theta) + dsigma / self._psi2_mean)
         f = self.f
-        y = p.inverse(p.lift(f(theta)) + dsigma / (self.psi1_scale * self._psi2_mean))
-        # on an arc where F(x) = x exactly, f.inverse's first Newton residual
-        # is 0.0, so it returns y itself: the move is a shift
-        if any((y - a) % TWO_PI <= n for a, n in self._fixed_arcs):
-            return y
-        return f.inverse(y)
+        return f.inverse(p.inverse(p.lift(f(theta)) + dsigma / (self.psi1_scale * self._psi2_mean)))
 
     # -- warp and Christoffel symbols ------------------------------------------
 
@@ -248,12 +236,12 @@ class GluedMetric:
     def _bind_warp(self):
         """The scalar warp kernel of this metric, one closure: `_step01` and
         `_psi_pair` inlined in their order, with t0, t1 - t0, psi1_scale,
-        psi_2 and the map's `float_pair` bound, so it gives the bits of
+        psi_2 and the map's `derivative_pair` bound, so it gives the bits of
         combining them: s = 0 returns (t, 1, 0), and otherwise
         phi = (1 - s) t + s psi, phi_t = (1 - s) + s' (psi - t) and
         phi_theta = s psi'."""
         t0, w, scale, c, exp = self.t0, self.t1 - self.t0, self.psi1_scale, self.psi2_const, math.exp
-        f, pair, psi2 = self.f, self.f.float_pair(), None if c is not None else self._psi2
+        f, pair, psi2 = self.f, self.f.derivative_pair, None if c is not None else self._psi2
 
         def warp(chart, t, theta):
             u = (t - t0) / w

@@ -288,14 +288,21 @@ def bits(values):
 
 
 @pytest.mark.parametrize(
-    "f", [*all_families(), BumpDiffeo(-0.2, 0.5, 2.0)], ids=lambda f: f"{f.kind}{f!r}"
+    "f",
+    [semicircle_bump(0.3), BumpDiffeo(-0.2, 0.5, 2.0), BumpDiffeo(0.4, 0.0, TWO_PI)],
+    ids=["default", "negative_arc_0.5_2", "whole_circle_support"],
 )
-def test_float_pair_is_derivative_pair_bit_for_bit(f):
-    # the bound kernel of one Python float, on and off a bump's arc (where a
-    # negative amplitude makes F'' -0.0), off [0, 2 pi) and at its ends
+def test_bump_derivative_pair_is_the_profile_kernel_bit_for_bit(f):
+    # the inlined scalar branch against _u and _bump01_d1d2 composed, on and
+    # off the arc (where a negative amplitude makes F'' -0.0), off [0, 2 pi)
+    # and at its ends
     xs = [*RNG.uniform(-20.0, 20.0, 4000).tolist(), 0.0, -0.0, TWO_PI, math.pi, 0.5, 2.0]
-    pair = f.float_pair()
-    assert bits([pair(x) for x in xs]) == bits([f.derivative_pair(x) for x in xs])
+    a, w = f.amplitude, f.support_hi - f.support_lo
+    want = []
+    for x in xs:
+        d1, d2 = _bump01_d1d2(f._u(x))
+        want.append((1.0 + (a / w) * d1, (a / w**2) * d2))
+    assert bits([f.derivative_pair(x) for x in xs]) == bits(want)
 
 
 @pytest.mark.parametrize(
@@ -542,26 +549,6 @@ def test_periodic_spline_antiderivative_few_knots(knots, values):
 @given(spline_tables())
 def test_periodic_spline_antiderivative_matches_scipy(table):
     check_spline_antiderivative(*table)
-
-
-@pytest.mark.parametrize(
-    "knots, values",
-    [
-        (np.linspace(0.3, 6.0, 9), np.sin(np.linspace(0.3, 6.0, 9))),
-        ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 1.15, 1.1, 0.95, 0.85, 0.9]),
-        ([1.0], [0.5]),
-    ],
-    ids=["9_knots_from_0.3", "psi2_table", "1_knot"],
-)
-def test_periodic_spline_float_path_is_the_array_path(knots, values):
-    # a Python float takes %, bisect and Horner over lists; the array path
-    # takes np.mod, searchsorted and Horner over the tables: the same bits,
-    # at the knots and their turns too
-    spline = periodic_spline(knots, values)
-    k = np.asarray(knots, dtype=float)
-    xs = np.concatenate([RNG.uniform(-20.0, 20.0, 4000), k, k + TWO_PI, k - 3 * TWO_PI, [-20.0, 20.0, 0.0, -0.0]])
-    for nu in (-1, 0, 1, 2):
-        assert bits([spline(x, nu) for x in xs.tolist()]) == bits(spline(xs, nu)), nu
 
 
 def test_periodic_spline_return_types():

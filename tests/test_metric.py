@@ -15,7 +15,6 @@ from sectionlab import (
     IdentityDiffeo,
     RotationDiffeo,
     SplineDiffeo,
-    normalize,
     semicircle_bump,
 )
 from sectionlab.circle import periodic_spline
@@ -228,18 +227,6 @@ def test_bound_warp_kernel_is_the_composed_warp_bit_for_bit(kind, psi2, scale, z
         assert bits(got) == bits([composed_warp(m, chart, t, th) for t, th in zip(ts, thetas)])
     with pytest.raises(ValueError, match="chart must be 1 or 2"):
         m.warp_with_partials(3, 0.5, 1.0)
-
-
-@pytest.mark.parametrize("scale", [1.0, 1.01])
-@pytest.mark.parametrize("kind", KERNEL_MAPS)
-def test_plateau_angle_is_the_composed_inverse_bit_for_bit(kind, scale):
-    # chart 1 with a constant psi_2 skips f's Newton inverse where the result
-    # lies on an arc that f fixes; the angle stays f.inverse's
-    m = GluedMetric(KERNEL_MAPS[kind](), psi2=1.3, psi1_scale=scale)
-    f = m.f
-    for theta, dsigma in zip(RNG.uniform(-1.0, 7.5, 2000).tolist(), RNG.uniform(-0.6, 0.6, 2000).tolist()):
-        want = f.inverse(normalize(f(theta) + dsigma / (scale * 1.3)))
-        assert bits([m.plateau_angle(1, theta, dsigma)]) == bits([want]), (theta, dsigma)
 
 
 # --- Christoffel symbols -----------------------------------------------------------
