@@ -15,6 +15,7 @@ the bump family is infinitely smooth).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -198,13 +199,14 @@ class CircleDiffeo:
         current iterate and takes the Newton candidate, or the bracket
         midpoint when that candidate leaves the bracket or does not at least
         halve the previous step.  Once a step is no longer than 1e-10 one
-        Newton polish follows.  Arrays are solved elementwise by the same
-        rule.  Raises ValueError on a non-finite target, and
-        ConvergenceFailure if the lift residual does not reach 1e-12 within
-        the iteration budget.
+        Newton polish follows.  An array is solved one element at a time by
+        this rule, so each element has the bits of its float solve, and the
+        result has the array's shape.  Raises ValueError on a non-finite
+        target, and ConvergenceFailure if the lift residual does not reach
+        1e-12 within the iteration budget.
         """
         if isinstance(y, np.ndarray):
-            return self._inverse_array(y)
+            return np.fromiter(map(self.inverse, y.ravel().tolist()), float, y.size).reshape(y.shape)
         target = normalize(_finite(y))
         lo = target - TWO_PI
         hi = target + TWO_PI
@@ -234,42 +236,6 @@ class CircleDiffeo:
             raise ConvergenceFailure(
                 f"inverse residual {resid:.3e} above {INVERSE_TOL} "
                 f"for target {target!r} (kind={self.kind})"
-            )
-        return normalize(x)
-
-    def _inverse_array(self, y: np.ndarray) -> np.ndarray:
-        target = normalize(np.asarray(_finite(y), dtype=float))
-        lo = target - TWO_PI
-        hi = target + TWO_PI
-        x = target
-        step = hi - lo
-        # the scalar rule per element; an element stops moving after its own
-        # short step, so noise-level residuals cannot send it back to bisection
-        moving = np.ones(target.shape, dtype=bool)
-        for _ in range(_MAX_ITER):
-            r = self.lift(x) - target
-            below = r < 0.0
-            lo = np.where(below, x, lo)
-            hi = np.where(below, hi, x)
-            d = self.lift_derivative(x)
-            nxt = x - r / d
-            bisect = ~((lo <= nxt) & (nxt <= hi)) | (np.abs(2.0 * r) > np.abs(step * d))
-            nxt = np.where(moving, np.where(bisect, 0.5 * (lo + hi), nxt), x)
-            step = nxt - x
-            x = nxt
-            moving &= np.abs(step) > _STEP_TOL
-            if not moving.any():
-                break
-        else:
-            raise ConvergenceFailure(
-                f"vector inverse Newton steps exceeded {_MAX_ITER} iterations (kind={self.kind})"
-            )
-        x = x - (self.lift(x) - target) / self.lift_derivative(x)
-        resid = np.max(np.abs(self.lift(x) - target), initial=0.0)
-        if resid > INVERSE_TOL:
-            raise ConvergenceFailure(
-                f"vector inverse residual {resid:.3e} above {INVERSE_TOL} "
-                f"(kind={self.kind})"
             )
         return normalize(x)
 
@@ -421,7 +387,11 @@ def periodic_spline(knots, values):
     a float for a scalar x and an array of x's shape for an array x.  nu = -1
     gives the antiderivative that vanishes at knots[0]: the piecewise quartic
     of each interval plus the integrals of the intervals before it, plus one
-    period integral per turn, so it grows by that integral per 2*pi.
+    period integral per turn, so it grows by that integral per 2*pi.  A
+    Python float x takes a branch of its own: the array branch's arithmetic
+    in its order on Python floats (`%`, `bisect_right` and Horner over each
+    interval's coefficient tuple), so it returns the same bits without
+    numpy's dispatch on a single number.
 
     The knot second derivatives M solve the cyclic tridiagonal system
     h[i-1] M[i-1] + 2 (h[i-1] + h[i]) M[i] + h[i] M[i+1] = 6 (d[i] - d[i-1])
@@ -455,11 +425,27 @@ def periodic_spline(knots, values):
     }
     # integral from x0 to each break; the last entry is the period integral
     offsets = np.concatenate([[0.0], np.cumsum(np.polyval(quartic, h))])
-    period = offsets[-1]
-    x0 = breaks[0]
+    period = float(offsets[-1])
+    x0 = float(breaks[0])
     last = n - 1
+    # the float branch's copies as Python floats: per nu, one coefficient
+    # tuple per interval
+    intervals = {nu: tuple(map(tuple, table.T.tolist())) for nu, table in tables.items()}
+    breaks_f, offsets_f = breaks.tolist(), offsets.tolist()
 
     def evaluate(x, nu: int = 0):
+        if type(x) is float:
+            # the array branch's arithmetic, in its order, on Python floats
+            xs = x0 + (x - x0) % TWO_PI
+            i = min(bisect_right(breaks_f, xs) - 1, last)
+            t = xs - breaks_f[i]
+            c = intervals[nu][i]
+            out = c[0]
+            for ci in c[1:]:
+                out = out * t + ci
+            if nu == -1:
+                out = out + offsets_f[i] + round((x - xs) / TWO_PI, 0) * period
+            return out
         xs = x0 + np.mod(x - x0, TWO_PI)
         i = np.minimum(np.searchsorted(breaks, xs, side="right") - 1, last)
         t = xs - breaks[i]

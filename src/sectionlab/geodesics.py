@@ -44,7 +44,7 @@ import numpy as np
 
 from .circle import TWO_PI, CircleDiffeo, antipode, circle_distance, line_distance, normalize
 from .dynamics import DEFAULT_K_MAX, DEFAULT_TOL, Period
-from .metric import GluedMetric, _step01, check_chart
+from .metric import GluedMetric, check_chart
 from .table import csv_text
 
 DEFAULT_DS = 1e-3
@@ -622,17 +622,15 @@ GRAZING = 1.0 - 1e-4
 TANGENT = 1.0 - 1e-3
 
 
-def _turning_point(metric, a, c):
-    """The radius t* in (t0, t1) where phi(t*) = a on the surface of
-    revolution with the plateau value c, for t0 < a < c: Newton's method,
-    bisecting the bracket [t0, t1] whenever it leaves it.  phi and phi_t
-    take `warp_with_partials`' arithmetic with psi = c."""
-    t0, t1 = lo, hi = metric.t0, metric.t1
+def _turning_point(metric, chart, th, a):
+    """The radius t* in (t0, t1) where phi(t*, th) = a on a chart that is a
+    surface of revolution at th, for t0 < a below its plateau value:
+    Newton's method on phi and phi_t from `warp_with_partials`, bisecting
+    the bracket [t0, t1] whenever it leaves it."""
+    lo, hi = metric.t0, metric.t1
     t = 0.5 * (lo + hi)
     for _ in range(100):
-        s, ds = _step01((t - t0) / (t1 - t0))
-        p = (1.0 - s) * t + s * c
-        p_t = (1.0 - s) + ds / (t1 - t0) * (c - t)
+        p, p_t, _ = metric.warp_with_partials(chart, t, th)
         if p == a:
             return t
         lo, hi = (lo, t) if p > a else (t, hi)
@@ -685,7 +683,7 @@ def _transit(metric, chart, t, th, vt, vth, s, s_end):
     if GRAZING * t0 <= a <= t0 or a >= TANGENT * c:
         return None
     turns = t == t1 and a > t0
-    lo = _turning_point(metric, a, c) if turns else t0
+    lo = _turning_point(metric, chart, th, a) if turns else t0
     x2, w = _TURN if turns else _THROUGH
     w = w * (t1 - lo)
     p = metric.revolution_warp(lo + (t1 - lo) * x2, c)

