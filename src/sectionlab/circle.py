@@ -95,6 +95,8 @@ def antipode(theta):
 # bump01 is the standard mollifier profile exp(-1/(u(1-u))) rescaled so its
 # peak value is exactly 1 at u = 1/2; it vanishes with all derivatives at
 # u = 0, 1, which is what makes the bump family genuinely C-infinity.
+# BumpDiffeo writes the scalar kernels out inline for a float, in their
+# order; they stay here as the reference of those branches.
 
 _PEAK = 4.0  # 1 / (q at u = 1/2); exp(4 - 1/q) has maximum 1
 # below q = 1e-3 the profile underflows to exactly 0.0 in double precision;
@@ -207,18 +209,19 @@ class CircleDiffeo:
         """
         if isinstance(y, np.ndarray):
             return np.fromiter(map(self.inverse, y.ravel().tolist()), float, y.size).reshape(y.shape)
+        lift, lift_derivative = self.lift, self.lift_derivative
         target = normalize(_finite(y))
         lo = target - TWO_PI
         hi = target + TWO_PI
         x = target
         step = hi - lo
         for _ in range(_MAX_ITER):
-            r = self.lift(x) - target
+            r = lift(x) - target
             if r < 0.0:
                 lo = x
             else:
                 hi = x
-            d = self.lift_derivative(x)
+            d = lift_derivative(x)
             nxt = x - r / d
             if not lo <= nxt <= hi or abs(2.0 * r) > abs(step * d):
                 nxt = 0.5 * (lo + hi)
@@ -230,8 +233,8 @@ class CircleDiffeo:
             raise ConvergenceFailure(
                 f"inverse Newton steps exceeded {_MAX_ITER} iterations for target {target!r}"
             )
-        x -= (self.lift(x) - target) / self.lift_derivative(x)
-        resid = abs(self.lift(x) - target)
+        x -= (lift(x) - target) / lift_derivative(x)
+        resid = abs(lift(x) - target)
         if resid > INVERSE_TOL:
             raise ConvergenceFailure(
                 f"inverse residual {resid:.3e} above {INVERSE_TOL} "
@@ -335,19 +338,29 @@ class BumpDiffeo(CircleDiffeo):
         self._k2 = self.amplitude / self._width**2
         self._check_invariants(arc=(self.support_lo, self.support_hi))
 
-    def _u(self, x):
-        # where x % 2pi rounds to 2pi, u >= 1 is off the arc, as u <= 0 at 0
-        return (x % TWO_PI - self.support_lo) / self._width
-
     def lift(self, x):
-        if isinstance(x, np.ndarray):
-            return x + self.amplitude * _bump01_vec(self._u(x))
-        return x + self.amplitude * _bump01(self._u(x))
+        # where x % 2pi rounds to 2pi, u >= 1 is off the arc, as u <= 0 at 0
+        u = (x % TWO_PI - self.support_lo) / self._width
+        # a Python float, the hot path, skips the slower isinstance test
+        if type(x) is not float and isinstance(x, np.ndarray):
+            return x + self.amplitude * _bump01_vec(u)
+        # _bump01 inlined for a scalar; off the arc the lift is x + a * 0.0,
+        # which keeps x = -0.0 for a negative amplitude
+        q = u * (1.0 - u)
+        if q < _Q_FLOOR:
+            return x + self.amplitude * 0.0
+        return x + self.amplitude * math.exp(_PEAK - 1.0 / q)
 
     def lift_derivative(self, x):
-        u = self._u(x)
-        d1 = _bump01_d1_vec(u) if isinstance(u, np.ndarray) else _bump01_d1(u)
-        return 1.0 + self._k1 * d1
+        u = (x % TWO_PI - self.support_lo) / self._width
+        if type(u) is not float and isinstance(u, np.ndarray):
+            return 1.0 + self._k1 * _bump01_d1_vec(u)
+        # _bump01_d1 inlined for a scalar, in its order; off the arc F' is
+        # 1.0 + k1 * 0.0, which is 1.0 whatever the sign of k1
+        q = u * (1.0 - u)
+        if q < _Q_FLOOR:
+            return 1.0
+        return 1.0 + self._k1 * (math.exp(_PEAK - 1.0 / q) * (1.0 - 2.0 * u) / (q * q))
 
     def derivative_pair(self, theta):
         u = (theta % TWO_PI - self.support_lo) / self._width
@@ -355,7 +368,7 @@ class BumpDiffeo(CircleDiffeo):
         if type(u) is not float and isinstance(u, np.ndarray):
             d1, d2 = _bump01_d1d2_vec(u)
             return 1.0 + self._k1 * d1, self._k2 * d2
-        # _u and _bump01_d1d2 inlined for a scalar, in their order; off the
+        # _bump01_d1d2 inlined for a scalar, in its order; off the
         # arc F'' is k2 * 0.0, which is -0.0 for a negative amplitude
         q = u * (1.0 - u)
         if q < _Q_FLOOR:

@@ -31,6 +31,12 @@ it needs; `integrate` answers one walk's trials on the scalar warp kernel,
 and `integrate_ensemble` answers the pending trials of many walks in one
 call on the array kernel per round, on the scalar kernel once at most
 LOCKSTEP_MIN walks remain.
+
+The records built per state, per event and per leg (GeodesicState,
+RimCrossing, CenterEvent, Leg, TraceCrossing and TracePassage) are
+NamedTuples: immutable and hashable, with a dataclass's
+Name(field=value, ...) repr, built in half a frozen dataclass's time.  The
+containers (Trajectory, SectionTrace and the verdicts) are dataclasses.
 """
 
 from __future__ import annotations
@@ -39,11 +45,12 @@ import contextlib
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .circle import TWO_PI, CircleDiffeo, antipode, circle_distance, line_distance, normalize
-from .dynamics import DEFAULT_K_MAX, DEFAULT_TOL, Period
+from .dynamics import DEFAULT_K_MAX, DEFAULT_TOL, Period, _check_horizon
 from .metric import GluedMetric, check_chart
 from .table import csv_text
 
@@ -60,8 +67,7 @@ class NotClosed(ValueError):
     """A comparison was requested for a section that did not close."""
 
 
-@dataclass(frozen=True)
-class GeodesicState:
+class GeodesicState(NamedTuple):
     chart: int
     t: float
     theta: float
@@ -70,16 +76,14 @@ class GeodesicState:
     s: float = 0.0
 
 
-@dataclass(frozen=True)
-class RimCrossing:
+class RimCrossing(NamedTuple):
     s: float
     chart_from: int
     theta1: float  # chart-1 boundary angle
     theta2: float  # chart-2 boundary angle, the image under the rim map
 
 
-@dataclass(frozen=True)
-class CenterEvent:
+class CenterEvent(NamedTuple):
     s: float
     chart: int
     theta_in: float  # boundary angle of the incoming ray
@@ -904,8 +908,7 @@ def integrate_ensemble(
 # exact piecewise-radial tracer
 
 
-@dataclass(frozen=True)
-class Leg:
+class Leg(NamedTuple):
     index: int
     chart: int
     kind: str  # "radius" | "diameter"
@@ -914,15 +917,13 @@ class Leg:
     length: int  # 1 for the radius leg, 2 for a diameter
 
 
-@dataclass(frozen=True)
-class TraceCrossing:
+class TraceCrossing(NamedTuple):
     index: int
     theta1: float  # chart-1 boundary angle
     theta2: float  # its image on the chart-2 boundary
 
 
-@dataclass(frozen=True)
-class TracePassage:
+class TracePassage(NamedTuple):
     chart: int
     leg_index: int
     direction: float  # angle of motion at the center (exit ray)
@@ -951,9 +952,9 @@ class SectionTrace:
             "max_legs": self.max_legs,
             "k_max": self.k_max,
             "tol": self.tol,
-            "legs": [dict(vars(leg)) for leg in self.legs],
-            "crossings": [dict(vars(c)) for c in self.crossings],
-            "center_passages": [{**vars(p), "line": p.line} for p in self.center_passages],
+            "legs": [leg._asdict() for leg in self.legs],
+            "crossings": [c._asdict() for c in self.crossings],
+            "center_passages": [{**p._asdict(), "line": p.line} for p in self.center_passages],
             "orbit": list(self.orbit),
         }
 
@@ -975,33 +976,43 @@ def trace_section(
     transition map.  max_legs >= 3 traces at least one return, and that one
     decides closure: T fixes an antipodal pair, so a start T does not fix
     never comes back (see `Period`).  k_max only labels the horizon of a
-    non-closing verdict.
+    non-closing verdict.  max_legs must be an integer >= 3, and k_max and
+    tol pass `period_of`'s check (k_max >= 1, tol > 0, so a NaN tol is
+    refused); otherwise ValueError.
+
+    Every angle of the walk is already normalized, so a leg takes
+    normalize(f.lift(x)) for f(x) and writes `antipode` out; the bits are
+    those of f(x) and antipode, since normalizing twice gives the bits of
+    normalizing once.  The one angle outside [0, 2 pi) is 2 pi itself,
+    which antipode returns for the float just below pi, and f reads it as 0.
     """
-    if max_legs < 3:
-        raise ValueError(f"max_legs must be >= 3 to trace one return, got {max_legs}")
+    if not (isinstance(max_legs, (int, np.integer)) and max_legs >= 3):
+        raise ValueError(f"max_legs must be an integer >= 3 to trace one return, got {max_legs!r}")
+    _check_horizon(k_max, tol)
     if not abs(theta0) < ANGLE_BOUND:
         raise ValueError(f"theta0 must satisfy |theta0| < {ANGLE_BOUND:.0f}, got {theta0!r}")
+    lift, inverse, pi = f.lift, f.inverse, math.pi
     theta0 = normalize(theta0)
-    legs: list[Leg] = [Leg(0, 1, "radius", None, theta0, 1)]
-    crossings: list[TraceCrossing] = []
-    passages: list[TracePassage] = []
-    orbit = [theta0]
-    x = theta0
-    while len(legs) < max_legs:
+    legs = [Leg(0, 1, "radius", None, theta0, 1)]
+    crossings, passages, orbit = [], [], [theta0]
+    x, n = theta0, 1  # n legs so far; leg n crosses the rim as crossing n - 1
+    while n < max_legs:
         # outward at chart-1 boundary angle x: cross and run the chart-2 diameter
-        y = f(x)
-        crossings.append(TraceCrossing(len(crossings), x, y))
-        exit2 = antipode(y)
-        legs.append(Leg(len(legs), 2, "diameter", y, exit2, 2))
-        passages.append(TracePassage(2, legs[-1].index, exit2))
-        if len(legs) >= max_legs:
+        y = normalize(lift(x if x < TWO_PI else 0.0))
+        exit2 = y - pi if y >= pi else y + pi
+        crossings.append(TraceCrossing(n - 1, x, y))
+        legs.append(Leg(n, 2, "diameter", y, exit2, 2))
+        passages.append(TracePassage(2, n, exit2))
+        n += 1
+        if n >= max_legs:
             break
         # outward at chart-2 boundary angle exit2: cross back and run chart 1
-        w = f.inverse(exit2)
-        crossings.append(TraceCrossing(len(crossings), w, exit2))
-        x = antipode(w)
-        legs.append(Leg(len(legs), 1, "diameter", w, x, 2))
-        passages.append(TracePassage(1, legs[-1].index, x))
+        w = inverse(exit2)
+        x = w - pi if w >= pi else w + pi
+        crossings.append(TraceCrossing(n - 1, w, exit2))
+        legs.append(Leg(n, 1, "diameter", w, x, 2))
+        passages.append(TracePassage(1, n, x))
+        n += 1
         orbit.append(x)
         if circle_distance(x, theta0) < tol:
             break

@@ -28,6 +28,7 @@ from sectionlab.circle import (
     _bump01_vec,
     periodic_spline,
 )
+from sectionlab.geodesics import ANGLE_BOUND
 
 from oracles import bump_lift, central_diff, make_sinusoid_spline_data, spline_lift_oracle
 from strategies import drawn_maps, spline_tables
@@ -38,6 +39,11 @@ RNG = np.random.default_rng(20240817)
 def bits(values):
     """The IEEE bit patterns of some floats, so that -0.0 differs from 0.0."""
     return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def bump_u(f, x):
+    """The bump's profile argument at x: its angle, wrapped once, on the unit arc."""
+    return (x % TWO_PI - f.support_lo) / (f.support_hi - f.support_lo)
 
 
 def all_families():
@@ -287,16 +293,75 @@ def test_spline_derivative_pair_wraps_once():
     ids=["default", "negative_arc_0.5_2", "whole_circle_support"],
 )
 def test_bump_derivative_pair_is_the_profile_kernel_bit_for_bit(f):
-    # the inlined scalar branch against _u and _bump01_d1d2 composed, on and
+    # the inlined scalar branch against bump_u and _bump01_d1d2 composed, on and
     # off the arc (where a negative amplitude makes F'' -0.0), off [0, 2 pi)
     # and at its ends
     xs = [*RNG.uniform(-20.0, 20.0, 4000).tolist(), 0.0, -0.0, TWO_PI, math.pi, 0.5, 2.0]
     a, w = f.amplitude, f.support_hi - f.support_lo
     want = []
     for x in xs:
-        d1, d2 = _bump01_d1d2(f._u(x))
+        d1, d2 = _bump01_d1d2(bump_u(f, x))
         want.append((1.0 + (a / w) * d1, (a / w**2) * d2))
     assert bits([f.derivative_pair(x) for x in xs]) == bits(want)
+
+
+def _ulps(x, n=1):
+    """x and the n floats on either side of it."""
+    out = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(n):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        semicircle_bump(0.3),
+        semicircle_bump(-0.3),
+        BumpDiffeo(-0.2, 0.5, 2.0),
+        BumpDiffeo(0.4, 0.0, TWO_PI),
+        BumpDiffeo(-0.4, 0.0, TWO_PI),
+    ],
+    ids=["default", "negative", "negative_arc_0.5_2", "whole_circle_support", "negative_whole_circle"],
+)
+def test_bump_lift_float_branch_is_the_profile_kernel_bit_for_bit(f):
+    # the inlined float branches of lift and lift_derivative against
+    # bump_u with _bump01 and _bump01_d1 composed: on and off the arc, two
+    # ulps either side of its edges and of the underflow margin q = 1e-3, at
+    # +-0 (a negative amplitude keeps -0.0 off the arc), and out to
+    # |x| = ANGLE_BOUND
+    lo, hi = f.support_lo, f.support_hi
+    w = hi - lo
+    margin = 0.5 * (1.0 - math.sqrt(1.0 - 4e-3)) * w  # q = 1e-3 this far inside the arc
+    edges = [lo, hi, lo + margin, hi - margin, lo - TWO_PI, hi + TWO_PI, lo + 6.0 * TWO_PI]
+    xs = [
+        *RNG.uniform(-20.0, 20.0, 3000).tolist(),
+        *RNG.uniform(-ANGLE_BOUND, ANGLE_BOUND, 1000).tolist(),
+        *(y for e in edges for y in _ulps(e, 2)),
+        *_ulps(ANGLE_BOUND), *_ulps(-ANGLE_BOUND),
+        0.0, -0.0, TWO_PI, -TWO_PI, math.pi, 5e-324, -5e-324,
+    ]
+    a, k1 = f.amplitude, f.amplitude / w
+    lifts = [f.lift(x) for x in xs]
+    slopes = [f.lift_derivative(x) for x in xs]
+    assert all(type(v) is float for v in lifts + slopes)
+    assert bits(lifts) == bits([x + a * _bump01(bump_u(f, x)) for x in xs])
+    assert bits(slopes) == bits([1.0 + k1 * _bump01_d1(bump_u(f, x)) for x in xs])
+    # a numpy float takes the float branch and keeps the bits
+    assert bits([f.lift(np.float64(x)) for x in xs]) == bits(lifts)
+    assert bits([f.lift_derivative(np.float64(x)) for x in xs]) == bits(slopes)
+    # the array branch: the same bits where the underflow floor zeroes the
+    # profile, and within 1e-13 elsewhere (np.exp and math.exp may differ in
+    # the last bit)
+    arr = np.array(xs)
+    floor = np.array([bump_u(f, x) * (1.0 - bump_u(f, x)) < 1e-3 for x in xs])
+    for got, want in ((f.lift(arr), lifts), (f.lift_derivative(arr), slopes)):
+        want = np.array(want)
+        assert bits(got[floor]) == bits(want[floor])
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize(

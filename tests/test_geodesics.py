@@ -29,6 +29,7 @@ from sectionlab import (
     integrate_ensemble,
     line_distance,
     loads_config,
+    normalize,
     period_of,
     section_verdict,
     semicircle_bump,
@@ -614,10 +615,10 @@ def test_angle_bound():
         calls = (
             ("theta", lambda: trace_section(m.f, x, max_legs=4)),
             ("theta", lambda: integrate(m, GeodesicState(1, 0.5, x, 1.0, 0.0), s_max=0.01)),
-            ("theta", lambda: integrate_ensemble(m, [replace(nonradial, theta=x)], s_max=0.01)),
+            ("theta", lambda: integrate_ensemble(m, [nonradial._replace(theta=x)], s_max=0.01)),
             # from s = 1e16 a step of 1e-3 vanishes in s + step, and the run never ends
-            (r"\|s\|", lambda: integrate(m, replace(nonradial, s=x), s_max=0.01)),
-            (r"\|s\|", lambda: integrate_ensemble(m, [replace(nonradial, s=x)], s_max=0.01)),
+            (r"\|s\|", lambda: integrate(m, nonradial._replace(s=x), s_max=0.01)),
+            (r"\|s\|", lambda: integrate_ensemble(m, [nonradial._replace(s=x)], s_max=0.01)),
         )
         for name, call in calls:
             if ok:
@@ -1255,6 +1256,147 @@ def test_trace_rejects_tiny_leg_budget():
     for f in (IdentityDiffeo(), semicircle_bump(0.3)):
         with pytest.raises(ValueError, match="max_legs"):
             trace_section(f, 0.0, max_legs=1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"tol": math.nan}, "tol"),
+        ({"tol": 0.0}, "tol"),
+        ({"tol": -1e-9}, "tol"),
+        ({"k_max": 0}, "k_max"),
+        ({"k_max": -3}, "k_max"),
+        ({"max_legs": math.nan}, "max_legs"),
+        ({"max_legs": 10.0}, "max_legs"),
+        ({"max_legs": 3.5}, "max_legs"),
+        ({"max_legs": True}, "max_legs"),
+    ],
+    ids=["tol_nan", "tol_zero", "tol_negative", "k_max_zero", "k_max_negative",
+         "max_legs_nan", "max_legs_float", "max_legs_fraction", "max_legs_bool"],
+)
+def test_trace_rejects_a_bad_horizon(kwargs, match):
+    # a NaN tol closed nothing and read as injective; k_max = -3 labelled the
+    # verdict Period(searched=-3); max_legs = nan traced no return
+    f = semicircle_bump(0.3)
+    with pytest.raises(ValueError, match=match):
+        trace_section(f, 4.0, **kwargs)
+    with pytest.raises(ValueError, match=match):
+        compare_sections(f, 0.5, 1.0, **kwargs)
+
+
+def test_trace_accepts_numpy_integer_leg_budgets():
+    f = semicircle_bump(0.3)
+    a, b = trace_section(f, 4.0, max_legs=np.int64(7)), trace_section(f, 4.0, max_legs=7)
+    assert (a.legs, a.crossings, a.center_passages, a.orbit) == (b.legs, b.crossings, b.center_passages, b.orbit)
+
+
+def _trace_reference(f, theta0, max_legs, tol):
+    """The itinerary by its definition, on f, f.inverse and antipode:
+    (legs, crossings, passages, orbit) as plain tuples."""
+    theta0 = normalize(theta0)
+    legs, crossings, passages, orbit = [(0, 1, "radius", None, theta0, 1)], [], [], [theta0]
+    x = theta0
+    while len(legs) < max_legs:
+        y = f(x)
+        crossings.append((len(crossings), x, y))
+        legs.append((len(legs), 2, "diameter", y, antipode(y), 2))
+        passages.append((2, len(legs) - 1, antipode(y)))
+        if len(legs) >= max_legs:
+            break
+        w = f.inverse(antipode(y))
+        crossings.append((len(crossings), w, antipode(y)))
+        x = antipode(w)
+        legs.append((len(legs), 1, "diameter", w, x, 2))
+        passages.append((1, len(legs) - 1, x))
+        orbit.append(x)
+        if circle_distance(x, theta0) < tol:
+            break
+    return legs, crossings, passages, orbit
+
+
+def _trace_tuples(trace):
+    return (
+        [(g.index, g.chart, g.kind, g.entry, g.exit, g.length) for g in trace.legs],
+        [(c.index, c.theta1, c.theta2) for c in trace.crossings],
+        [(p.chart, p.leg_index, p.direction) for p in trace.center_passages],
+        trace.orbit,
+    )
+
+
+def _bit_repr(value):
+    """repr with every float written as its type and hex form, so -0.0
+    differs from 0.0 and a numpy float from a Python float."""
+    if isinstance(value, float):
+        return f"{type(value).__name__}:{float.hex(value)}"
+    if isinstance(value, (list, tuple)):
+        return [_bit_repr(v) for v in value]
+    return repr(value)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(drawn_maps, st.floats(-40.0, 40.0), st.integers(3, 60))
+def test_trace_is_the_reference_walk_bit_for_bit(build, theta0, max_legs):
+    # the tracer skips the re-normalization of f(x) and antipode on angles
+    # that are already normalized; every angle it records keeps its bits
+    try:
+        f = build()
+    except ValueError:  # MonotonicityViolation included
+        return
+    trace = trace_section(f, theta0, max_legs=max_legs)
+    want = _trace_reference(f, theta0, max_legs, trace.tol)
+    assert _bit_repr(_trace_tuples(trace)) == _bit_repr(want)
+
+
+def test_trace_reads_an_antipode_of_two_pi_as_zero():
+    # antipode rounds the float below pi up to exactly 2 pi; f reads that as
+    # 0, and for this rotation f.lift(2 pi) normalized is another float.  The
+    # first return lies one ulp from the start, so a tol below that walks on
+    f = RotationDiffeo(0.2188232194149646)
+    theta0 = math.nextafter(TWO_PI, 0.0)
+    assert normalize(f.lift(TWO_PI)) != f(TWO_PI)
+    trace = trace_section(f, theta0, max_legs=7, tol=1e-300)
+    assert trace.orbit[1] == TWO_PI and trace.legs[3].entry == f(TWO_PI)
+    assert _bit_repr(_trace_tuples(trace)) == _bit_repr(_trace_reference(f, theta0, 7, trace.tol))
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        geodesics.Leg(3, 1, "diameter", 0.5, 0.5 + math.pi, 2),
+        geodesics.TraceCrossing(2, 0.5, 0.75),
+        geodesics.TracePassage(2, 3, 4.0),
+        GeodesicState(1, 0.5, 2.0, 1.0, 0.0),
+        geodesics.RimCrossing(1.5, 1, 0.5, 0.75),
+        geodesics.CenterEvent(2.0, 2, 1.0, 1.0 + math.pi),
+    ],
+    ids=lambda r: type(r).__name__,
+)
+def test_records_are_immutable_hashable_and_keep_their_repr(record):
+    name = type(record).__name__
+    fields = record._fields
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], getattr(record, fields[0]))
+    assert hash(record) == hash(type(record)(*record))
+    assert len({record, type(record)(*record)}) == 1
+    body = ", ".join(f"{k}={getattr(record, k)!r}" for k in fields)
+    assert repr(record) == f"{name}({body})"
+
+
+def test_trace_json_dict_is_the_per_field_dicts():
+    trace = trace_section(semicircle_bump(0.3), 4.0, max_legs=9)
+    doc = trace.to_json_dict()
+    assert doc["legs"] == [
+        {"index": g.index, "chart": g.chart, "kind": g.kind, "entry": g.entry, "exit": g.exit, "length": g.length}
+        for g in trace.legs
+    ]
+    assert doc["crossings"] == [
+        {"index": c.index, "theta1": c.theta1, "theta2": c.theta2} for c in trace.crossings
+    ]
+    assert doc["center_passages"] == [
+        {"chart": p.chart, "leg_index": p.leg_index, "direction": p.direction, "line": p.direction % math.pi}
+        for p in trace.center_passages
+    ]
+    assert all(type(d) is dict for key in ("legs", "crossings", "center_passages") for d in doc[key])
 
 
 def test_trace_orbit_stops_at_traced_returns():

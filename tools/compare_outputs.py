@@ -42,6 +42,15 @@ prints whether every member's crossing count and sign-flip count agree, and
 each tree's worst final speed_error, so that a change of rounding shows
 whether it kept the accuracy.
 
+The CLI runs trace four sections per config, so each config also gets
+one tracer run: `trace_section` and `section_verdict` on the config's
+n_samples scan angles (those of `classify_scan`) and TRACE_SEEDED = 40
+angles drawn from np.random.default_rng(0) on [-2 pi, 4 pi), at the
+default max_legs and the config's k_max and tol, all in one fresh
+interpreter.  It is `same` only when, for every angle, repr((trace,
+verdict)) and json.dumps(trace.to_json_dict(), sort_keys=True) are the
+parent's byte for byte (compared by their sha256).
+
 Last, it prints each tree's code lines per module of src/sectionlab and
 their total: the lines that hold a token other than a comment, docstrings
 (found with ast) left out.  The count does not change the exit status.
@@ -114,6 +123,29 @@ drift = max(speed_error(metric, f) for f in r.final_states)
 print(json.dumps([finals, r.crossings.tolist(), r.sign_flips.tolist(), r.min_abs_vtheta.tolist(), drift]))
 """
 ENSEMBLE_FIELDS = ("final states", "crossings", "sign_flips", "min_abs_vtheta")
+
+# argv: the number of seeded angles, then the config path if any; prints, for
+# each traced angle, the sha256 of repr((trace, verdict)) and of the trace's
+# json, as json
+TRACE_SCRIPT = """
+import hashlib, json, math, sys
+import numpy as np
+from sectionlab.config import load_config
+from sectionlab.geodesics import section_verdict, trace_section
+
+cfg = load_config(sys.argv[2] if len(sys.argv) > 2 else None)
+f = cfg.build_diffeo()
+scan = np.arange(cfg.n_samples) * (2.0 * math.pi / cfg.n_samples)
+seeded = np.random.default_rng(0).uniform(-2.0 * math.pi, 4.0 * math.pi, int(sys.argv[1]))
+runs = []
+for theta in [*scan.tolist(), *seeded.tolist()]:
+    trace = trace_section(f, theta, k_max=cfg.k_max, tol=cfg.tol)
+    texts = (repr((trace, section_verdict(trace))), json.dumps(trace.to_json_dict(), sort_keys=True))
+    runs.append([hashlib.sha256(text.encode()).hexdigest() for text in texts])
+print(json.dumps(runs))
+"""
+TRACE_SEEDED = 40
+TRACE_FIELDS = ("repr((trace, verdict))", "trace json")
 
 # token types that hold no code
 NON_CODE = {
@@ -239,6 +271,11 @@ def _ensemble_run(src: Path, config: Path | None, cwd: Path) -> list | str:
     return _library_runs(src, config, cwd, ENSEMBLE_SCRIPT, str(ENSEMBLE_MEMBERS))
 
 
+def _trace_run(src: Path, config: Path | None, cwd: Path) -> list | str:
+    """The digests of the tracer run, or the last line of its error."""
+    return _library_runs(src, config, cwd, TRACE_SCRIPT, str(TRACE_SEEDED))
+
+
 def _final_error(run: list, ref: list) -> float:
     """The largest final difference of a run from its reference, theta taken mod 2 pi."""
     dev = [abs(x - y) for x, y in zip(run[3:], ref[3:])]
@@ -307,6 +344,21 @@ def _report_ensemble(name: str, parent: list | str, change: list | str) -> int:
             f"worst final speed_error {parent[4]:.2e} -> {change[4]:.2e}",
         ]
     print(f"{'DIFF' if diffs else 'same'}  {name}: ensemble run" + "".join(f"\n      {d}" for d in diffs))
+    return 1 if diffs else 0
+
+
+def _report_trace(name: str, parent: list | str, change: list | str) -> int:
+    """Print one config's tracer run; 1 if it differs, else 0."""
+    errors = [f"\n      {side}: {r}" for side, r in (("parent", parent), ("change", change)) if isinstance(r, str)]
+    if errors:
+        print(f"DIFF  {name}: tracer run" + "".join(errors))
+        return 1
+    counts = [sum(a[i] != b[i] for a, b in zip(parent, change)) for i in range(len(TRACE_FIELDS))]
+    diffs = [f"{field}: {n} of {len(parent)} sections differ" for field, n in zip(TRACE_FIELDS, counts) if n]
+    if len(parent) != len(change):
+        diffs.append(f"sections traced {len(parent)} -> {len(change)}")
+    label = f"{'DIFF' if diffs else 'same'}  {name}: tracer run of {len(change)} sections"
+    print(label + "".join(f"\n      {d}" for d in diffs))
     return 1 if diffs else 0
 
 
@@ -380,6 +432,10 @@ def main(argv=None) -> int:
                 name: {side: pool.submit(_ensemble_run, src, config, tmp) for side, src in sources.items()}
                 for name, config in configs.items()
             }
+            tracer = {
+                name: {side: pool.submit(_trace_run, src, config, tmp) for side, src in sources.items()}
+                for name, config in configs.items()
+            }
             n_diff = 0
             for (label, *_), futures in zip(runs, results):
                 diffs = _differences(futures["parent"].result(), futures["change"].result())
@@ -393,12 +449,16 @@ def main(argv=None) -> int:
                 _report_ensemble(name, *(f.result() for f in futures.values()))
                 for name, futures in ensemble.items()
             )
+            n_trace_diff = sum(
+                _report_trace(name, *(f.result() for f in futures.values())) for name, futures in tracer.items()
+            )
     _report_code_lines(sources)
     print(f"{len(runs)} CLI runs, {n_diff} with differences")
     n_lib = INTEGRATE_RUNS * len(library)
     print(f"{n_lib} integrate runs and {len(library)} medians, {n_lib_diff} with differences")
     print(f"{len(ensemble)} ensemble runs, {n_ens_diff} with differences")
-    return 1 if n_diff or n_lib_diff or n_ens_diff else 0
+    print(f"{len(tracer)} tracer runs, {n_trace_diff} with differences")
+    return 1 if n_diff or n_lib_diff or n_ens_diff or n_trace_diff else 0
 
 
 if __name__ == "__main__":
