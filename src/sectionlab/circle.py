@@ -81,7 +81,9 @@ def antipode(theta):
 
     Computed as n - pi on [pi, 2*pi) and n + pi on [0, pi); the subtraction
     branch is exact in floating point, so the involution round-trips exactly
-    from the upper semicircle and within one rounding elsewhere.
+    from the upper semicircle and within one rounding elsewhere.  One output
+    lies outside [0, 2*pi): for the float just below pi, n + pi rounds up to
+    exactly 2*pi, where normalize(theta + pi) gives 0.0.
     """
     n = normalize(theta)
     if isinstance(n, np.ndarray):
@@ -159,10 +161,11 @@ class CircleDiffeo:
     """Base class: an orientation-preserving diffeomorphism of the circle.
 
     Subclasses provide the lift, its derivative `lift_derivative` (F' > 0,
-    the same for every representative of an angle) and `derivative_pair`; the
-    base class supplies evaluation, the generic monotone inverse, and
-    construction-time checks.  Instances are immutable after construction
-    and safe for concurrent reads.
+    the same for every representative of an angle) and `derivative_pair`,
+    and may override `lift_pair` with one shared evaluation; the base class
+    supplies evaluation, the generic monotone inverse, and construction-time
+    checks.  Instances are immutable after construction and safe for
+    concurrent reads.
     """
 
     kind = "abstract"
@@ -175,6 +178,10 @@ class CircleDiffeo:
 
     def lift_derivative(self, x):
         raise NotImplementedError
+
+    def lift_pair(self, x: float) -> tuple[float, float]:
+        """(F(x), F'(x)) for one float, bit-equal to (lift(x), lift_derivative(x))."""
+        return self.lift(x), self.lift_derivative(x)
 
     def __call__(self, theta):
         """Evaluate the map; returns the canonical representative."""
@@ -201,7 +208,10 @@ class CircleDiffeo:
         current iterate and takes the Newton candidate, or the bracket
         midpoint when that candidate leaves the bracket or does not at least
         halve the previous step.  Once a step is no longer than 1e-10 one
-        Newton polish follows.  An array is solved one element at a time by
+        Newton polish follows.  An iterate whose residual is exactly 0.0, the
+        polished one included, is returned at once: the polish would keep it,
+        and its final residual would be 0.  Each step evaluates F and F'
+        together (`lift_pair`).  An array is solved one element at a time by
         this rule, so each element has the bits of its float solve, and the
         result has the array's shape.  Raises ValueError on a non-finite
         target, and ConvergenceFailure if the lift residual does not reach
@@ -209,38 +219,48 @@ class CircleDiffeo:
         """
         if isinstance(y, np.ndarray):
             return np.fromiter(map(self.inverse, y.ravel().tolist()), float, y.size).reshape(y.shape)
-        lift, lift_derivative = self.lift, self.lift_derivative
-        target = normalize(_finite(y))
+        lift_pair = self.lift_pair
+        # _finite and normalize written out for one float
+        if not math.isfinite(y):
+            raise ValueError(f"inverse target must be a finite angle, got {y!r}")
+        target = y % TWO_PI
+        if target >= TWO_PI:
+            target = 0.0
         lo = target - TWO_PI
         hi = target + TWO_PI
         x = target
         step = hi - lo
         for _ in range(_MAX_ITER):
-            r = lift(x) - target
+            fx, d = lift_pair(x)
+            r = fx - target
+            if r == 0.0:
+                break  # an exact root: the polish would keep x, and its residual is 0
             if r < 0.0:
                 lo = x
             else:
                 hi = x
-            d = lift_derivative(x)
             nxt = x - r / d
             if not lo <= nxt <= hi or abs(2.0 * r) > abs(step * d):
                 nxt = 0.5 * (lo + hi)
             step = nxt - x
             x = nxt
             if abs(step) <= _STEP_TOL:
+                fx, d = lift_pair(x)
+                if fx != target:  # else an exact root, as above
+                    x -= (fx - target) / d
+                    resid = abs(self.lift(x) - target)
+                    if resid > INVERSE_TOL:
+                        raise ConvergenceFailure(
+                            f"inverse residual {resid:.3e} above {INVERSE_TOL} "
+                            f"for target {target!r} (kind={self.kind})"
+                        )
                 break
         else:
             raise ConvergenceFailure(
                 f"inverse Newton steps exceeded {_MAX_ITER} iterations for target {target!r}"
             )
-        x -= (lift(x) - target) / lift_derivative(x)
-        resid = abs(lift(x) - target)
-        if resid > INVERSE_TOL:
-            raise ConvergenceFailure(
-                f"inverse residual {resid:.3e} above {INVERSE_TOL} "
-                f"for target {target!r} (kind={self.kind})"
-            )
-        return normalize(x)
+        x %= TWO_PI
+        return 0.0 if x >= TWO_PI else x
 
     # -- construction-time invariants ---------------------------------------
 
@@ -361,6 +381,16 @@ class BumpDiffeo(CircleDiffeo):
         if q < _Q_FLOOR:
             return 1.0
         return 1.0 + self._k1 * (math.exp(_PEAK - 1.0 / q) * (1.0 - 2.0 * u) / (q * q))
+
+    def lift_pair(self, x):
+        # the float branches of lift and lift_derivative, in their order,
+        # sharing u, q and the exponential
+        u = (x % TWO_PI - self.support_lo) / self._width
+        q = u * (1.0 - u)
+        if q < _Q_FLOOR:
+            return x + self.amplitude * 0.0, 1.0
+        e = math.exp(_PEAK - 1.0 / q)
+        return x + self.amplitude * e, 1.0 + self._k1 * (e * (1.0 - 2.0 * u) / (q * q))
 
     def derivative_pair(self, theta):
         u = (theta % TWO_PI - self.support_lo) / self._width

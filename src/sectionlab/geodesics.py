@@ -35,13 +35,16 @@ LOCKSTEP_MIN walks remain.
 The records built per state, per event and per leg (GeodesicState,
 RimCrossing, CenterEvent, Leg, TraceCrossing and TracePassage) are
 NamedTuples: immutable and hashable, with a dataclass's
-Name(field=value, ...) repr, built in half a frozen dataclass's time.  The
-containers (Trajectory, SectionTrace and the verdicts) are dataclasses.
+Name(field=value, ...) repr, built in half a frozen dataclass's time; the
+tracer builds its own by mapping tuple.__new__ over their fields, without
+the generated constructor's Python frame.  The containers (Trajectory,
+SectionTrace and the verdicts) are dataclasses.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -611,13 +614,18 @@ def _gauss_legendre(n):
     return x, 2.0 / ((1.0 - x * x) * dp * dp)
 
 
-# the transit quadratures in x after t = lo + (t1 - lo) x^2, as (x^2, weight
-# times the Jacobian 2 x), both from the 128-point rule: for a visit through
-# the annulus its image on [0, 1]; for a visit that turns, whose integrand is
-# even in x, its 64 positive nodes, with the weights doubled for the way back
-_GL_X, _GL_W = _gauss_legendre(128)
-_THROUGH = (((1.0 + _GL_X) / 2.0) ** 2, _GL_W * (1.0 + _GL_X) / 2.0)
-_TURN = (_GL_X[64:] ** 2, 4.0 * _GL_W[64:] * _GL_X[64:])
+@functools.cache
+def _transit_rules():
+    """The transit quadratures (through, turn) in x after
+    t = lo + (t1 - lo) x^2, as (x^2, weight times the Jacobian 2 x), both
+    from the 128-point rule, built on first use: for a visit through the
+    annulus its image on [0, 1]; for a visit that turns, whose integrand is
+    even in x, its 64 positive nodes, with the weights doubled for the way
+    back."""
+    x, w = _gauss_legendre(128)
+    return (((1.0 + x) / 2.0) ** 2, w * (1.0 + x) / 2.0), (x[64:] ** 2, 4.0 * w[64:] * x[64:])
+
+
 # visits that graze the flat disk or enter nearly tangent to t1, where phi_2
 # is flat to all orders, keep their steps: against 40-digit references the
 # through rule errs by 2e-15 up to |L| = 0.9999 t0 and 2e-11 at 0.99999, the
@@ -688,7 +696,8 @@ def _transit(metric, chart, t, th, vt, vth, s, s_end):
         return None
     turns = t == t1 and a > t0
     lo = _turning_point(metric, chart, th, a) if turns else t0
-    x2, w = _TURN if turns else _THROUGH
+    through, turn = _transit_rules()
+    x2, w = turn if turns else through
     w = w * (t1 - lo)
     p = metric.revolution_warp(lo + (t1 - lo) * x2, c)
     root = np.sqrt((p - a) * (p + a))
@@ -981,10 +990,15 @@ def trace_section(
     refused); otherwise ValueError.
 
     Every angle of the walk is already normalized, so a leg takes
-    normalize(f.lift(x)) for f(x) and writes `antipode` out; the bits are
-    those of f(x) and antipode, since normalizing twice gives the bits of
-    normalizing once.  The one angle outside [0, 2 pi) is 2 pi itself,
-    which antipode returns for the float just below pi, and f reads it as 0.
+    normalize(f.lift(x)) for f(x) and writes `normalize`, `antipode` and
+    the closure test's `circle_distance` out; the bits are those of f(x)
+    and antipode, since normalizing twice gives the bits of normalizing
+    once.  The one angle outside [0, 2 pi) is 2 pi itself, which antipode
+    returns for the float just below pi, and f reads it as 0.  The walk
+    collects each record's fields as a plain tuple and types them all in
+    one map of tuple.__new__ at the end, without a Python frame per record:
+    the same types, fields and reprs as the constructors'.  max_legs is
+    stored as a Python int.
     """
     if not (isinstance(max_legs, (int, np.integer)) and max_legs >= 3):
         raise ValueError(f"max_legs must be an integer >= 3 to trace one return, got {max_legs!r}")
@@ -993,36 +1007,40 @@ def trace_section(
         raise ValueError(f"theta0 must satisfy |theta0| < {ANGLE_BOUND:.0f}, got {theta0!r}")
     lift, inverse, pi = f.lift, f.inverse, math.pi
     theta0 = normalize(theta0)
-    legs = [Leg(0, 1, "radius", None, theta0, 1)]
+    # the records' fields as plain tuples, typed in one pass at the end
+    legs = [(0, 1, "radius", None, theta0, 1)]
     crossings, passages, orbit = [], [], [theta0]
     x, n = theta0, 1  # n legs so far; leg n crosses the rim as crossing n - 1
     while n < max_legs:
         # outward at chart-1 boundary angle x: cross and run the chart-2 diameter
-        y = normalize(lift(x if x < TWO_PI else 0.0))
+        y = lift(x if x < TWO_PI else 0.0) % TWO_PI
+        if y >= TWO_PI:
+            y = 0.0
         exit2 = y - pi if y >= pi else y + pi
-        crossings.append(TraceCrossing(n - 1, x, y))
-        legs.append(Leg(n, 2, "diameter", y, exit2, 2))
-        passages.append(TracePassage(2, n, exit2))
+        crossings.append((n - 1, x, y))
+        legs.append((n, 2, "diameter", y, exit2, 2))
+        passages.append((2, n, exit2))
         n += 1
         if n >= max_legs:
             break
         # outward at chart-2 boundary angle exit2: cross back and run chart 1
         w = inverse(exit2)
         x = w - pi if w >= pi else w + pi
-        crossings.append(TraceCrossing(n - 1, w, exit2))
-        legs.append(Leg(n, 1, "diameter", w, x, 2))
-        passages.append(TracePassage(1, n, x))
+        crossings.append((n - 1, w, exit2))
+        legs.append((n, 1, "diameter", w, x, 2))
+        passages.append((1, n, x))
         n += 1
         orbit.append(x)
-        if circle_distance(x, theta0) < tol:
+        d = abs(x - theta0) % TWO_PI
+        if d < tol or TWO_PI - d < tol:
             break
     return SectionTrace(
         start=theta0,
-        legs=legs,
-        crossings=crossings,
-        center_passages=passages,
+        legs=list(map(tuple.__new__, itertools.repeat(Leg), legs)),
+        crossings=list(map(tuple.__new__, itertools.repeat(TraceCrossing), crossings)),
+        center_passages=list(map(tuple.__new__, itertools.repeat(TracePassage), passages)),
         orbit=orbit,
-        max_legs=max_legs,
+        max_legs=int(max_legs),
         k_max=k_max,
         tol=tol,
     )

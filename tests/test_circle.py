@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectionlab import (
     TWO_PI,
@@ -29,6 +30,7 @@ from sectionlab.circle import (
     periodic_spline,
 )
 from sectionlab.geodesics import ANGLE_BOUND
+from sectionlab.metric import _PlateauLift
 
 from oracles import bump_lift, central_diff, make_sinusoid_spline_data, spline_lift_oracle
 from strategies import drawn_maps, spline_tables
@@ -88,6 +90,16 @@ def test_antipode_involution():
     assert antipode(0.0) == math.pi
     assert antipode(math.pi) == 0.0
     assert math.isclose(antipode(math.pi / 3), 4 * math.pi / 3, rel_tol=0, abs_tol=1e-15)
+
+
+def test_antipode_of_the_float_below_pi_is_two_pi():
+    # the one output outside [0, 2 pi) that antipode's docstring states: n + pi
+    # rounds up to exactly 2 pi, where normalize(n + pi) is 0.0
+    n = math.nextafter(math.pi, 0.0)
+    assert antipode(n) == TWO_PI and normalize(n + math.pi) == 0.0
+    assert antipode(np.array([n]))[0] == TWO_PI
+    below = [math.nextafter(n, 0.0), *RNG.uniform(0.0, n, 1000).tolist(), 0.0]
+    assert all(0.0 <= antipode(x) < TWO_PI for x in below)
 
 
 # --- evaluation -------------------------------------------------------------
@@ -209,13 +221,17 @@ def test_inverse_property_drawn_maps(build):
 
 
 class CountingBump(BumpDiffeo):
-    """Bump map that counts its lift evaluations."""
+    """Bump map that counts its lift evaluations, alone or paired with F'."""
 
     lift_calls = 0
 
     def lift(self, x):
         self.lift_calls += 1
         return super().lift(x)
+
+    def lift_pair(self, x):
+        self.lift_calls += 1
+        return super().lift_pair(x)
 
 
 @pytest.mark.parametrize("amplitude", [0.3, 0.7])
@@ -228,6 +244,57 @@ def test_inverse_lift_budget(amplitude):
     for y in targets:
         f.inverse(float(y))
     assert f.lift_calls / targets.size <= 8.0
+
+
+def test_inverse_exits_at_an_exact_root():
+    # a target on the identity arc is its own root: one (F, F') evaluation,
+    # no polish and no residual
+    f = CountingBump(0.3)
+    for y in [0.0, 1.0, math.pi, math.nextafter(math.pi, 0.0)]:
+        f.lift_calls = 0
+        assert f.inverse(y) == y and f.lift_calls == 1
+
+
+def _inverse_reference(f, y):
+    """The safeguarded Newton rule as it stood before `lift_pair`: lift and
+    then lift_derivative at each iterate, one polish, one residual."""
+    target = normalize(y)
+    lo, hi, x = target - TWO_PI, target + TWO_PI, target
+    step = hi - lo
+    for _ in range(200):
+        r = f.lift(x) - target
+        if r < 0.0:
+            lo = x
+        else:
+            hi = x
+        d = f.lift_derivative(x)
+        nxt = x - r / d
+        if not lo <= nxt <= hi or abs(2.0 * r) > abs(step * d):
+            nxt = 0.5 * (lo + hi)
+        step = nxt - x
+        x = nxt
+        if abs(step) <= 1e-10:
+            break
+    else:
+        raise AssertionError(f"no convergence for {y!r}")
+    x -= (f.lift(x) - target) / f.lift_derivative(x)
+    assert abs(f.lift(x) - target) <= INVERSE_TOL
+    return normalize(x)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(drawn_maps, st.lists(st.floats(-40.0, 40.0), max_size=20), st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_inverse_is_the_reference_newton_loop_bit_for_bit(build, targets, on_arcs):
+    try:
+        f = build()
+    except ValueError:  # MonotonicityViolation included
+        return
+    ys = [*targets, *_TARGETS.tolist(), 0.0, -0.0, TWO_PI, math.pi]
+    # targets on the identity arcs (a bump's closed complement of its support,
+    # its ends and their neighbouring floats), where the first iterate is a root
+    for start, length in f.identity_arcs():
+        ys += [start + s * length for s in on_arcs] + _ulps(start, 2) + _ulps(start + length, 2)
+    assert bits([f.inverse(y) for y in ys]) == bits([_inverse_reference(f, y) for y in ys])
 
 
 # --- derivative -------------------------------------------------------------
@@ -316,35 +383,45 @@ def _ulps(x, n=1):
     return out
 
 
-@pytest.mark.parametrize(
-    "f",
-    [
-        semicircle_bump(0.3),
-        semicircle_bump(-0.3),
-        BumpDiffeo(-0.2, 0.5, 2.0),
-        BumpDiffeo(0.4, 0.0, TWO_PI),
-        BumpDiffeo(-0.4, 0.0, TWO_PI),
-    ],
-    ids=["default", "negative", "negative_arc_0.5_2", "whole_circle_support", "negative_whole_circle"],
-)
+def _probe_points(n=3000):
+    """Random angles on [-20, 20] and out to |x| = ANGLE_BOUND, with +-0,
+    +-2 pi, pi, the least subnormals and the floats around ANGLE_BOUND."""
+    return [
+        *RNG.uniform(-20.0, 20.0, n).tolist(),
+        *RNG.uniform(-ANGLE_BOUND, ANGLE_BOUND, n // 3).tolist(),
+        *_ulps(ANGLE_BOUND), *_ulps(-ANGLE_BOUND),
+        0.0, -0.0, TWO_PI, -TWO_PI, math.pi, 5e-324, -5e-324,
+    ]
+
+
+def _bump_probe_points(f, n=3000):
+    """`_probe_points` plus two ulps either side of the bump's support edges,
+    of its underflow margins q = 1e-3 and of 2 pi-shifted edges."""
+    lo, hi = f.support_lo, f.support_hi
+    margin = 0.5 * (1.0 - math.sqrt(1.0 - 4e-3)) * (hi - lo)  # q = 1e-3 this far inside the arc
+    edges = [lo, hi, lo + margin, hi - margin, lo - TWO_PI, hi + TWO_PI, lo + 6.0 * TWO_PI]
+    return _probe_points(n) + [y for e in edges for y in _ulps(e, 2)]
+
+
+BUMPS = [
+    semicircle_bump(0.3),
+    semicircle_bump(-0.3),
+    BumpDiffeo(-0.2, 0.5, 2.0),
+    BumpDiffeo(0.4, 0.0, TWO_PI),
+    BumpDiffeo(-0.4, 0.0, TWO_PI),
+]
+BUMP_IDS = ["default", "negative", "negative_arc_0.5_2", "whole_circle_support", "negative_whole_circle"]
+
+
+@pytest.mark.parametrize("f", BUMPS, ids=BUMP_IDS)
 def test_bump_lift_float_branch_is_the_profile_kernel_bit_for_bit(f):
     # the inlined float branches of lift and lift_derivative against
     # bump_u with _bump01 and _bump01_d1 composed: on and off the arc, two
     # ulps either side of its edges and of the underflow margin q = 1e-3, at
     # +-0 (a negative amplitude keeps -0.0 off the arc), and out to
     # |x| = ANGLE_BOUND
-    lo, hi = f.support_lo, f.support_hi
-    w = hi - lo
-    margin = 0.5 * (1.0 - math.sqrt(1.0 - 4e-3)) * w  # q = 1e-3 this far inside the arc
-    edges = [lo, hi, lo + margin, hi - margin, lo - TWO_PI, hi + TWO_PI, lo + 6.0 * TWO_PI]
-    xs = [
-        *RNG.uniform(-20.0, 20.0, 3000).tolist(),
-        *RNG.uniform(-ANGLE_BOUND, ANGLE_BOUND, 1000).tolist(),
-        *(y for e in edges for y in _ulps(e, 2)),
-        *_ulps(ANGLE_BOUND), *_ulps(-ANGLE_BOUND),
-        0.0, -0.0, TWO_PI, -TWO_PI, math.pi, 5e-324, -5e-324,
-    ]
-    a, k1 = f.amplitude, f.amplitude / w
+    xs = _bump_probe_points(f)
+    a, k1 = f.amplitude, f.amplitude / (f.support_hi - f.support_lo)
     lifts = [f.lift(x) for x in xs]
     slopes = [f.lift_derivative(x) for x in xs]
     assert all(type(v) is float for v in lifts + slopes)
@@ -362,6 +439,38 @@ def test_bump_lift_float_branch_is_the_profile_kernel_bit_for_bit(f):
         want = np.array(want)
         assert bits(got[floor]) == bits(want[floor])
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def assert_lift_pair_is_lift_and_derivative(f, xs):
+    """lift_pair(x) is (lift(x), lift_derivative(x)) bit for bit, signs of
+    zero included, for Python and numpy floats."""
+    want = [(f.lift(x), f.lift_derivative(x)) for x in xs]
+    assert bits([f.lift_pair(x) for x in xs]) == bits(want)
+    assert bits([f.lift_pair(np.float64(x)) for x in xs[::50]]) == bits(want[::50])
+
+
+@pytest.mark.parametrize("f", BUMPS, ids=BUMP_IDS)
+def test_bump_lift_pair_is_lift_and_derivative_bit_for_bit(f):
+    assert_lift_pair_is_lift_and_derivative(f, _bump_probe_points(f))
+
+
+def test_lift_pair_of_splines_and_the_plateau_lift_bit_for_bit():
+    # the base class's pair, on the spline map and the psi_2 plateau lift
+    knots, values = make_sinusoid_spline_data()
+    psi2 = periodic_spline(knots, 1.0 + 0.2 * np.cos(2.0 * knots))
+    for f in [SplineDiffeo(knots, values), _PlateauLift(psi2)]:
+        assert_lift_pair_is_lift_and_derivative(f, _probe_points(1000))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(drawn_maps)
+def test_lift_pair_of_drawn_maps_bit_for_bit(build):
+    try:
+        f = build()
+    except ValueError:  # MonotonicityViolation included
+        return
+    xs = _bump_probe_points(f, 300) if isinstance(f, BumpDiffeo) else _probe_points(300)
+    assert_lift_pair_is_lift_and_derivative(f, xs)
 
 
 @pytest.mark.parametrize(

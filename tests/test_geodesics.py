@@ -1,8 +1,13 @@
 """Tests for the exact tracer and the numerical geodesic integrator."""
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -1064,14 +1069,34 @@ def test_chart1_transits_stay_on_chart_1():
 def test_transit_oracle_fails_without_the_jacobian(monkeypatch):
     # the negative control: weights without the 2 x of t = lo + (t1 - lo) x^2
     m = default_metric()
-    for name in ("_THROUGH", "_TURN"):
-        x2, w = getattr(geodesics, name)
-        monkeypatch.setattr(geodesics, name, (x2, w / (2.0 * np.sqrt(x2))))
+    rules = tuple((x2, w / (2.0 * np.sqrt(x2))) for x2, w in geodesics._transit_rules())
+    monkeypatch.setattr(geodesics, "_transit_rules", lambda: rules)
     worst = 0.0
     for state in _transit_states(m):
         length, _ = _quad_transit(m, *state)
         worst = max(worst, abs(_transit(m, *state, 100.0)[5] - state[5] - length))
     assert worst > 1e-2
+
+
+def test_transit_rules_are_the_128_point_rule_bit_for_bit():
+    # built on first use and cached: the same arrays as a fresh rule's
+    x, w = _gauss_legendre(128)
+    through, turn = geodesics._transit_rules()
+    want = (((1.0 + x) / 2.0) ** 2, w * (1.0 + x) / 2.0, x[64:] ** 2, 4.0 * w[64:] * x[64:])
+    for got, ref in zip((*through, *turn), want):
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    assert geodesics._transit_rules() is geodesics._transit_rules()
+
+
+def test_importing_geodesics_builds_no_quadrature():
+    code = (
+        "from sectionlab import config, geodesics\n"
+        "config.load_config(None).build_metric()\n"
+        "assert geodesics._transit_rules.cache_info().currsize == 0\n"
+    )
+    src = str(Path(geodesics.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_gauss_legendre_nodes_match_numpy():
@@ -1288,6 +1313,28 @@ def test_trace_accepts_numpy_integer_leg_budgets():
     f = semicircle_bump(0.3)
     a, b = trace_section(f, 4.0, max_legs=np.int64(7)), trace_section(f, 4.0, max_legs=7)
     assert (a.legs, a.crossings, a.center_passages, a.orbit) == (b.legs, b.crossings, b.center_passages, b.orbit)
+
+
+def test_trace_stores_a_numpy_leg_budget_as_a_python_int():
+    trace = trace_section(semicircle_bump(0.3), 4.0, max_legs=np.int64(5))
+    assert type(trace.max_legs) is int and trace.max_legs == 5
+    assert json.loads(json.dumps(trace.to_json_dict()))["max_legs"] == 5
+
+
+def test_tracer_records_are_the_named_tuples():
+    # built by tuple.__new__, they are the constructors' records: same
+    # types, fields, reprs and equality
+    trace = trace_section(semicircle_bump(0.3), 4.0, max_legs=9)
+    for records, cls in (
+        (trace.legs, geodesics.Leg),
+        (trace.crossings, geodesics.TraceCrossing),
+        (trace.center_passages, geodesics.TracePassage),
+    ):
+        built = [cls(*r) for r in records]
+        assert len(records) >= 4 and all(type(r) is cls for r in records)
+        assert [repr(r) for r in records] == [repr(r) for r in built] and records == built
+        assert [r._asdict() for r in records] == [r._asdict() for r in built]
+    assert [p.line for p in trace.center_passages] == [p.direction % math.pi for p in trace.center_passages]
 
 
 def _trace_reference(f, theta0, max_legs, tol):

@@ -51,6 +51,13 @@ interpreter.  It is `same` only when, for every angle, repr((trace,
 verdict)) and json.dumps(trace.to_json_dict(), sort_keys=True) are the
 parent's byte for byte (compared by their sha256).
 
+Each config also gets one inverse run: the config's map inverts
+INVERSE_TARGETS = 4096 equispaced targets on [0, 2 pi) and, for a bump,
+each support endpoint and the two floats on either side of it, one float
+solve at a time and then all of them as one array, in one fresh
+interpreter.  It is `same` only when every result's repr (or its error) is
+the parent's byte for byte.
+
 Last, it prints each tree's code lines per module of src/sectionlab and
 their total: the lines that hold a token other than a comment, docstrings
 (found with ast) left out.  The count does not change the exit status.
@@ -146,6 +153,36 @@ print(json.dumps(runs))
 """
 TRACE_SEEDED = 40
 TRACE_FIELDS = ("repr((trace, verdict))", "trace json")
+
+# argv: the number of equispaced targets, then the config path if any;
+# prints the repr of each float solve (or its error), then that of the
+# array solve of all the targets, as json
+INVERSE_SCRIPT = """
+import json, math, sys
+import numpy as np
+from sectionlab.config import load_config
+
+f = load_config(sys.argv[2] if len(sys.argv) > 2 else None).build_diffeo()
+n = int(sys.argv[1])
+targets = [2.0 * math.pi * i / n for i in range(n)]
+for edge in (getattr(f, "support_lo", None), getattr(f, "support_hi", None)):
+    if edge is not None:
+        below, above = [edge], [edge]
+        for _ in range(2):
+            below.append(math.nextafter(below[-1], -math.inf))
+            above.append(math.nextafter(above[-1], math.inf))
+        targets += below[::-1] + above[1:]
+
+def solve(y):
+    try:
+        x = f.inverse(y)
+        return repr(x.tolist() if isinstance(x, np.ndarray) else x)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+print(json.dumps([*map(solve, targets), solve(np.array(targets))]))
+"""
+INVERSE_TARGETS = 4096
 
 # token types that hold no code
 NON_CODE = {
@@ -276,6 +313,11 @@ def _trace_run(src: Path, config: Path | None, cwd: Path) -> list | str:
     return _library_runs(src, config, cwd, TRACE_SCRIPT, str(TRACE_SEEDED))
 
 
+def _inverse_run(src: Path, config: Path | None, cwd: Path) -> list | str:
+    """The reprs of the inverse run, or the last line of its error."""
+    return _library_runs(src, config, cwd, INVERSE_SCRIPT, str(INVERSE_TARGETS))
+
+
 def _final_error(run: list, ref: list) -> float:
     """The largest final difference of a run from its reference, theta taken mod 2 pi."""
     dev = [abs(x - y) for x, y in zip(run[3:], ref[3:])]
@@ -362,6 +404,18 @@ def _report_trace(name: str, parent: list | str, change: list | str) -> int:
     return 1 if diffs else 0
 
 
+def _report_inverse(name: str, parent: list | str, change: list | str) -> int:
+    """Print one config's inverse run; 1 if it differs, else 0."""
+    errors = [f"\n      {side}: {r}" for side, r in (("parent", parent), ("change", change)) if isinstance(r, str)]
+    if errors:
+        print(f"DIFF  {name}: inverse run" + "".join(errors))
+        return 1
+    n = sum(a != b for a, b in zip(parent, change)) + abs(len(parent) - len(change))
+    detail = f"\n      {n} of {len(parent)} results differ" if n else ""
+    print(f"{'DIFF' if n else 'same'}  {name}: inverse run of {len(change) - 1} targets and their array" + detail)
+    return 1 if n else 0
+
+
 def _code_lines(path: Path) -> int:
     """Lines of a module that hold code: docstrings, comments and blank lines left out."""
     text = path.read_text(encoding="utf-8")
@@ -436,6 +490,10 @@ def main(argv=None) -> int:
                 name: {side: pool.submit(_trace_run, src, config, tmp) for side, src in sources.items()}
                 for name, config in configs.items()
             }
+            inverse = {
+                name: {side: pool.submit(_inverse_run, src, config, tmp) for side, src in sources.items()}
+                for name, config in configs.items()
+            }
             n_diff = 0
             for (label, *_), futures in zip(runs, results):
                 diffs = _differences(futures["parent"].result(), futures["change"].result())
@@ -452,13 +510,17 @@ def main(argv=None) -> int:
             n_trace_diff = sum(
                 _report_trace(name, *(f.result() for f in futures.values())) for name, futures in tracer.items()
             )
+            n_inv_diff = sum(
+                _report_inverse(name, *(f.result() for f in futures.values())) for name, futures in inverse.items()
+            )
     _report_code_lines(sources)
     print(f"{len(runs)} CLI runs, {n_diff} with differences")
     n_lib = INTEGRATE_RUNS * len(library)
     print(f"{n_lib} integrate runs and {len(library)} medians, {n_lib_diff} with differences")
     print(f"{len(ensemble)} ensemble runs, {n_ens_diff} with differences")
     print(f"{len(tracer)} tracer runs, {n_trace_diff} with differences")
-    return 1 if n_diff or n_lib_diff or n_ens_diff or n_trace_diff else 0
+    print(f"{len(inverse)} inverse runs, {n_inv_diff} with differences")
+    return 1 if n_diff or n_lib_diff or n_ens_diff or n_trace_diff or n_inv_diff else 0
 
 
 if __name__ == "__main__":
