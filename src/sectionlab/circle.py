@@ -97,8 +97,9 @@ def antipode(theta):
 # bump01 is the standard mollifier profile exp(-1/(u(1-u))) rescaled so its
 # peak value is exactly 1 at u = 1/2; it vanishes with all derivatives at
 # u = 0, 1, which is what makes the bump family genuinely C-infinity.
-# BumpDiffeo writes the scalar kernels out inline for a float, in their
-# order; they stay here as the reference of those branches.
+# BumpDiffeo writes _bump01 and _bump01_d1d2 out inline for a float, in
+# their order; the scalar kernels stay here as the reference of those
+# branches, and the array kernels are its array branches.
 
 _PEAK = 4.0  # 1 / (q at u = 1/2); exp(4 - 1/q) has maximum 1
 # below q = 1e-3 the profile underflows to exactly 0.0 in double precision;
@@ -120,20 +121,6 @@ def _bump01(u: float) -> float:
 def _bump01_vec(u: np.ndarray) -> np.ndarray:
     u = np.minimum(np.maximum(u, _Q_FLOOR), 1.0 - _Q_FLOOR)
     return np.exp(_PEAK - 1.0 / (u * (1.0 - u)))
-
-
-def _bump01_d1(u: float) -> float:
-    """First derivative alone, by the same expression as in _bump01_d1d2."""
-    q = u * (1.0 - u)
-    if q < _Q_FLOOR:
-        return 0.0
-    return math.exp(_PEAK - 1.0 / q) * (1.0 - 2.0 * u) / (q * q)
-
-
-def _bump01_d1_vec(u: np.ndarray) -> np.ndarray:
-    u = np.minimum(np.maximum(u, _Q_FLOOR), 1.0 - _Q_FLOOR)
-    q = u * (1.0 - u)
-    return np.exp(_PEAK - 1.0 / q) * (1.0 - 2.0 * u) / (q * q) + 0.0
 
 
 def _bump01_d1d2(u: float) -> tuple[float, float]:
@@ -160,12 +147,13 @@ def _bump01_d1d2_vec(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class CircleDiffeo:
     """Base class: an orientation-preserving diffeomorphism of the circle.
 
-    Subclasses provide the lift, its derivative `lift_derivative` (F' > 0,
-    the same for every representative of an angle) and `derivative_pair`,
-    and may override `lift_pair` with one shared evaluation; the base class
-    supplies evaluation, the generic monotone inverse, and construction-time
-    checks.  Instances are immutable after construction and safe for
-    concurrent reads.
+    A map defines two evaluators: `lift`, the degree-one lift F, and
+    `derivative_pair`, which returns (F', F'') with F' > 0, the same for
+    every representative of an angle.  The base class derives the rest from
+    them: `lift_derivative` (F' alone), `lift_pair` ((F, F') for one float,
+    which a map may override with one shared evaluation), evaluation, the
+    generic monotone inverse, and construction-time checks.  Instances are
+    immutable after construction and safe for concurrent reads.
     """
 
     kind = "abstract"
@@ -176,8 +164,13 @@ class CircleDiffeo:
     def lift(self, x):
         raise NotImplementedError
 
-    def lift_derivative(self, x):
+    def derivative_pair(self, theta):
+        """(F'(theta), F''(theta)), for a float or an array."""
         raise NotImplementedError
+
+    def lift_derivative(self, x):
+        """F'(x), the first entry of `derivative_pair(x)`."""
+        return self.derivative_pair(x)[0]
 
     def lift_pair(self, x: float) -> tuple[float, float]:
         """(F(x), F'(x)) for one float, bit-equal to (lift(x), lift_derivative(x))."""
@@ -186,11 +179,6 @@ class CircleDiffeo:
     def __call__(self, theta):
         """Evaluate the map; returns the canonical representative."""
         return normalize(self.lift(normalize(theta)))
-
-    def derivative_pair(self, theta):
-        """(F'(theta), F''(theta)); F' is bit-equal to `lift_derivative(theta)`
-        for theta in [0, 2*pi)."""
-        raise NotImplementedError
 
     def identity_arcs(self) -> tuple[tuple[float, float], ...]:
         """The closed arcs where F' is exactly 1.0 and F'' exactly 0.0, as
@@ -296,11 +284,8 @@ class RotationDiffeo(CircleDiffeo):
     def lift(self, x):
         return x + self.angle
 
-    def lift_derivative(self, x):
-        return np.ones_like(x, dtype=float) if isinstance(x, np.ndarray) else 1.0
-
     def derivative_pair(self, theta):
-        one = self.lift_derivative(theta)
+        one = np.ones_like(theta, dtype=float) if isinstance(theta, np.ndarray) else 1.0
         return one, 0.0 * one
 
     def identity_arcs(self):
@@ -371,20 +356,9 @@ class BumpDiffeo(CircleDiffeo):
             return x + self.amplitude * 0.0
         return x + self.amplitude * math.exp(_PEAK - 1.0 / q)
 
-    def lift_derivative(self, x):
-        u = (x % TWO_PI - self.support_lo) / self._width
-        if type(u) is not float and isinstance(u, np.ndarray):
-            return 1.0 + self._k1 * _bump01_d1_vec(u)
-        # _bump01_d1 inlined for a scalar, in its order; off the arc F' is
-        # 1.0 + k1 * 0.0, which is 1.0 whatever the sign of k1
-        q = u * (1.0 - u)
-        if q < _Q_FLOOR:
-            return 1.0
-        return 1.0 + self._k1 * (math.exp(_PEAK - 1.0 / q) * (1.0 - 2.0 * u) / (q * q))
-
     def lift_pair(self, x):
-        # the float branches of lift and lift_derivative, in their order,
-        # sharing u, q and the exponential
+        # the float branches of lift and of derivative_pair's F', in their
+        # order, sharing u, q and the exponential
         u = (x % TWO_PI - self.support_lo) / self._width
         q = u * (1.0 - u)
         if q < _Q_FLOOR:
@@ -526,11 +500,7 @@ class SplineDiffeo(CircleDiffeo):
     def lift(self, x):
         return x + self._dev(x)
 
-    def lift_derivative(self, x):
-        return 1.0 + self._dev(x, 1)
-
     def derivative_pair(self, theta):
-        # one wrap, the spline's own, as in lift_derivative
         return 1.0 + self._dev(theta, 1), self._dev(theta, 2)
 
     def __repr__(self):

@@ -982,10 +982,13 @@ def trace_section(
     diameters; the walk stops after max_legs legs or at the first return
     within tol of theta0.  The recorded orbit is theta0 followed by the
     traced returns T(theta0), T^2(theta0), ... with T the round-trip
-    transition map.  max_legs >= 3 traces at least one return, and that one
+    transition map.  Three legs trace the first return, and that one
     decides closure: T fixes an antipodal pair, so a start T does not fix
-    never comes back (see `Period`).  k_max only labels the horizon of a
-    non-closing verdict.  max_legs must be an integer >= 3, and k_max and
+    never comes back (see `Period`).  A fourth leg passes the chart-2 center
+    a second time (legs 1 and 3); with three, each center is passed once,
+    so a start that does not close would have no pair of passages to
+    witness that it is not injective.  k_max only labels the horizon of a
+    non-closing verdict.  max_legs must be an integer >= 4, and k_max and
     tol pass `period_of`'s check (k_max >= 1, tol > 0, so a NaN tol is
     refused); otherwise ValueError.
 
@@ -1000,8 +1003,8 @@ def trace_section(
     the same types, fields and reprs as the constructors'.  max_legs is
     stored as a Python int.
     """
-    if not (isinstance(max_legs, (int, np.integer)) and max_legs >= 3):
-        raise ValueError(f"max_legs must be an integer >= 3 to trace one return, got {max_legs!r}")
+    if not (isinstance(max_legs, (int, np.integer)) and max_legs >= 4):
+        raise ValueError(f"max_legs must be an integer >= 4 to trace a return and a witness, got {max_legs!r}")
     _check_horizon(k_max, tol)
     if not abs(theta0) < ANGLE_BOUND:
         raise ValueError(f"theta0 must satisfy |theta0| < {ANGLE_BOUND:.0f}, got {theta0!r}")

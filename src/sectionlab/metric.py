@@ -32,6 +32,7 @@ P = Sigma_2 / m a degree-one circle lift (the identity for a constant psi_2).
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -88,9 +89,9 @@ def _step01_vec(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class _PlateauLift(CircleDiffeo):
     """P = Sigma_2 / m for a psi_2 spline: its primitive over its mean m.
 
-    A degree-one lift with P(0) = 0 and P' = psi_2 / m > 0, so the base
-    class's safeguarded Newton inverts it; only the lift, its derivative and
-    that inverse are used.
+    A degree-one lift with P(0) = 0 and (P', P'') = (psi_2, psi_2') / m,
+    P' > 0, so the base class's safeguarded Newton inverts it; only the
+    lift and that inverse are used.
     """
 
     kind = "plateau"
@@ -103,8 +104,8 @@ class _PlateauLift(CircleDiffeo):
     def lift(self, x):
         return (self._psi2(x, -1) - self._origin) / self.mean
 
-    def lift_derivative(self, x):
-        return self._psi2(x) / self.mean
+    def derivative_pair(self, x):
+        return self._psi2(x) / self.mean, self._psi2(x, 1) / self.mean
 
 
 class GluedMetric:
@@ -118,9 +119,10 @@ class GluedMetric:
     t0, t1 : float
         Zone boundaries with 0 < t0 < t1 < 1; [0, t0] is exactly Euclidean,
         [t1, 1] is the radially constant plateau.
-    psi2 : None | float | callable
-        Plateau profile of chart 2: a constant, stored as the number itself
-        in `psi2_const` (None means 1.0), or a `circle.periodic_spline`
+    psi2 : None | real number | callable
+        Plateau profile of chart 2: a constant, a positive and finite real
+        number (numpy scalars included) stored as a Python float in
+        `psi2_const` (None means 1.0), or a `circle.periodic_spline`
         evaluator, whose nu = 1 and nu = -1 give the derivative and the
         primitive, and then `psi2_const` is None.  psi_1 is always derived
         from the compatibility rule.
@@ -147,8 +149,10 @@ class GluedMetric:
         self.psi1_scale = float(psi1_scale)
         # where F' = 1 and F'' = 0 exactly, psi_1 = psi1_scale psi_2 o F
         self.identity_arcs = f.identity_arcs()
-        if psi2 is None or isinstance(psi2, (int, float)):
-            self.psi2_const = 1.0 if psi2 is None else psi2
+        if psi2 is None or isinstance(psi2, numbers.Real):
+            self.psi2_const = 1.0 if psi2 is None else float(psi2)
+            if not 0.0 < self.psi2_const < math.inf:
+                raise ValueError(f"a constant psi2 must be positive and finite, got {psi2!r}")
         else:
             self.psi2_const = None
             self._psi2 = psi2

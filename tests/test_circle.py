@@ -21,9 +21,8 @@ from sectionlab import (
 )
 from sectionlab.circle import (
     INVERSE_TOL,
+    CircleDiffeo,
     _bump01,
-    _bump01_d1,
-    _bump01_d1_vec,
     _bump01_d1d2,
     _bump01_d1d2_vec,
     _bump01_vec,
@@ -32,7 +31,7 @@ from sectionlab.circle import (
 from sectionlab.geodesics import ANGLE_BOUND
 from sectionlab.metric import _PlateauLift
 
-from oracles import bump_lift, central_diff, make_sinusoid_spline_data, spline_lift_oracle
+from oracles import bump_lift, central_diff, invert_lift, make_sinusoid_spline_data, spline_lift_oracle
 from strategies import drawn_maps, spline_tables
 
 RNG = np.random.default_rng(20240817)
@@ -416,7 +415,7 @@ BUMP_IDS = ["default", "negative", "negative_arc_0.5_2", "whole_circle_support",
 @pytest.mark.parametrize("f", BUMPS, ids=BUMP_IDS)
 def test_bump_lift_float_branch_is_the_profile_kernel_bit_for_bit(f):
     # the inlined float branches of lift and lift_derivative against
-    # bump_u with _bump01 and _bump01_d1 composed: on and off the arc, two
+    # bump_u with _bump01 and _bump01_d1d2's F' composed: on and off the arc, two
     # ulps either side of its edges and of the underflow margin q = 1e-3, at
     # +-0 (a negative amplitude keeps -0.0 off the arc), and out to
     # |x| = ANGLE_BOUND
@@ -426,7 +425,7 @@ def test_bump_lift_float_branch_is_the_profile_kernel_bit_for_bit(f):
     slopes = [f.lift_derivative(x) for x in xs]
     assert all(type(v) is float for v in lifts + slopes)
     assert bits(lifts) == bits([x + a * _bump01(bump_u(f, x)) for x in xs])
-    assert bits(slopes) == bits([1.0 + k1 * _bump01_d1(bump_u(f, x)) for x in xs])
+    assert bits(slopes) == bits([1.0 + k1 * _bump01_d1d2(bump_u(f, x))[0] for x in xs])
     # a numpy float takes the float branch and keeps the bits
     assert bits([f.lift(np.float64(x)) for x in xs]) == bits(lifts)
     assert bits([f.lift_derivative(np.float64(x)) for x in xs]) == bits(slopes)
@@ -473,6 +472,52 @@ def test_lift_pair_of_drawn_maps_bit_for_bit(build):
     assert_lift_pair_is_lift_and_derivative(f, xs)
 
 
+class HarmonicLift(CircleDiffeo):
+    """The exact lift x + a sin 2x, defined by `lift` and `derivative_pair` alone."""
+
+    kind = "harmonic"
+
+    def __init__(self, amplitude=0.2):
+        self.amplitude = amplitude
+        self._check_invariants()
+
+    def lift(self, x):
+        return x + self.amplitude * np.sin(2.0 * x)
+
+    def derivative_pair(self, theta):
+        return 1.0 + 2.0 * self.amplitude * np.cos(2.0 * theta), -4.0 * self.amplitude * np.sin(2.0 * theta)
+
+
+def test_a_map_needs_only_lift_and_derivative_pair():
+    # the base class derives F' alone, the float pair, evaluation, the
+    # construction checks and the inverse from the two evaluators
+    f = HarmonicLift()
+    assert f.monotonicity_margin == pytest.approx(0.6, abs=1e-9)
+    with pytest.raises(MonotonicityViolation):
+        HarmonicLift(0.6)  # F' = 1 + 1.2 cos 2x reaches -0.2
+    xs = _probe_points(1000)
+    arr = np.array(xs)
+    assert bits(f.lift_derivative(arr)) == bits(f.derivative_pair(arr)[0])
+    assert bits([f.lift_derivative(x) for x in xs]) == bits([f.derivative_pair(x)[0] for x in xs])
+    assert_lift_pair_is_lift_and_derivative(f, xs)
+    lift = lambda x: x + 0.2 * math.sin(2.0 * x)
+    for y in RNG.uniform(-20.0, 20.0, 300).tolist():
+        assert f(y) == pytest.approx(normalize(lift(normalize(y))), abs=1e-14)
+        x = f.inverse(y)
+        assert 0.0 <= x < TWO_PI
+        assert circle_distance(x, invert_lift(lift, y)) < 1e-12
+
+
+def test_plateau_lift_derivative_pair_is_psi2_over_its_mean():
+    knots, _ = make_sinusoid_spline_data()
+    psi2 = periodic_spline(knots, 1.0 + 0.2 * np.cos(2.0 * knots))
+    p = _PlateauLift(psi2)
+    xs = _probe_points(1000)
+    assert bits([p.derivative_pair(x) for x in xs]) == bits([(psi2(x) / p.mean, psi2(x, 1) / p.mean) for x in xs])
+    arr = np.array(xs)
+    assert bits(p.lift_derivative(arr)) == bits(psi2(arr) / p.mean)
+
+
 @pytest.mark.parametrize(
     "f",
     [semicircle_bump(0.3), BumpDiffeo(-0.2, 0.5, 2.0), BumpDiffeo(0.4, 0.0, TWO_PI)],
@@ -508,14 +553,13 @@ def test_bump_kernels_vanish_off_the_open_unit_interval():
     # off (0, 1) q = u(1 - u) <= 0, so the q floor alone zeroes every kernel
     edges = [-math.inf, -1.0, -0.0, 0.0, 1.0, 2.0, math.inf]
     for u in edges:
-        for value in (_bump01(u), _bump01_d1(u), *_bump01_d1d2(u)):
+        for value in (_bump01(u), *_bump01_d1d2(u)):
             assert value == 0.0 and math.copysign(1.0, value) == 1.0, u
     grid = np.concatenate([edges, np.linspace(-0.5, 1.5, 4001)])
     with np.errstate(invalid="ignore"):  # inf - inf in the discarded F'' branch at u = +-inf
-        arrays = [_bump01_vec(grid), _bump01_d1_vec(grid), *_bump01_d1d2_vec(grid)]
+        arrays = [_bump01_vec(grid), *_bump01_d1d2_vec(grid)]
     scalars = [
         [_bump01(u) for u in grid],
-        [_bump01_d1(u) for u in grid],
         [_bump01_d1d2(u)[0] for u in grid],
         [_bump01_d1d2(u)[1] for u in grid],
     ]

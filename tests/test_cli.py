@@ -157,6 +157,16 @@ def test_trace_two_legs_exit_2(tmp_path, capsys):
     assert not (tmp_path / "o" / "trace.json").exists()
 
 
+def test_trace_three_legs_exit_2(tmp_path, capsys):
+    # three legs pass each center once: a start that does not close would
+    # read as injective without a witness
+    cfg = write(tmp_path, BUMP_FAST_CFG)
+    rc = main(["--config", cfg, "--out", str(tmp_path / "o"), "trace", "4.0", "--max-legs", "3"])
+    assert rc == 2
+    assert "max_legs must be an integer >= 4" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "trace.json").exists()
+
+
 def test_trace_numeric_cross_check(tmp_path, capsys):
     cfg = write(tmp_path, BUMP_FAST_CFG)
     rc = main(

@@ -18,6 +18,7 @@ from scipy.integrate import solve_ivp
 
 from sectionlab import (
     TWO_PI,
+    BumpDiffeo,
     GeodesicState,
     GluedMetric,
     IdentityDiffeo,
@@ -1230,7 +1231,7 @@ def test_verdict_none_start_non_injective_with_witness():
 
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
-@given(drawn_maps, st.floats(0.0, TWO_PI), st.integers(3, 102))
+@given(drawn_maps, st.floats(0.0, TWO_PI), st.integers(4, 102))
 def test_witness_is_the_earliest_pair(build, theta0, max_legs):
     # the witness is the pair of passages through one center, on lines at
     # least tol apart, with the smallest leg_b and then the smallest leg_a
@@ -1255,7 +1256,7 @@ def test_witness_pairs_the_earliest_partner():
         geodesics.TracePassage(2, leg, direction)
         for leg, direction in ((1, 1.0), (3, 1.0 + 5e-10), (5, 1.0 + 1e-8), (7, 1.0 + 2e-8))
     ]
-    trace = replace(trace_section(IdentityDiffeo(), 1.0, max_legs=3), center_passages=passages)
+    trace = replace(trace_section(IdentityDiffeo(), 1.0, max_legs=4), center_passages=passages)
     w = section_verdict(trace).witness
     assert (w.chart, w.leg_a, w.leg_b) == witness_oracle(passages, trace.tol) == (2, 1, 5)
 
@@ -1275,6 +1276,19 @@ def test_verdict_horizon_too_short():
     for f in (IdentityDiffeo(), semicircle_bump(0.3)):
         with pytest.raises(ValueError, match="max_legs"):
             trace_section(f, 0.0, max_legs=2)
+
+
+def test_four_legs_give_a_start_that_does_not_close_its_witness():
+    # three legs pass each center once, so a start that does not close had
+    # no pair of passages and read as injective: the tracer refuses them; a
+    # fourth leg passes the chart-2 center again
+    for f in (IdentityDiffeo(), semicircle_bump(0.3)):
+        with pytest.raises(ValueError, match="max_legs must be an integer >= 4"):
+            trace_section(f, 4.0, max_legs=3)
+    for f in (semicircle_bump(0.3), semicircle_bump(-0.3), BumpDiffeo(0.4, 0.0, TWO_PI)):
+        v = section_verdict(trace_section(f, 4.0, max_legs=4))
+        assert not v.closed and not v.injective
+        assert (v.witness.chart, v.witness.leg_a, v.witness.leg_b) == (2, 1, 3)
 
 
 def test_trace_rejects_tiny_leg_budget():
@@ -1381,7 +1395,7 @@ def _bit_repr(value):
 
 
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
-@given(drawn_maps, st.floats(-40.0, 40.0), st.integers(3, 60))
+@given(drawn_maps, st.floats(-40.0, 40.0), st.integers(4, 60))
 def test_trace_is_the_reference_walk_bit_for_bit(build, theta0, max_legs):
     # the tracer skips the re-normalization of f(x) and antipode on angles
     # that are already normalized; every angle it records keeps its bits

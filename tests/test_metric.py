@@ -117,6 +117,26 @@ def test_psi2_must_be_positive():
         GluedMetric(IdentityDiffeo(), psi2=-1.0)
 
 
+@pytest.mark.parametrize(
+    "psi2", [math.inf, -math.inf, math.nan, 0.0, -0.0, -2, np.float64(math.inf), np.int64(0)]
+)
+def test_constant_psi2_must_be_positive_and_finite(psi2):
+    # an infinite psi2 was accepted and gave the warp partials (inf, nan, 0.0)
+    with pytest.raises(ValueError, match="constant psi2 must be positive and finite"):
+        GluedMetric(semicircle_bump(0.3), psi2=psi2)
+
+
+@pytest.mark.parametrize("psi2", [2, np.int64(2), np.float32(2.0), np.float64(2.0)])
+def test_constant_psi2_is_any_real_number_stored_as_a_float(psi2):
+    # numpy scalars are constants too, not callables
+    m = GluedMetric(semicircle_bump(0.3), psi2=psi2)
+    assert type(m.psi2_const) is float and m.psi2_const == 2.0
+    want = GluedMetric(semicircle_bump(0.3), psi2=2.0)
+    for chart in (1, 2):
+        assert m.warp_with_partials(chart, 0.9, 1.0) == want.warp_with_partials(chart, 0.9, 1.0)
+        assert all(map(math.isfinite, m.warp_with_partials(chart, 0.9, 4.0)))
+
+
 def test_constant_psi2_matches_constant_table():
     # a constant psi2 skips the profile calls; a flat table runs the general path
     f = semicircle_bump(0.3)

@@ -55,8 +55,13 @@ Each config also gets one inverse run: the config's map inverts
 INVERSE_TARGETS = 4096 equispaced targets on [0, 2 pi) and, for a bump,
 each support endpoint and the two floats on either side of it, one float
 solve at a time and then all of them as one array, in one fresh
-interpreter.  It is `same` only when every result's repr (or its error) is
-the parent's byte for byte.
+interpreter.  The same run reads F' and F'' on those targets by every
+route: lift_derivative and derivative_pair on each float and on the array,
+and lift_pair on each float.  For a config with a psi2 table it does the
+same for the metric's plateau lift P (inverse, lift_derivative and
+lift_pair; its derivative_pair is left out, as trees whose P defines
+lift_derivative alone raise NotImplementedError there).  It is `same` only
+when every result's repr (or its error) is the parent's byte for byte.
 
 Last, it prints each tree's code lines per module of src/sectionlab and
 their total: the lines that hold a token other than a comment, docstrings
@@ -155,14 +160,17 @@ TRACE_SEEDED = 40
 TRACE_FIELDS = ("repr((trace, verdict))", "trace json")
 
 # argv: the number of equispaced targets, then the config path if any;
-# prints the repr of each float solve (or its error), then that of the
-# array solve of all the targets, as json
+# prints, per evaluator of the map (and of the metric's plateau lift when
+# psi2 is a table), the repr of its result (or its error) on each float
+# target and then on the array of all of them (lift_pair on floats only),
+# as json
 INVERSE_SCRIPT = """
 import json, math, sys
 import numpy as np
 from sectionlab.config import load_config
 
-f = load_config(sys.argv[2] if len(sys.argv) > 2 else None).build_diffeo()
+cfg = load_config(sys.argv[2] if len(sys.argv) > 2 else None)
+f = cfg.build_diffeo()
 n = int(sys.argv[1])
 targets = [2.0 * math.pi * i / n for i in range(n)]
 for edge in (getattr(f, "support_lo", None), getattr(f, "support_hi", None)):
@@ -173,14 +181,28 @@ for edge in (getattr(f, "support_lo", None), getattr(f, "support_hi", None)):
             above.append(math.nextafter(above[-1], math.inf))
         targets += below[::-1] + above[1:]
 
-def solve(y):
+def plain(x):
+    if isinstance(x, tuple):
+        return tuple(map(plain, x))
+    return x.tolist() if isinstance(x, np.ndarray) else x
+
+def run(call, y):
     try:
-        x = f.inverse(y)
-        return repr(x.tolist() if isinstance(x, np.ndarray) else x)
+        return repr(plain(call(y)))
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
 
-print(json.dumps([*map(solve, targets), solve(np.array(targets))]))
+evaluators = {"map": (f, ("inverse", "lift_derivative", "derivative_pair", "lift_pair"))}
+if cfg.psi2_thetas:
+    evaluators["plateau lift"] = (cfg.build_metric()._plateau_lift, ("inverse", "lift_derivative", "lift_pair"))
+runs = {}
+for name, (g, methods) in evaluators.items():
+    for method in methods:
+        call = getattr(g, method)
+        runs[f"{name} {method}"] = [run(call, y) for y in targets]
+        if method != "lift_pair":
+            runs[f"{name} {method}"].append(run(call, np.array(targets)))
+print(json.dumps(runs))
 """
 INVERSE_TARGETS = 4096
 
@@ -404,16 +426,21 @@ def _report_trace(name: str, parent: list | str, change: list | str) -> int:
     return 1 if diffs else 0
 
 
-def _report_inverse(name: str, parent: list | str, change: list | str) -> int:
+def _report_inverse(name: str, parent: dict | str, change: dict | str) -> int:
     """Print one config's inverse run; 1 if it differs, else 0."""
     errors = [f"\n      {side}: {r}" for side, r in (("parent", parent), ("change", change)) if isinstance(r, str)]
     if errors:
         print(f"DIFF  {name}: inverse run" + "".join(errors))
         return 1
-    n = sum(a != b for a, b in zip(parent, change)) + abs(len(parent) - len(change))
-    detail = f"\n      {n} of {len(parent)} results differ" if n else ""
-    print(f"{'DIFF' if n else 'same'}  {name}: inverse run of {len(change) - 1} targets and their array" + detail)
-    return 1 if n else 0
+    diffs = []
+    for key in sorted(parent.keys() | change.keys()):
+        a, b = parent.get(key, []), change.get(key, [])
+        n = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+        if n:
+            diffs.append(f"{key}: {n} of {max(len(a), len(b))} results differ")
+    label = f"{'DIFF' if diffs else 'same'}  {name}: inverse run of {len(change['map lift_pair'])} targets"
+    print(label + f" ({', '.join(change)})" + "".join(f"\n      {d}" for d in diffs))
+    return 1 if diffs else 0
 
 
 def _code_lines(path: Path) -> int:
