@@ -76,18 +76,18 @@ def line_distance(a, b):
     return min(d, math.pi - d)
 
 
-def antipode(theta):
+def antipode(theta: float) -> float:
     """The point diametrically opposite theta, i.e. normalize(theta + pi).
 
     Computed as n - pi on [pi, 2*pi) and n + pi on [0, pi); the subtraction
     branch is exact in floating point, so the involution round-trips exactly
     from the upper semicircle and within one rounding elsewhere.  One output
     lies outside [0, 2*pi): for the float just below pi, n + pi rounds up to
-    exactly 2*pi, where normalize(theta + pi) gives 0.0.
+    exactly 2*pi, where normalize(theta + pi) gives 0.0.  One float only:
+    T and the integrator's chord through the center hand it one angle at a
+    time.
     """
     n = normalize(theta)
-    if isinstance(n, np.ndarray):
-        return np.where(n >= math.pi, n - math.pi, n + math.pi)
     return n - math.pi if n >= math.pi else n + math.pi
 
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from numbers import Integral
 
 from .circle import CircleDiffeo, antipode, circle_distance
 from .table import csv_text
@@ -97,21 +96,29 @@ def period_of(T, theta: float, k_max: int = DEFAULT_K_MAX, tol: float = DEFAULT_
     return Period.not_found(k_max)
 
 
+def _check_count(name: str, value: int, least: int) -> None:
+    """Refuse a budget that is not an integer (an int or a numpy integer,
+    never a bool) of at least `least`, naming it."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _check_horizon(k_max: int, tol: float) -> None:
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_count("k_max", k_max, 1)
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
 def has_period_one(f: CircleDiffeo, theta: float, tol: float = DEFAULT_TOL) -> bool:
     """Whether f carries the line through theta to a line, within tol.
 
     Equivalent to the point having period 1: the antipode of the image agrees
-    with the image of the antipode.
+    with the image of the antipode.  tol must be positive and finite and
+    theta finite; otherwise ValueError.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    _check_horizon(1, tol)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be a finite angle, got {theta!r}")
     return circle_distance(f(antipode(theta)), antipode(f(theta))) < tol
 
 
@@ -178,11 +185,6 @@ class PeriodReport:
         return "\n".join(lines)
 
 
-def _displacement(T, thetas):
-    """circle_distance(T(theta), theta) for an array of angles, one T call."""
-    return circle_distance(T(thetas), thetas)
-
-
 def classify_scan(
     T: TransitionMap,
     n_samples: int = 360,
@@ -198,50 +200,52 @@ def classify_scan(
     that does not close is flagged fragile when it lies within a factor of
     ten of tol, i.e. its class could flip under a small retuning of tol.
     The lemma holds for transition maps only, so any other T raises
-    TypeError; all samples go through one array call of T.
+    TypeError; n_samples and k_max must be integers >= 1 and tol positive
+    and finite, or ValueError is raised.  T is called on one Python float
+    per sample, as `period_of` and `trace_section` call it, so a sample's
+    label has the bits of theirs.
 
     Boundary brackets between adjacent samples of different classes are
-    located by bisection, one array T call per round on all brackets, as a
-    best-effort diagnostic only.
+    located by bisection, one float T call per step, as a best-effort
+    diagnostic only.
     """
     if not isinstance(T, TransitionMap):
         raise TypeError(f"classify_scan needs a TransitionMap, got {type(T).__name__}")
     _check_horizon(k_max, tol)
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    step = 2.0 * math.pi / n_samples
-    thetas = np.arange(n_samples) * step
-    d = _displacement(T, thetas)
-    closes = d < tol
-    fragile = ~closes & (d < FRAGILE_FACTOR * tol)
+    _check_count("n_samples", n_samples, 1)
+    step = 2.0 * math.pi / int(n_samples)  # Python floats, for a numpy integer too
     periods = (Period.not_found(k_max), Period.finite(1))
-    samples = [
-        SampleResult(theta, periods[c], flag)
-        for theta, c, flag in zip(thetas.tolist(), closes.tolist(), fragile.tolist())
-    ]
+    samples = []
+    for i in range(n_samples):
+        theta = i * step
+        d = circle_distance(T(theta), theta)
+        samples.append(SampleResult(theta, periods[d < tol], tol <= d < FRAGILE_FACTOR * tol))
     labels = [str(p) for p in periods]
     boundaries = [
         ClassBoundary(lo, hi, labels[c], labels[not c])
-        for lo, hi, c in _locate_boundaries(T, thetas, closes, step, tol)
+        for lo, hi, c in _locate_boundaries(T, samples, step, tol)
     ]
     return PeriodReport(samples, n_samples, k_max, tol, boundaries)
 
 
-def _locate_boundaries(T, thetas, closes, step, tol):
+def _locate_boundaries(T, samples, step, tol):
     """Brackets (lo, hi, closes at lo) around every change of class.
 
-    A bracket starts at each sample whose `closes` differs from the next
+    A bracket starts at each sample whose class differs from the next
     sample's, the last sample's next being the first, and is bisected
-    _BISECT_ROUNDS times, all brackets in one array T call per round.
+    _BISECT_ROUNDS times, one float T call per step.
     """
-    i = np.flatnonzero(closes != np.roll(closes, -1))
-    if i.size == 0:
-        return []
-    lo, closes_lo = thetas[i], closes[i]
-    hi = lo + step
-    for _ in range(_BISECT_ROUNDS):
-        mid = 0.5 * (lo + hi)
-        same = (_displacement(T, mid) < tol) == closes_lo
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-    return list(zip(lo.tolist(), hi.tolist(), closes_lo.tolist()))
+    closes = [s.period.is_finite for s in samples]
+    brackets = []
+    for s, c, c_next in zip(samples, closes, closes[1:] + closes[:1]):
+        if c == c_next:
+            continue
+        lo, hi = s.theta, s.theta + step
+        for _ in range(_BISECT_ROUNDS):
+            mid = 0.5 * (lo + hi)
+            if (circle_distance(T(mid), mid) < tol) == c:
+                lo = mid
+            else:
+                hi = mid
+        brackets.append((lo, hi, c))
+    return brackets

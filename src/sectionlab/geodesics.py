@@ -53,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circle import TWO_PI, CircleDiffeo, antipode, circle_distance, line_distance, normalize
-from .dynamics import DEFAULT_K_MAX, DEFAULT_TOL, Period, _check_horizon
+from .dynamics import DEFAULT_K_MAX, DEFAULT_TOL, Period, _check_count, _check_horizon
 from .metric import GluedMetric, check_chart
 from .table import csv_text
 
@@ -256,24 +256,22 @@ DS_MIN = DEFAULT_DS * (2.0**-52 / ANNULUS_TOL) ** 0.25
 
 
 def _dop853(warp, chart, t, th, vt, vth, h):
-    """One DOP853 step of `_rhs` on the scalar or the array warp kernel.
+    """One DOP853 step of `_rhs` on the scalar warp kernel, for Python floats.
 
     Twelve stages, none shared with the next step: the error estimate needs
     only k1 ... k12.  Returns the eighth-order state (t, theta, vt, vtheta)
     after h and the combined error estimate of DOP853,
     |e5|^2 / sqrt(4 (|e5|^2 + 0.01 |e3|^2)) with e5 and e3 the fifth- and
     third-order error vectors over the four components; it scales as h^8.
-    Arrays of states go to `_dop853_array`.  On Python floats the step is
-    straight-line code, as in dop853.f: one expression per stage component
-    over the named coefficients, its zero entries left out, so floats stay
-    Python floats and no numpy call is made; e3 is the eighth-order
-    increment minus the bhh terms.  ktI, kthI, kvtI and kvthI are the
-    components of k_I, the right-hand side at stage I.  The squares are
-    products, as a float ** 2 that overflows raises OverflowError where a
-    product turns into inf, which the drivers name (`_bad_step`).
+    The step is straight-line code, as in dop853.f: one expression per
+    stage component over the named coefficients, its zero entries left
+    out, so floats stay Python floats and no numpy call is made; e3 is the
+    eighth-order increment minus the bhh terms.  ktI, kthI, kvtI and kvthI
+    are the components of k_I, the right-hand side at stage I.  The squares
+    are products, as a float ** 2 that overflows raises OverflowError where
+    a product turns into inf, which `integrate` and `integrate_ensemble`
+    name (`_bad_step`).
     """
-    if isinstance(t, np.ndarray):
-        return _dop853_array(warp, chart, t, th, vt, vth, h)
     kt1, kth1, kvt1, kvth1 = _rhs(warp, chart, t, th, vt, vth)
     kt2, kth2, kvt2, kvth2 = _rhs(
         warp,
@@ -431,9 +429,10 @@ def _dop853(warp, chart, t, th, vt, vth, h):
 # as in Python float arithmetic, and the drivers name the step (`_bad_step`)
 @np.errstate(over="ignore", invalid="ignore")
 def _dop853_array(warp, chart, t, th, vt, vth, h):
-    """`_dop853` on arrays of n states.  The stages are stacked, (12, 4, n),
-    and each stage sum is one contraction over them (np.dot on the (12, 4n)
-    view, as tensordot costs 5x its time)."""
+    """`_dop853` on arrays of n states, for the ensemble's lockstep rounds.
+    The stages are stacked, (12, 4, n), and each stage sum is one
+    contraction over them (np.dot on the (12, 4n) view, as tensordot costs
+    5x its time)."""
     ks = np.empty((12, 4, t.size))
     flat = ks.reshape(12, -1)
     y = np.array((t, th, vt, vth))
@@ -865,10 +864,10 @@ def integrate_ensemble(
     One `_walk` per member, so each has `integrate`'s start rule, move rule,
     DOP853 step and PI controller, with its own step size and controller
     state.  In each round every walk that waits for a trial step gets its
-    result, all of them from one `_dop853` call on the array warp kernel;
-    a walk takes its exact moves between its trials, so a transit costs it
-    no round, and a rejected trial is retried with the smaller step in the
-    next round.  Members desynchronize in s.  Once at most LOCKSTEP_MIN
+    result, all of them from one `_dop853_array` call on the array warp
+    kernel; a walk takes its exact moves between its trials, so a transit
+    costs it no round, and a rejected trial is retried with the smaller
+    step in the next round.  Members desynchronize in s.  Once at most LOCKSTEP_MIN
     walks wait, their trials take the scalar kernel, so an ensemble of at
     most LOCKSTEP_MIN members gives each member the result of `integrate`
     bit for bit.  Members that are radial after the start rule raise
@@ -900,7 +899,7 @@ def integrate_ensemble(
         if len(trials) > LOCKSTEP_MIN:
             n = len(trials)
             chart, *rest = np.fromiter(itertools.chain.from_iterable(trials.values()), float, 6 * n).reshape(n, 6).T
-            replies = zip(*(x.tolist() for x in _dop853(metric.warp_with_partials_vec, chart, *rest)))
+            replies = zip(*(x.tolist() for x in _dop853_array(metric.warp_with_partials_vec, chart, *rest)))
         else:
             replies = (_dop853(metric.warp_with_partials, *trial) for trial in trials.values())
         trials = answer(zip(trials, replies))
@@ -989,8 +988,8 @@ def trace_section(
     so a start that does not close would have no pair of passages to
     witness that it is not injective.  k_max only labels the horizon of a
     non-closing verdict.  max_legs must be an integer >= 4, and k_max and
-    tol pass `period_of`'s check (k_max >= 1, tol > 0, so a NaN tol is
-    refused); otherwise ValueError.
+    tol pass `period_of`'s check (an integer k_max >= 1, a positive finite
+    tol); otherwise ValueError.
 
     Every angle of the walk is already normalized, so a leg takes
     normalize(f.lift(x)) for f(x) and writes `normalize`, `antipode` and
@@ -1000,11 +999,10 @@ def trace_section(
     returns for the float just below pi, and f reads it as 0.  The walk
     collects each record's fields as a plain tuple and types them all in
     one map of tuple.__new__ at the end, without a Python frame per record:
-    the same types, fields and reprs as the constructors'.  max_legs is
-    stored as a Python int.
+    the same types, fields and reprs as the constructors'.  max_legs and
+    k_max are stored as Python ints.
     """
-    if not (isinstance(max_legs, (int, np.integer)) and max_legs >= 4):
-        raise ValueError(f"max_legs must be an integer >= 4 to trace a return and a witness, got {max_legs!r}")
+    _check_count("max_legs", max_legs, 4)
     _check_horizon(k_max, tol)
     if not abs(theta0) < ANGLE_BOUND:
         raise ValueError(f"theta0 must satisfy |theta0| < {ANGLE_BOUND:.0f}, got {theta0!r}")
@@ -1044,7 +1042,7 @@ def trace_section(
         center_passages=list(map(tuple.__new__, itertools.repeat(TracePassage), passages)),
         orbit=orbit,
         max_legs=int(max_legs),
-        k_max=k_max,
+        k_max=int(k_max),
         tol=tol,
     )
 

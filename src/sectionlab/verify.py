@@ -24,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circle import TWO_PI, ConvergenceFailure
+from .dynamics import _check_count
 from .geodesics import (
     DEFAULT_DS,
     DEFAULT_S_MAX,
@@ -167,8 +168,7 @@ def all_or_none_check(
     crossing onto chart 1 (by about 2e-2 at psi1_scale = 1.01), so such a
     metric fails this check as well as gluing_compatibility.
     """
-    if n_geodesics < 1:
-        raise ValueError(f"n_geodesics must be at least 1, got {n_geodesics!r}")
+    _check_count("n_geodesics", n_geodesics, 1)
     rng = np.random.default_rng(seed)
     states = _sample_nonradial_states(metric, n_geodesics, rng)
     params = {"n_geodesics": n_geodesics, "s_max": s_max, "ds": ds, "seed": seed}
@@ -232,6 +232,8 @@ def _as_fraction(x) -> Fraction:
         if x[1] == 0:
             raise NonPositiveRadius(f"radius {x[0]}/{x[1]} has a zero denominator")
         return Fraction(x[0], x[1])
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"radii must be finite, got {x!r}")
     return Fraction(x)
 
 
@@ -245,6 +247,8 @@ def rational_closure(r, s, irrational_ratio: bool = False) -> Fraction | None:
     the irrational-ratio flag there is no common multiple at all.
 
     Returns L / (2*pi) as an exact Fraction, or None for `never closes`.
+    A radius that is an infinite or NaN float raises ValueError, as does
+    one that is not positive (NonPositiveRadius).
     """
     if irrational_ratio:
         return None

@@ -81,11 +81,10 @@ def test_circle_distance_range_and_symmetry():
 
 
 def test_antipode_involution():
-    xs = RNG.uniform(0.0, TWO_PI, 10_000)
+    xs = RNG.uniform(0.0, TWO_PI, 10_000).tolist()
     # exact from the upper semicircle (subtraction branch), one ulp elsewhere
-    upper = xs[xs >= math.pi]
-    assert np.array_equal(antipode(antipode(upper)), upper)
-    assert float(np.max(circle_distance(antipode(antipode(xs)), xs))) < 5e-16
+    assert all(antipode(antipode(x)) == x for x in xs if x >= math.pi)
+    assert max(circle_distance(antipode(antipode(x)), x) for x in xs) < 5e-16
     assert antipode(0.0) == math.pi
     assert antipode(math.pi) == 0.0
     assert math.isclose(antipode(math.pi / 3), 4 * math.pi / 3, rel_tol=0, abs_tol=1e-15)
@@ -96,7 +95,8 @@ def test_antipode_of_the_float_below_pi_is_two_pi():
     # rounds up to exactly 2 pi, where normalize(n + pi) is 0.0
     n = math.nextafter(math.pi, 0.0)
     assert antipode(n) == TWO_PI and normalize(n + math.pi) == 0.0
-    assert antipode(np.array([n]))[0] == TWO_PI
+    # a numpy float is a float: the same branch, the same bits
+    assert antipode(np.float64(n)) == TWO_PI
     below = [math.nextafter(n, 0.0), *RNG.uniform(0.0, n, 1000).tolist(), 0.0]
     assert all(0.0 <= antipode(x) < TWO_PI for x in below)
 
@@ -207,6 +207,11 @@ def test_inverse_on_steep_maps(amplitude):
 _TARGETS = np.linspace(0.0, TWO_PI, 256, endpoint=False)
 
 
+def _scan_targets(f, n=360):
+    """The targets of f^{-1} in an n-sample scan: antipode(f(theta)) per sample."""
+    return [antipode(f(i * (TWO_PI / n))) for i in range(n)]
+
+
 @settings(derandomize=True, deadline=None, max_examples=100, database=None)
 @given(drawn_maps)
 def test_inverse_property_drawn_maps(build):
@@ -215,8 +220,8 @@ def test_inverse_property_drawn_maps(build):
     except ValueError:  # MonotonicityViolation included
         return
     assert_inverse_paths_agree(f, _TARGETS)
-    # the targets of f^{-1} in one array T call of a 360-sample scan, as a 2-d array
-    assert_inverse_paths_agree(f, antipode(f(np.arange(360) * (TWO_PI / 360))).reshape(20, 18))
+    # the targets of f^{-1} in a 360-sample scan, as a 2-d array
+    assert_inverse_paths_agree(f, np.array(_scan_targets(f)).reshape(20, 18))
 
 
 class CountingBump(BumpDiffeo):
@@ -237,12 +242,11 @@ class CountingBump(BumpDiffeo):
 def test_inverse_lift_budget(amplitude):
     # bisecting the 4*pi bracket to 1e-10 alone would take 37 lift calls
     f = CountingBump(amplitude)
-    # the targets of f^{-1} in one array T call of a 360-sample scan
-    targets = antipode(f(np.arange(360) * (TWO_PI / 360)))
+    targets = _scan_targets(f)
     f.lift_calls = 0
     for y in targets:
-        f.inverse(float(y))
-    assert f.lift_calls / targets.size <= 8.0
+        f.inverse(y)
+    assert f.lift_calls / len(targets) <= 8.0
 
 
 def test_inverse_exits_at_an_exact_root():
@@ -506,6 +510,18 @@ def test_a_map_needs_only_lift_and_derivative_pair():
         x = f.inverse(y)
         assert 0.0 <= x < TWO_PI
         assert circle_distance(x, invert_lift(lift, y)) < 1e-12
+
+
+def test_a_lift_of_another_degree_is_refused():
+    # the negative control of the degree-one check: 1.01 x is increasing,
+    # so only equivariance F(x + 2 pi) = F(x) + 2 pi can refuse it
+    class Stretched(IdentityDiffeo):
+        def lift(self, x):
+            return 1.01 * x
+
+    with pytest.raises(ValueError, match="not degree one"):
+        Stretched()._check_invariants()
+    IdentityDiffeo()._check_invariants()
 
 
 def test_plateau_lift_derivative_pair_is_psi2_over_its_mean():

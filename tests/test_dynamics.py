@@ -18,7 +18,9 @@ from sectionlab import (
     has_period_one,
     normalize,
     period_of,
+    section_verdict,
     semicircle_bump,
+    trace_section,
 )
 
 from oracles import (
@@ -288,28 +290,28 @@ def test_scan_summary_text():
 
 
 class CountingTransition(TransitionMap):
-    """Transition map that records the size of every call."""
+    """Transition map that records the type of every argument."""
 
     def __init__(self, f):
         super().__init__(f)
-        self.sizes = []
+        self.types = []
 
     def __call__(self, theta):
-        self.sizes.append(np.size(theta))
+        self.types.append(type(theta))
         return super().__call__(theta)
 
 
 def test_scan_one_call_per_step_and_bracket_round():
-    # one array call classifies all samples; each of the 12 bisection rounds
-    # makes one more on the midpoints of the 4 class changes
+    # one float call per sample, then one per bisection step: 12 steps for
+    # each of the 4 class changes
     T = CountingTransition(canonical_bump())
     report = classify_scan(T)
     assert len(report.boundaries) == 4
-    assert T.sizes == [360] + [4] * 12
-    # without a class change no bisection round runs
+    assert T.types == [float] * (360 + 12 * 4)
+    # without a class change no bisection step runs
     T = CountingTransition(RotationDiffeo(1.0))
     assert classify_scan(T).boundaries == []
-    assert T.sizes == [360]
+    assert T.types == [float] * 360
 
 
 def test_scan_requires_transition_map():
@@ -324,6 +326,87 @@ def test_scan_validates_horizon():
         classify_scan(T, k_max=0)
     with pytest.raises(ValueError):
         classify_scan(T, tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"n_samples": 2.5},
+        {"n_samples": True},
+        {"n_samples": 0},
+        {"k_max": 2.5},
+        {"k_max": False},
+        {"k_max": np.int64(0)},
+    ],
+    ids=["n_samples=2.5", "n_samples=True", "n_samples=0", "k_max=2.5", "k_max=False", "k_max=int64(0)"],
+)
+def test_scan_budgets_must_be_integers(kwargs):
+    # 2.5 samples would be 3 spaced 2 pi / 2.5 apart, True one sample, and
+    # k_max = 2.5 a report that reads none(<=2); each is refused by name
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        classify_scan(TransitionMap(canonical_bump()), **kwargs)
+
+
+def test_scan_takes_numpy_integer_budgets():
+    T = TransitionMap(canonical_bump())
+    report = classify_scan(T, n_samples=np.int64(36), k_max=np.int32(8))
+    expect = classify_scan(T, n_samples=36, k_max=8)
+    assert report.summary_text() == expect.summary_text()
+    assert report.to_csv_text() == expect.to_csv_text()
+
+
+def test_period_of_budget_must_be_an_integer():
+    T = TransitionMap(canonical_bump())
+    for k_max in (2.5, True, 0):
+        with pytest.raises(ValueError, match="k_max must be an integer >= 1"):
+            period_of(T, 1.0, k_max=k_max)
+    assert period_of(T, 0.0, k_max=np.int64(2)) == Period.finite(1)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
+def test_tol_must_be_positive_and_finite(tol):
+    # an infinite tol would close every sample: 360 of 360 would read period 1
+    f = canonical_bump()
+    T = TransitionMap(f)
+    for call in (
+        lambda: classify_scan(T, tol=tol),
+        lambda: period_of(T, 1.0, tol=tol),
+        lambda: has_period_one(f, 1.0, tol=tol),
+    ):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            call()
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_has_period_one_needs_a_finite_angle(theta):
+    # a NaN angle used to read as False: not of period 1
+    with pytest.raises(ValueError, match="theta must be a finite angle"):
+        has_period_one(canonical_bump(), theta)
+
+
+def assert_scan_is_the_tracer(f, n_samples):
+    """Each sample's label is the closure verdict of its exact section, and
+    T(theta) is the section's first return, bit for bit."""
+    T = TransitionMap(f)
+    for sample in classify_scan(T, n_samples=n_samples).samples:
+        trace = trace_section(f, sample.theta, max_legs=4)
+        assert sample.period.is_finite == section_verdict(trace).closed, f"sample at {sample.theta!r}"
+        assert T(sample.theta) == trace.orbit[1], f"sample at {sample.theta!r}"
+
+
+def test_scan_labels_are_the_tracer_verdicts():
+    assert_scan_is_the_tracer(canonical_bump(), 360)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(drawn_maps)
+def test_scan_labels_are_the_tracer_verdicts_on_drawn_maps(build):
+    try:
+        f = build()
+    except ValueError:  # MonotonicityViolation included
+        return
+    assert_scan_is_the_tracer(f, 72)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40, database=None)

@@ -52,6 +52,7 @@ from sectionlab.geodesics import (
     TANGENT,
     _bad_step,
     _dop853,
+    _dop853_array,
     _exact_move,
     _gauss_legendre,
     _transit,
@@ -206,7 +207,7 @@ def test_float_step_agrees_with_the_array_step(make_metric):
     ]
     steps = rng.uniform(1e-3, h_max / 2.0, n)
     columns = np.array([(st.t, st.theta, st.vt, st.vtheta) for st in states]).T
-    *arrays, estimates = _dop853(m.warp_with_partials_vec, charts, *columns, steps)
+    *arrays, estimates = _dop853_array(m.warp_with_partials_vec, charts, *columns, steps)
     for i, (st, h) in enumerate(zip(states, steps.tolist())):
         *state, estimate = _dop853(m.warp_with_partials, st.chart, st.t, st.theta, st.vt, st.vtheta, h)
         reference = [x[i] for x in arrays]
@@ -227,7 +228,7 @@ def test_adaptive_annulus_steps_are_few():
 
 
 def test_ensemble_takes_few_lockstep_rounds():
-    # every lockstep round makes one _dop853 call on arrays; the 100 seed-0
+    # every lockstep round makes one _dop853_array call; the 100 seed-0
     # verify states took 1444 DOP853 rounds, 834 with exact chart-2
     # transits, 506 with PI control, ANNULUS_TOL = 1.5e-12, chart-1 transits
     # and the scalar finish of the last LOCKSTEP_MIN members, 463 once each
@@ -237,12 +238,12 @@ def test_ensemble_takes_few_lockstep_rounds():
     inits = _sample_nonradial_states(m, 100, np.random.default_rng(0))
     rounds = 0
 
-    def counted(warp, chart, *args):
+    def counted(*args):
         nonlocal rounds
-        rounds += isinstance(chart, np.ndarray)
-        return _dop853(warp, chart, *args)
+        rounds += 1
+        return _dop853_array(*args)
 
-    with mock.patch.object(geodesics, "_dop853", counted):
+    with mock.patch.object(geodesics, "_dop853_array", counted):
         res = integrate_ensemble(m, inits, ds=1e-3, s_max=20.0)
     assert res.sign_flips.sum() == 0
     assert rounds < 400
@@ -1289,6 +1290,33 @@ def test_four_legs_give_a_start_that_does_not_close_its_witness():
         v = section_verdict(trace_section(f, 4.0, max_legs=4))
         assert not v.closed and not v.injective
         assert (v.witness.chart, v.witness.leg_a, v.witness.leg_b) == (2, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"max_legs": 4.0}, "max_legs must be an integer >= 4"),
+        ({"max_legs": True}, "max_legs must be an integer >= 4"),
+        ({"k_max": 2.5}, "k_max must be an integer >= 1"),
+        ({"k_max": True}, "k_max must be an integer >= 1"),
+        ({"tol": math.inf}, "tol must be positive and finite"),
+        ({"tol": math.nan}, "tol must be positive and finite"),
+    ],
+    ids=["max_legs=4.0", "max_legs=True", "k_max=2.5", "k_max=True", "tol=inf", "tol=nan"],
+)
+def test_trace_budgets_and_tol_are_checked(kwargs, message):
+    # k_max = 2.5 stored 2.5 next to a none(<=2) verdict, and tol = inf
+    # closed a section whose first return moves 1.0 to 0.8836
+    with pytest.raises(ValueError, match=message):
+        trace_section(semicircle_bump(0.3), 1.0, **kwargs)
+
+
+def test_trace_stores_numpy_integer_budgets_as_ints():
+    f = semicircle_bump(0.3)
+    trace = trace_section(f, 1.0, max_legs=np.int64(6), k_max=np.int32(8))
+    assert type(trace.max_legs) is int and type(trace.k_max) is int
+    plain = trace_section(f, 1.0, max_legs=6, k_max=8)
+    assert json.dumps(trace.to_json_dict()) == json.dumps(plain.to_json_dict())
 
 
 def test_trace_rejects_tiny_leg_budget():

@@ -122,6 +122,13 @@ def test_all_or_none_rejects_bad_parameters():
         all_or_none_check(default_metric(), n_geodesics=2, ds=0.0)
 
 
+@pytest.mark.parametrize("n", [2.5, True, np.int64(0)], ids=["2.5", "True", "int64(0)"])
+def test_all_or_none_budget_must_be_an_integer(n):
+    # 2.5 integrated 3 geodesics and recorded 2.5
+    with pytest.raises(ValueError, match="n_geodesics must be an integer >= 1"):
+        all_or_none_check(default_metric(), n_geodesics=n)
+
+
 def test_all_or_none_reports_an_aborted_run():
     # psi1 near the float limit overflows the plateau warp (see
     # test_non_finite_step_raises): a solver failure is a FAIL row, not a crash
@@ -209,6 +216,16 @@ def test_rational_closure_divides_products():
 
 def test_rational_closure_irrational_flag():
     assert rational_closure(1, 1, irrational_ratio=True) is None
+
+
+@pytest.mark.parametrize(
+    "bad", [math.inf, -math.inf, math.nan, np.float64(math.inf)], ids=["inf", "-inf", "nan", "float64(inf)"]
+)
+def test_rational_closure_rejects_non_finite_radii(bad):
+    # an infinite radius raised OverflowError from Fraction
+    for r, s in ((bad, 1), (1, bad)):
+        with pytest.raises(ValueError, match="radii must be finite"):
+            rational_closure(r, s)
 
 
 def test_rational_closure_rejects_nonpositive():

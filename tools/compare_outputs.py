@@ -58,10 +58,18 @@ solve at a time and then all of them as one array, in one fresh
 interpreter.  The same run reads F' and F'' on those targets by every
 route: lift_derivative and derivative_pair on each float and on the array,
 and lift_pair on each float.  For a config with a psi2 table it does the
-same for the metric's plateau lift P (inverse, lift_derivative and
-lift_pair; its derivative_pair is left out, as trees whose P defines
-lift_derivative alone raise NotImplementedError there).  It is `same` only
-when every result's repr (or its error) is the parent's byte for byte.
+same for the metric's plateau lift P.  It is `same` only when every
+result's repr (or its error) is the parent's byte for byte.
+
+The CLI matrix scans fixed maps only, so one more run per tree scans drawn
+ones: `classify_scan` at its defaults on SCAN_BUMPS = 20 bumps (amplitude
+in [0.15, 0.6], support a half circle at a position in [0, pi)) and
+SCAN_SPLINES = 5 splines through 24 equispaced knots (the deviation
+a1 sin(x + p1) + a2 sin(2x + p2) + a3 sin(3x + p3), a1 in [0.1, 0.25], a2
+in [0, 0.1], a3 in [0, 0.05]), all drawn from np.random.default_rng(0), as
+the benchmark's scan workload draws its maps.  It is `same` only when every
+map's to_csv_text() and summary_text() are the parent's byte for byte
+(compared by their sha256).
 
 Last, it prints each tree's code lines per module of src/sectionlab and
 their total: the lines that hold a token other than a comment, docstrings
@@ -159,6 +167,33 @@ print(json.dumps(runs))
 TRACE_SEEDED = 40
 TRACE_FIELDS = ("repr((trace, verdict))", "trace json")
 
+# argv: the numbers of drawn bumps and drawn splines; prints, per drawn map,
+# the sha256 of its scan's csv text and of its summary, as json
+SCAN_SCRIPT = """
+import hashlib, json, math, sys
+import numpy as np
+from sectionlab import BumpDiffeo, SplineDiffeo, TransitionMap, classify_scan
+
+rng = np.random.default_rng(0)
+maps = []
+for _ in range(int(sys.argv[1])):
+    amplitude, lo = rng.uniform((0.15, 0.0), (0.6, math.pi)).tolist()
+    maps.append(BumpDiffeo(amplitude, lo, lo + math.pi))
+knots = np.arange(24) * (2.0 * math.pi / 24)
+for _ in range(int(sys.argv[2])):
+    a = rng.uniform((0.1, 0.0, 0.0), (0.25, 0.1, 0.05))
+    p = rng.uniform(0.0, 2.0 * math.pi, 3)
+    maps.append(SplineDiffeo(knots, knots + sum(a[m] * np.sin((m + 1) * knots + p[m]) for m in range(3))))
+runs = []
+for f in maps:
+    report = classify_scan(TransitionMap(f))
+    runs.append([hashlib.sha256(text.encode()).hexdigest() for text in (report.to_csv_text(), report.summary_text())])
+print(json.dumps(runs))
+"""
+SCAN_BUMPS = 20
+SCAN_SPLINES = 5
+SCAN_FIELDS = ("to_csv_text()", "summary_text()")
+
 # argv: the number of equispaced targets, then the config path if any;
 # prints, per evaluator of the map (and of the metric's plateau lift when
 # psi2 is a table), the repr of its result (or its error) on each float
@@ -192,9 +227,10 @@ def run(call, y):
     except Exception as exc:
         return f"{type(exc).__name__}: {exc}"
 
-evaluators = {"map": (f, ("inverse", "lift_derivative", "derivative_pair", "lift_pair"))}
+methods = ("inverse", "lift_derivative", "derivative_pair", "lift_pair")
+evaluators = {"map": (f, methods)}
 if cfg.psi2_thetas:
-    evaluators["plateau lift"] = (cfg.build_metric()._plateau_lift, ("inverse", "lift_derivative", "lift_pair"))
+    evaluators["plateau lift"] = (cfg.build_metric()._plateau_lift, methods)
 runs = {}
 for name, (g, methods) in evaluators.items():
     for method in methods:
@@ -335,6 +371,11 @@ def _trace_run(src: Path, config: Path | None, cwd: Path) -> list | str:
     return _library_runs(src, config, cwd, TRACE_SCRIPT, str(TRACE_SEEDED))
 
 
+def _scan_run(src: Path, cwd: Path) -> list | str:
+    """The digests of the drawn-map scan run, or the last line of its error."""
+    return _library_runs(src, None, cwd, SCAN_SCRIPT, str(SCAN_BUMPS), str(SCAN_SPLINES))
+
+
 def _inverse_run(src: Path, config: Path | None, cwd: Path) -> list | str:
     """The reprs of the inverse run, or the last line of its error."""
     return _library_runs(src, config, cwd, INVERSE_SCRIPT, str(INVERSE_TARGETS))
@@ -411,18 +452,17 @@ def _report_ensemble(name: str, parent: list | str, change: list | str) -> int:
     return 1 if diffs else 0
 
 
-def _report_trace(name: str, parent: list | str, change: list | str) -> int:
-    """Print one config's tracer run; 1 if it differs, else 0."""
+def _report_digests(label: str, fields: tuple, items: str, parent: list | str, change: list | str) -> int:
+    """Print one run of per-item digests (a tracer or a scan run); 1 if it differs, else 0."""
     errors = [f"\n      {side}: {r}" for side, r in (("parent", parent), ("change", change)) if isinstance(r, str)]
     if errors:
-        print(f"DIFF  {name}: tracer run" + "".join(errors))
+        print(f"DIFF  {label}" + "".join(errors))
         return 1
-    counts = [sum(a[i] != b[i] for a, b in zip(parent, change)) for i in range(len(TRACE_FIELDS))]
-    diffs = [f"{field}: {n} of {len(parent)} sections differ" for field, n in zip(TRACE_FIELDS, counts) if n]
+    counts = [sum(a[i] != b[i] for a, b in zip(parent, change)) for i in range(len(fields))]
+    diffs = [f"{field}: {n} of {len(parent)} {items} differ" for field, n in zip(fields, counts) if n]
     if len(parent) != len(change):
-        diffs.append(f"sections traced {len(parent)} -> {len(change)}")
-    label = f"{'DIFF' if diffs else 'same'}  {name}: tracer run of {len(change)} sections"
-    print(label + "".join(f"\n      {d}" for d in diffs))
+        diffs.append(f"{items} {len(parent)} -> {len(change)}")
+    print(f"{'DIFF' if diffs else 'same'}  {label} of {len(change)} {items}" + "".join(f"\n      {d}" for d in diffs))
     return 1 if diffs else 0
 
 
@@ -521,6 +561,7 @@ def main(argv=None) -> int:
                 name: {side: pool.submit(_inverse_run, src, config, tmp) for side, src in sources.items()}
                 for name, config in configs.items()
             }
+            scan = {side: pool.submit(_scan_run, src, tmp) for side, src in sources.items()}
             n_diff = 0
             for (label, *_), futures in zip(runs, results):
                 diffs = _differences(futures["parent"].result(), futures["change"].result())
@@ -535,10 +576,14 @@ def main(argv=None) -> int:
                 for name, futures in ensemble.items()
             )
             n_trace_diff = sum(
-                _report_trace(name, *(f.result() for f in futures.values())) for name, futures in tracer.items()
+                _report_digests(f"{name}: tracer run", TRACE_FIELDS, "sections", *(f.result() for f in fs.values()))
+                for name, fs in tracer.items()
             )
             n_inv_diff = sum(
                 _report_inverse(name, *(f.result() for f in futures.values())) for name, futures in inverse.items()
+            )
+            n_scan_diff = _report_digests(
+                "drawn-map scan run", SCAN_FIELDS, "maps", *(f.result() for f in scan.values())
             )
     _report_code_lines(sources)
     print(f"{len(runs)} CLI runs, {n_diff} with differences")
@@ -547,7 +592,8 @@ def main(argv=None) -> int:
     print(f"{len(ensemble)} ensemble runs, {n_ens_diff} with differences")
     print(f"{len(tracer)} tracer runs, {n_trace_diff} with differences")
     print(f"{len(inverse)} inverse runs, {n_inv_diff} with differences")
-    return 1 if n_diff or n_lib_diff or n_ens_diff or n_trace_diff or n_inv_diff else 0
+    print(f"1 drawn-map scan run, {n_scan_diff} with differences")
+    return 1 if n_diff or n_lib_diff or n_ens_diff or n_trace_diff or n_inv_diff or n_scan_diff else 0
 
 
 if __name__ == "__main__":
